@@ -1,21 +1,16 @@
 # CI entry points. `make ci` is what .github/workflows/ci.yml runs:
 # vet, build, the full test suite under the race detector, the
-# benchmark regression check against the committed BENCH_10.json record,
-# the fault-campaign, record/replay, fleet control-plane, decision-trace,
-# chaos/kill-restore, cross-engine golden-equivalence, scenario-
-# generator and telemetry-pipeline smoke tests, and — when the tools
-# are on PATH — staticcheck and govulncheck.
+# benchmark module's tests, the fault-campaign, record/replay, fleet
+# control-plane, decision-trace, chaos/kill-restore, event-core
+# reference-equivalence, scenario-generator and telemetry-pipeline
+# smoke tests, and — when the tools are on PATH — staticcheck and
+# govulncheck.
 
 GO ?= go
 
-# MICROBENCH is the single-iteration micro-benchmark sweep both bench
-# targets run: it keeps the hot-path benchmarks compiling and their
-# allocs/op visible without paying for statistically stable timings.
-MICROBENCH = $(GO) test -run='^$$' -bench='BenchmarkOptimize|BenchmarkControllerCycle|BenchmarkNewFrontier' -benchtime=1x ./internal/core/...
+.PHONY: ci vet build test race bench bench-test bench-campaign smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln fuzz
 
-.PHONY: ci vet build test race bench bench-check bench-campaign smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln fuzz
-
-ci: vet build race bench-check smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln
+ci: vet build race bench-test smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln
 
 vet:
 	$(GO) vet ./...
@@ -29,24 +24,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Refresh the tracked benchmark record: the micro-benchmarks, then the
-# fixed-scenario suite (6 evaluated apps + eBook × 3 background loads
-# under the controller, a 256-session fleet slice — plain and fully
-# observed (cohort labels + concurrent scrapes + a stream subscriber,
-# the telemetry-overhead cell) — and a 64-session generated population
-# from internal/scenario) written to BENCH_10.json. Run on a quiet
-# machine and commit the result.
+# The repo benchmark (benchmark/README.md): each of its four workloads
+# once at a fixed seed. Every run prints its JSON result as the last
+# stdout line. Not part of `ci` — run it on a quiet machine.
 bench:
-	$(MICROBENCH)
-	$(GO) run ./cmd/aspeo-bench -out BENCH_10.json
+	for w in paper-cells idle-doze fleet-steady population-burst; do \
+		bash benchmark/run.sh --workload $$w --seed 101 --seconds 15 --trace 0 || exit 1; \
+	done
 
-# Regression gate: re-run the suite and fail on >10% regression of
-# calibration-normalized throughput or raw allocs/cycle against the
-# committed record. The fresh measurement lands in bench-current.json
-# (untracked) for inspection.
-bench-check:
-	$(MICROBENCH)
-	$(GO) run ./cmd/aspeo-bench -check BENCH_10.json -out bench-current.json
+# The benchmark module's own tests (statistics, result schema, digest
+# determinism), under the race detector.
+bench-test:
+	cd benchmark && $(GO) test -race ./...
 
 # One fault scenario end to end at Quick fidelity: faults delivered,
 # ledger populated, hardened slack bounded by the stock governors'.
@@ -80,13 +69,14 @@ smoke-trace:
 smoke-chaos:
 	$(GO) test -count=1 -race -run='TestKillRestore|TestFleetKillRestoreGolden|TestFleetChaosRecovery' ./internal/experiment/ ./internal/fleet/
 
-# Cross-engine golden equivalence, under the race detector: the
-# event-queue core against the fixed-timestep compatibility core on
-# controller, governor, fault-injected and full-rate-traced cells
-# (summary JSON, allocation logs, traces — all byte-identical), plus the
-# randomized engine storms and event-queue ordering property tests.
+# Event-core golden equivalence, under the race detector: the
+# event-queue core against the literal per-step reference loop on
+# controller, governor, fault-injected and full-rate-traced sessions
+# (summary JSON, allocation logs, traces — all byte-identical), every
+# evaluated app under BL/HL plus configuration churn, randomized actor
+# storms, interrupt boundaries, and the event-queue ordering properties.
 smoke-event:
-	$(GO) test -count=1 -race -run='TestEngineEquivalence|TestCrossBackendStormBitIdentity|TestEventQueue|TestInterruptBoundaryParity' ./internal/experiment/ ./internal/sim/
+	$(GO) test -count=1 -race -run='TestEngineEquivalence|TestStepFusion|TestCrossBackendStormBitIdentity|TestEventQueue|TestInterruptBoundaryParity' ./internal/sim/
 
 # The scenario subsystem end to end, under the race detector: the
 # shipped example spec compiles to a byte-identical golden session
@@ -120,12 +110,14 @@ vuln:
 		echo "vuln: govulncheck not installed, skipping"; \
 	fi
 
-# Short fuzz passes: the sysfs path canonicalizer and the scenario
-# spec parser/compiler (seed corpora in the fuzz targets). Not part of
-# `ci` — time-boxed runs belong in a dedicated job.
+# Short fuzz passes: the sysfs path canonicalizer, the scenario spec
+# parser/compiler and the checkpoint envelope decoder (seed corpora in
+# the fuzz targets). Not part of `ci` — time-boxed runs belong in a
+# dedicated job.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClean -fuzztime=15s ./internal/sysfs/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=15s ./internal/scenario/
+	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=15s ./internal/ckpt/
 
 # The campaign-scale benchmarks (quick Table III, serial vs parallel
 # with a reported speedup metric). Not part of `ci` — they simulate

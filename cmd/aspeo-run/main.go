@@ -54,7 +54,6 @@ func main() {
 		target     = flag.Float64("target", 0, "performance target in GIPS; measured from the default governors when 0")
 		cpuOnly    = flag.Bool("cpu-only", false, "controller actuates CPU frequency only (Table V baseline)")
 		seed       = flag.Int64("seed", 101, "simulation seed")
-		engine     = flag.String("engine", "event", "simulation core: event (min-heap event queue) or fixed (compatibility fixed-timestep loop); bit-identical results")
 		quick      = flag.Bool("quick", false, "reduced-fidelity profiling when done on the fly")
 		histograms = flag.Bool("hist", false, "print residency histograms")
 		traceCSV   = flag.String("trace", "", "write a time-series trace CSV to this path")
@@ -193,7 +192,7 @@ func main() {
 			App: *app, Load: *load, Governor: *gov,
 			Controller: *useCtl, CPUOnly: *cpuOnly,
 			Profile: *profPath, TargetGIPS: *target, Quick: *quick,
-			Seed: *seed, Engine: *engine, Faults: *faultName,
+			Seed: *seed, Faults: *faultName,
 		}
 	}
 	spec.TraceEvery = traceEvery

@@ -31,10 +31,6 @@ type HarnessConfig struct {
 	ExtraBackground []*workload.Spec
 	// Seed drives the cell's whole stochastic state.
 	Seed int64
-	// Engine selects the simulation core (sim.BackendEvent, the zero
-	// value and default, or sim.BackendFixed — the compatibility
-	// backend). Both produce bit-identical observables.
-	Engine sim.Backend
 	// TraceEvery, when positive, attaches a trace recorder at that
 	// decimation interval (sim.DefaultStep records every engine step —
 	// the full-rate recording platform/replay needs).
@@ -58,7 +54,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngineOpts(ph, sim.Options{Backend: cfg.Engine})
+	eng := sim.NewEngine(ph)
 	h := &Harness{Phone: ph, Engine: eng, spec: cfg.Foreground}
 	if cfg.Install != nil {
 		if err := cfg.Install(eng); err != nil {

@@ -58,11 +58,6 @@ type SessionSpec struct {
 	Quick bool
 	// Seed drives the cell's whole stochastic state.
 	Seed int64
-	// Engine selects the simulation core: "event" (the default, also
-	// selected by ""), or "fixed" for the compatibility backend. The two
-	// cores are golden-tested bit-identical; the knob exists for that
-	// proof and for falling back if an event-core bug ever surfaces.
-	Engine string
 	// Faults names a fault scenario (FaultScenarioByName); empty injects
 	// nothing.
 	Faults string
@@ -141,9 +136,6 @@ func (s SessionSpec) Validate() error {
 			return fmt.Errorf("unknown governor %q (want one of: %s)",
 				s.Governor, strings.Join(governor.CPUFreqPolicies(), ", "))
 		}
-	}
-	if _, err := sim.ParseBackend(s.Engine); err != nil {
-		return err
 	}
 	if s.Faults != "" {
 		if _, err := FaultScenarioByName(s.Faults); err != nil {
@@ -314,11 +306,9 @@ func NewSession(spec SessionSpec) (*Session, error) {
 		return nil
 	}
 
-	backend, _ := sim.ParseBackend(spec.Engine)
 	h, err := NewHarness(HarnessConfig{
 		Foreground: app, Load: bg, ExtraBackground: spec.ExtraBackground,
-		Seed: spec.Seed, Engine: backend,
-		TraceEvery: spec.TraceEvery, Install: install,
+		Seed: spec.Seed, TraceEvery: spec.TraceEvery, Install: install,
 	})
 	if err != nil {
 		return nil, err

@@ -132,9 +132,16 @@ func TestFleetKillRestoreGolden(t *testing.T) {
 	}
 
 	// Second life: plant the captured snapshot in a fresh directory —
-	// exactly what a killed process would have left — and restore.
+	// exactly what a killed process would have left — and restore. The
+	// planted meta also names the since-removed "engine" field, as a
+	// checkpoint from an older build would: meta decodes leniently, so
+	// the session must resume unchanged.
 	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, v1.ID+".ckpt.json"), snap, 0o644); err != nil {
+	planted := bytes.Replace(snap, []byte(`"config":{`), []byte(`"config":{"engine":"fixed",`), 1)
+	if bytes.Equal(planted, snap) {
+		t.Fatal("checkpoint meta carries no config")
+	}
+	if err := os.WriteFile(filepath.Join(dir2, v1.ID+".ckpt.json"), planted, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m2 := fleet.NewManager(fleet.Options{Workers: 2, CheckpointDir: dir2, CheckpointEvery: 3})

@@ -91,17 +91,14 @@ type Config struct {
 	// condition's standard set (scenario ad storms).
 	ExtraBackground []*workload.Spec `json:"extra_background,omitempty"`
 	Load            string           `json:"load,omitempty"`
-	Governor   string  `json:"governor,omitempty"`
-	Controller bool    `json:"controller,omitempty"`
-	CPUOnly    bool    `json:"cpu_only,omitempty"`
-	Profile    string  `json:"profile,omitempty"`
-	TargetGIPS float64 `json:"target_gips,omitempty"`
-	Quick      bool    `json:"quick,omitempty"`
-	Seed       int64   `json:"seed,omitempty"`
-	// Engine selects the simulation core: "event" (default) or "fixed"
-	// (the compatibility backend); see sim.ParseBackend.
-	Engine string `json:"engine,omitempty"`
-	Faults string `json:"faults,omitempty"`
+	Governor        string           `json:"governor,omitempty"`
+	Controller      bool             `json:"controller,omitempty"`
+	CPUOnly         bool             `json:"cpu_only,omitempty"`
+	Profile         string           `json:"profile,omitempty"`
+	TargetGIPS      float64          `json:"target_gips,omitempty"`
+	Quick           bool             `json:"quick,omitempty"`
+	Seed            int64            `json:"seed,omitempty"`
+	Faults          string           `json:"faults,omitempty"`
 	// RunForS caps the session at a fixed simulated duration (seconds);
 	// 0 runs the app's standard session.
 	RunForS float64 `json:"run_for_s,omitempty"`
@@ -135,7 +132,7 @@ func (c Config) spec(seed int64) experiment.SessionSpec {
 		Load: c.Load, Governor: c.Governor,
 		Controller: c.Controller, CPUOnly: c.CPUOnly,
 		Profile: c.Profile, TargetGIPS: c.TargetGIPS, Quick: c.Quick,
-		Seed: seed, Engine: c.Engine, Faults: c.Faults,
+		Seed: seed, Faults: c.Faults,
 		RunFor:         time.Duration(c.RunForS * float64(time.Second)),
 		LogAllocations: c.LogAllocations,
 	}

@@ -57,6 +57,12 @@ func TestFleetSmokeHTTP(t *testing.T) {
 	if code, _ := post("/api/v1/sessions", `{"app":"spotify","count":-3}`); code != http.StatusBadRequest {
 		t.Fatalf("negative count: status %d, want 400", code)
 	}
+	// There is one simulation core; the removed engine selector is an
+	// unknown field like any other.
+	if code, body := post("/api/v1/sessions", `{"app":"spotify","engine":"fixed"}`); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "engine") {
+		t.Fatalf("engine field: status %d body %s, want 400 naming engine", code, body)
+	}
 
 	// Submit 8 sessions at consecutive seeds in one request.
 	code, body := post("/api/v1/sessions", `{"app":"spotify","seed":100,"count":8,"run_for_s":2}`)

@@ -26,7 +26,6 @@ func ConfigFromSession(g *scenario.Session) Config {
 		TargetGIPS:      g.TargetGIPS,
 		Quick:           g.Quick,
 		Seed:            g.Seed,
-		Engine:          g.Engine,
 		Faults:          g.Faults,
 		RunForS:         g.RunForS,
 		MaxRestarts:     g.MaxRestarts,

@@ -134,15 +134,17 @@ func (v SessionView) Terminal() bool { return v.State.Terminal() }
 // the session mutex. worker is the pool worker index running it — the
 // session's telemetry shard for its whole life.
 func (m *Manager) runSession(worker int, s *session) {
-	// land folds the session's final telemetry record (before done
-	// closes, so a rollup taken after WaitSession always includes it),
-	// maintains the lifecycle population counters, and finishes.
+	// land folds the session's final telemetry record and drops its
+	// checkpoint (both before done closes, so a rollup taken after
+	// WaitSession always includes the record and the checkpoint is
+	// already gone), maintains the lifecycle population counters, and
+	// finishes.
 	land := func(state State, errMsg string, from *atomic.Int64, to *atomic.Int64) {
 		m.foldFinal(worker, s)
+		m.removeCheckpoint(s.id)
 		from.Add(-1)
 		to.Add(1)
 		s.finish(state, errMsg)
-		m.removeCheckpoint(s.id)
 	}
 	if s.stop.Load() {
 		land(StateStopped, "stopped before start", &m.stPending, &m.stStopped)

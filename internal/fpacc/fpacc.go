@@ -19,11 +19,10 @@
 // probe-and-jump per binade — logarithmic in k — while returning the
 // bit-identical sequential result.
 //
-// The event-queue simulation backend (internal/sim) uses AddK to
-// integrate monitor energy, PMU counters and task progress over
-// variable-length quiescent intervals in closed form; the fixed-step
-// backend keeps the literal loops, and the cross-engine goldens compare
-// the two byte for byte.
+// The simulation engine (internal/sim) uses AddK to integrate monitor
+// energy, PMU counters and task progress over variable-length quiescent
+// intervals in closed form; its tests keep the literal per-step loop as
+// the reference and compare the two byte for byte.
 package fpacc
 
 import "math"

@@ -14,6 +14,14 @@ type outer struct {
 	Weight  float64 `json:"weight"`
 	Nested  inner   `json:"nested"`
 	Numbers []int   `json:"numbers"`
+	Items   []inner `json:"items"`
+}
+
+// request embeds outer the way a request body embeds its config.
+type request struct {
+	outer
+	Count int            `json:"count"`
+	Extra map[string]any `json:"extra"`
 }
 
 func TestDecodeStrictOK(t *testing.T) {
@@ -38,6 +46,24 @@ func TestDecodeStrictUnknownField(t *testing.T) {
 	}
 	if strings.HasPrefix(err.Error(), "json: ") {
 		t.Fatalf("error keeps the stdlib prefix: %v", err)
+	}
+}
+
+// TestDecodeStrictUnknownFieldPath: an unknown key is reported at its
+// path, through nested objects, array elements and embedded structs,
+// while keys under maps are never unknown.
+func TestDecodeStrictUnknownFieldPath(t *testing.T) {
+	cases := []struct{ doc, want string }{
+		{`{"nested":{"rat":1}}`, `nested.rat: unknown field "rat"`},
+		{`{"items":[{"rate":1},{"rate":2,"engine":"fixed"}]}`, `items[1].engine: unknown field "engine"`},
+		{`{"extra":{"anything":{"goes":1}},"count":2,"name":"a","Weight":1,"engine":"x"}`, `engine: unknown field "engine"`},
+	}
+	for _, tc := range cases {
+		var v request
+		err := UnmarshalStrict([]byte(tc.doc), &v)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got %v, want %s", tc.doc, err, tc.want)
+		}
 	}
 }
 

@@ -77,38 +77,12 @@ func (m *Monitor) Observe(powerW float64, dt time.Duration) {
 	}
 }
 
-// ObserveN feeds n consecutive constant-power observations of dt each.
-// It is bit-identical to calling Observe(powerW, dt) n times: the energy
-// and power sums accumulate sequentially (floating-point addition is not
-// associative), while the integer sample and elapsed counters batch
-// exactly.
-func (m *Monitor) ObserveN(powerW float64, dt time.Duration, n int) {
-	if !m.running || dt <= 0 || n <= 0 {
-		return
-	}
-	sec := dt.Seconds()
-	k := int(sec*m.sampleHz + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	m.lastPowerW = powerW
-	e, sp := powerW*sec, powerW*float64(k)
-	for i := 0; i < n; i++ {
-		m.energyJ += e
-		m.sumPower += sp
-	}
-	m.elapsed += time.Duration(n) * dt
-	m.samples += n * k
-	if powerW > m.maxPower {
-		m.maxPower = powerW
-	}
-}
-
-// ObserveSpan is ObserveN in closed form: it produces bit-identical
-// accumulator state to n sequential Observe(powerW, dt) calls, but in
-// time logarithmic in n (fpacc.AddK fast-forwards the two sequential
-// float sums; the integer counters batch exactly). The event-queue
-// simulation backend uses it to integrate power over a whole quiescent
+// ObserveSpan feeds n consecutive constant-power observations of dt
+// each. It produces bit-identical accumulator state to n sequential
+// Observe(powerW, dt) calls, but in time logarithmic in n (fpacc.AddK
+// fast-forwards the two sequential float sums — floating-point addition
+// is not associative — while the integer counters batch exactly). The
+// simulation engine uses it to integrate power over a whole quiescent
 // interval in one call.
 func (m *Monitor) ObserveSpan(powerW float64, dt time.Duration, n int) {
 	if !m.running || dt <= 0 || n <= 0 {

@@ -58,24 +58,10 @@ func (p *PMU) Add(c Counter, delta float64) {
 	p.mu.Unlock()
 }
 
-// AddN advances a counter by delta, n times in sequence — bit-identical
-// to n successive Add calls, but under one lock acquisition. The fused
-// simulator step uses it to replay identical per-step increments.
-func (p *PMU) AddN(c Counter, delta float64, n int) {
-	if delta <= 0 || n <= 0 || c < 0 || c >= numCounters {
-		return
-	}
-	p.mu.Lock()
-	for i := 0; i < n; i++ {
-		p.counts[c] += delta
-	}
-	p.mu.Unlock()
-}
-
-// AddSpan advances a counter as AddN does — bit-identical to n
-// successive Add calls — but in closed form via fpacc.AddK, so the cost
-// is logarithmic in n. The event-queue simulation backend uses it to
-// integrate counter movement over variable-length quiescent intervals.
+// AddSpan advances a counter by delta, n times in sequence —
+// bit-identical to n successive Add calls — but in closed form via
+// fpacc.AddK, so the cost is logarithmic in n. The simulation engine
+// uses it to integrate counter movement over quiescent intervals.
 func (p *PMU) AddSpan(c Counter, delta float64, n int) {
 	if delta <= 0 || n <= 0 || c < 0 || c >= numCounters {
 		return

@@ -111,7 +111,8 @@ func (r RunSummary) WriteJSON(w io.Writer) error {
 // sessions into: population by state, throughput, and the summed energy,
 // performance and health figures. Like RunSummary it is a shared schema
 // — the fleet API returns it as JSON, Fleet renders it as text, and
-// PrometheusMetrics renders it in the Prometheus exposition format.
+// RollupMetrics publishes it on a metrics registry for the Prometheus
+// exposition.
 type FleetRollup struct {
 	// Sessions by lifecycle state.
 	Pending   int `json:"pending"`
@@ -283,13 +284,4 @@ func telemetryMetrics(reg *obs.Registry, t *pipeline.Rollup) {
 		collapse.With(inf.Cohort).Set(inf.SlackCollapsePct)
 		corr.With(inf.Cohort).Set(inf.ArrivalSlackCorr)
 	}
-}
-
-// PrometheusMetrics renders the rollup in the Prometheus text exposition
-// format (version 0.0.4) — a one-shot convenience over RollupMetrics
-// plus obs.(*Registry).WriteText on a fresh registry.
-func PrometheusMetrics(w io.Writer, r FleetRollup) {
-	reg := obs.NewRegistry()
-	RollupMetrics(reg, r)
-	reg.WriteText(w)
 }

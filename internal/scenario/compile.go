@@ -43,7 +43,6 @@ type Session struct {
 	Governor    string  `json:"governor,omitempty"`
 	TargetGIPS  float64 `json:"target_gips,omitempty"`
 	Quick       bool    `json:"quick,omitempty"`
-	Engine      string  `json:"engine,omitempty"`
 	Faults      string  `json:"faults,omitempty"`
 	RunForS     float64 `json:"run_for_s,omitempty"`
 	MaxRestarts int     `json:"max_restarts,omitempty"`
@@ -69,7 +68,6 @@ func (g *Session) SessionSpec() experiment.SessionSpec {
 		TargetGIPS:      g.TargetGIPS,
 		Quick:           g.Quick,
 		Seed:            g.Seed,
-		Engine:          g.Engine,
 		Faults:          g.Faults,
 		RunFor:          time.Duration(g.RunForS * float64(time.Second)),
 	}
@@ -152,7 +150,6 @@ func (s *Spec) synthSession(i int, seed int64, arrival float64) (Session, error)
 		Governor:    c.Governor,
 		TargetGIPS:  c.TargetGIPS,
 		Quick:       c.Quick,
-		Engine:      c.Engine,
 		Faults:      c.Faults,
 		RunForS:     c.RunForS,
 		MaxRestarts: c.MaxRestarts,

@@ -166,8 +166,6 @@ type Cohort struct {
 	// controller sessions (recommended for generated workloads, which
 	// have no stored profile tables).
 	Quick bool `json:"quick,omitempty"`
-	// Engine selects the simulation core ("" = event).
-	Engine string `json:"engine,omitempty"`
 	// Faults names a fault scenario injected into every cohort session.
 	Faults string `json:"faults,omitempty"`
 	// RunForS caps each session at a fixed simulated duration; 0 keeps

@@ -249,6 +249,10 @@ func TestParseStrict(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","seed":1,"sessions":"many"}`)); err == nil || !strings.Contains(err.Error(), "sessions") {
 		t.Errorf("type mismatch: got %v", err)
 	}
+	// The removed engine selector is unknown, reported at its path.
+	if _, err := Parse([]byte(`{"name":"x","sessions":2,"cohorts":[{"name":"c","weight":1,"apps":["spotify"],"engine":"fixed"}]}`)); err == nil || !strings.Contains(err.Error(), "cohorts[0].engine") {
+		t.Errorf("engine field: got %v", err)
+	}
 	if _, err := Parse([]byte(`{"name":"x","sessions":1,"cohorts":[{"name":"c","weight":1,"apps":["spotify"]}]}{}`)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing content: got %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"aspeo/internal/experiment"
 	"aspeo/internal/governor"
-	"aspeo/internal/sim"
 	"aspeo/internal/workload"
 )
 
@@ -174,9 +173,6 @@ func (s *Spec) validateCohort(c *Cohort) error {
 	}
 	if c.TargetGIPS > 0 && !c.Controller {
 		return fmt.Errorf("target_gips: %v set on a non-controller cohort", c.TargetGIPS)
-	}
-	if _, err := sim.ParseBackend(c.Engine); err != nil {
-		return fmt.Errorf("engine: %w", err)
 	}
 	if c.Faults != "" {
 		if _, err := experiment.FaultScenarioByName(c.Faults); err != nil {

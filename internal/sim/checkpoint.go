@@ -127,7 +127,7 @@ func (e *Engine) RestoreActors(states []ActorState) error {
 
 // PhoneState is the device half of a session checkpoint: the complete
 // dynamic state of a Phone. Everything rebuilt deterministically from
-// Config (SoC tables, power model, sysfs wiring, fusion plan cache) is
+// Config (SoC tables, power model, sysfs wiring, step plan cache) is
 // excluded; everything that evolves during a run is here.
 type PhoneState struct {
 	Now        time.Duration `json:"now_ns"`
@@ -216,7 +216,7 @@ func (p *Phone) CheckpointState() (PhoneState, error) {
 
 // RestoreState restores a snapshot onto a phone freshly rebuilt from
 // the same Config. Actor restore must already have run (so runtime
-// sysfs files exist for the value restore). The fusion plan cache is
+// sysfs files exist for the value restore). The step plan cache is
 // dropped, not restored: it is a pure function of the state above and
 // the first post-restore Step recomputes it bit-identically.
 func (p *Phone) RestoreState(s PhoneState) error {

@@ -18,51 +18,10 @@ type Actor = platform.Actor
 // governor's 20 ms timer).
 const DefaultStep = time.Millisecond
 
-// Backend selects the engine core that drives the simulation loop.
-// Both backends produce bit-identical observables for the same seeded
-// cell; they differ only in how they spend wall time getting there.
-type Backend int
-
-// Engine backends.
-const (
-	// BackendEvent is the default core: a min-heap event queue that
-	// processes typed events (control-cycle ticks, governor sampling
-	// windows, perf-window closes, fault firings, the run deadline) in
-	// non-decreasing timestamp order and integrates the quiescent
-	// intervals between them in closed form. Idle-dominated workloads
-	// simulate in near-zero wall time.
-	BackendEvent Backend = iota
-	// BackendFixed is the original fixed-timestep loop, kept as the
-	// compatibility backend the event core is golden-tested against.
-	BackendFixed
-)
-
-// String returns the -engine flag spelling.
-func (b Backend) String() string {
-	if b == BackendFixed {
-		return "fixed"
-	}
-	return "event"
-}
-
-// ParseBackend parses the -engine flag: "event", "fixed", or "" (the
-// default, event).
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "event":
-		return BackendEvent, nil
-	case "fixed":
-		return BackendFixed, nil
-	}
-	return 0, fmt.Errorf("sim: unknown engine backend %q (want event or fixed)", s)
-}
-
 // Options configures engine construction.
 type Options struct {
 	// Step is the integration step; 0 means DefaultStep.
 	Step time.Duration
-	// Backend selects the engine core; the zero value is BackendEvent.
-	Backend Backend
 	// DebugInvariants enables the event core's invariant enforcement:
 	// clock monotonicity of the event stream and the work-conserving
 	// property of every span. Violations panic — they are engine bugs,
@@ -82,16 +41,15 @@ type Options struct {
 type Engine struct {
 	phone     *Phone
 	step      time.Duration
-	backend   Backend
 	debug     bool
 	actors    []scheduled
 	interrupt func() bool
 	ckptHook  func()
 	cursor    RunCursor
 
-	// Event-core scratch state, rebuilt from actors[i].next at every
+	// Event-queue scratch state, rebuilt from actors[i].next at every
 	// Run/Resume entry so the checkpoint machinery (CheckpointActors/
-	// RestoreActors) stays backend-agnostic.
+	// RestoreActors) works on the actor schedule alone.
 	queue eventQueue
 	due   []int
 }
@@ -102,8 +60,7 @@ type scheduled struct {
 	kind  EventKind
 }
 
-// NewEngine creates an engine over the phone with the default step and
-// backend.
+// NewEngine creates an engine over the phone with the default step.
 func NewEngine(ph *Phone) *Engine {
 	return NewEngineOpts(ph, Options{})
 }
@@ -113,11 +70,8 @@ func NewEngineOpts(ph *Phone, opt Options) *Engine {
 	if opt.Step <= 0 {
 		opt.Step = DefaultStep
 	}
-	return &Engine{phone: ph, step: opt.Step, backend: opt.Backend, debug: opt.DebugInvariants}
+	return &Engine{phone: ph, step: opt.Step, debug: opt.DebugInvariants}
 }
-
-// Backend returns the engine core in use.
-func (e *Engine) Backend() Backend { return e.backend }
 
 // Phone returns the concrete device under simulation — for harnesses
 // extracting simulator-only state (histograms, trace recorder).
@@ -149,9 +103,8 @@ func (e *Engine) MustRegister(a Actor) {
 
 // SetInterrupt installs a callback polled at every event boundary of
 // the run — the loop points where an actor is due to tick (or the run
-// is about to begin). Both backends poll at exactly the same boundaries,
-// so the spacing of polls in simulated time equals the gap between
-// consecutive actor deadlines: with the default session actor set that
+// is about to begin). The spacing of polls in simulated time equals the
+// gap between consecutive actor deadlines: with the default session actor set that
 // is the fastest registered period (20 ms under a kernel governor, 1 s
 // under the controller's perf tool, up to the 2 s control quantum in a
 // controller-only cell). When the callback returns true the run stops
@@ -163,7 +116,7 @@ func (e *Engine) MustRegister(a Actor) {
 func (e *Engine) SetInterrupt(f func() bool) { e.interrupt = f }
 
 // Stats summarizes a run; the definition lives in platform so every
-// backend reports the same shape.
+// platform.Runner reports the same shape.
 type Stats = platform.Stats
 
 // Run advances the simulation until `until` elapses (relative to the
@@ -171,14 +124,18 @@ type Stats = platform.Stats
 // completes. It returns run statistics measured over exactly the
 // interval it simulated.
 func (e *Engine) Run(until time.Duration, stopWhenFGDone bool) Stats {
-	ph := e.phone
-	start := ph.Now()
+	return e.run(e.startRun(until, stopWhenFGDone))
+}
 
+// startRun opens a measurement session and records the baselines the
+// run's Stats are diffed against.
+func (e *Engine) startRun(until time.Duration, stopWhenFGDone bool) RunCursor {
+	ph := e.phone
 	ph.Monitor().Start()
 	instr, cycles, bus := ph.PMU().Snapshot().Values()
-	cur := RunCursor{
-		Start:              start,
-		Deadline:           start + until,
+	return RunCursor{
+		Start:              ph.Now(),
+		Deadline:           ph.Now() + until,
 		StopWhenFGDone:     stopWhenFGDone,
 		StartInstr:         instr,
 		StartCycles:        cycles,
@@ -187,7 +144,6 @@ func (e *Engine) Run(until time.Duration, stopWhenFGDone bool) Stats {
 		FreqChangesAtStart: ph.FreqChanges(),
 		BWChangesAtStart:   ph.BWChanges(),
 	}
-	return e.run(cur)
 }
 
 // Resume continues a run from a restored cursor WITHOUT re-taking
@@ -197,68 +153,16 @@ func (e *Engine) Run(until time.Duration, stopWhenFGDone bool) Stats {
 // identical Stats an uninterrupted one would.
 func (e *Engine) Resume(cur RunCursor) Stats { return e.run(cur) }
 
-// run dispatches to the selected backend core and computes the run's
-// Stats over the cursor's window. Both cores share the same boundary
-// semantics — loop top is the quiescent point where the interrupt and
-// checkpoint hooks are polled, due actors tick in registration order,
-// and the device then advances to the next actor deadline — so the
-// observable trajectory is identical; they differ only in how the
-// quiescent intervals are integrated.
+// run drives the event core over the cursor's window and computes the
+// run's Stats.
 func (e *Engine) run(cur RunCursor) Stats {
 	e.cursor = cur
-	if e.backend == BackendEvent {
-		e.runEvent(cur)
-	} else {
-		e.runFixed(cur)
-	}
+	e.runEvent(cur)
 	return e.finishRun(cur)
 }
 
-// runFixed is the compatibility core: the original fixed-timestep loop.
-// Each iteration ticks every actor that is due, then hands the phone
-// all the steps up to the next actor deadline (or the run deadline) at
-// once. StepN fuses those steps where the workload allows; the actor
-// schedule is unchanged because no actor deadline can fall inside a
-// batch.
-func (e *Engine) runFixed(cur RunCursor) {
-	ph := e.phone
-	deadline := cur.Deadline
-	stopWhenFGDone := cur.StopWhenFGDone
-
-	for ph.Now() < deadline {
-		if stopWhenFGDone && ph.FGDone() {
-			break
-		}
-		if e.interrupt != nil && e.interrupt() {
-			break
-		}
-		if e.ckptHook != nil {
-			// Loop top is the engine's quiescent point: no actor is
-			// mid-tick and every actor deadline is consistent, so this is
-			// the only place a checkpoint may be captured.
-			e.ckptHook()
-		}
-		now := ph.Now()
-		next := deadline
-		for i := range e.actors {
-			if now >= e.actors[i].next {
-				e.actors[i].actor.Tick(now, ph)
-				e.actors[i].next = now + e.actors[i].actor.Period()
-			}
-			if e.actors[i].next < next {
-				next = e.actors[i].next
-			}
-		}
-		n := int((next - now) / e.step)
-		if n < 1 {
-			n = 1
-		}
-		ph.StepN(e.step, n, stopWhenFGDone)
-	}
-}
-
 // finishRun closes the measurement session and diffs the run's Stats
-// against the cursor's baselines. Shared by both backend cores.
+// against the cursor's baselines.
 func (e *Engine) finishRun(cur RunCursor) Stats {
 	ph := e.phone
 	ph.Monitor().Stop()

@@ -166,15 +166,17 @@ func (q *eventQueue) Pop() Event {
 	return top
 }
 
-// runEvent is the event-core run loop. It rebuilds the queue from the
+// runEvent is the engine's run loop. It rebuilds the queue from the
 // authoritative actor schedule (actors[i].next) at entry, so a cell
 // restored via RestoreActors resumes with the exact deadlines the
-// checkpoint recorded, and the fixed core's checkpoint machinery works
-// unchanged.
+// checkpoint recorded.
 //
-// Loop-top boundary semantics match runFixed exactly: foreground-done
-// check, interrupt poll, checkpoint hook (the quiescent point), due
-// actors ticked in registration order, then one span to the next event.
+// Each loop top is an event boundary: foreground-done check, interrupt
+// poll, checkpoint hook (the quiescent point), due actors ticked in
+// registration order, then one span to the next event. The observable
+// trajectory is that of the literal loop — every 1 ms step, scan the
+// actors in registration order, tick those due, and Step the phone once
+// — which the package tests keep as the reference oracle.
 func (e *Engine) runEvent(cur RunCursor) {
 	ph := e.phone
 	deadline := cur.Deadline

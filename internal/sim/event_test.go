@@ -93,13 +93,13 @@ func TestEventQueueOrderingRandomized(t *testing.T) {
 	}
 }
 
-// --- cross-backend bit identity --------------------------------------------
+// --- event core vs the reference loop --------------------------------------
 
 // stormActor is a deterministic actor for randomized engine storms: a
 // per-actor LCG decides on each tick whether to move the CPU or bus
 // configuration. Two fresh instances with the same parameters replay
-// the same decisions, so an event-backend cell and a fixed-backend cell
-// see identical actuation sequences iff the engines tick them at the
+// the same decisions, so an event-core cell and a reference-loop cell
+// see identical actuation sequences iff the two loops tick them at the
 // same boundaries in the same order — which is exactly what the test
 // asserts through the phones' final state.
 type stormActor struct {
@@ -143,9 +143,9 @@ func phoneStateJSON(t *testing.T, ph *Phone) []byte {
 
 // TestCrossBackendStormBitIdentity is the work-conservation and
 // monotonicity property test: randomized seeded actor storms (random
-// actor counts, periods, phase offsets through the LCG) run on both
-// backends with the event core's invariant enforcement enabled, and the
-// complete device state plus Stats must match bit for bit.
+// actor counts, periods, phase offsets through the LCG) run on the event
+// core, with its invariant enforcement enabled, and on the reference
+// loop; the complete device state plus Stats must match bit for bit.
 func TestCrossBackendStormBitIdentity(t *testing.T) {
 	specs := []func() *workload.Spec{workload.AngryBirds, workload.Spotify, workload.EBook}
 	rng := rand.New(rand.NewSource(0xe5709))
@@ -170,7 +170,7 @@ func TestCrossBackendStormBitIdentity(t *testing.T) {
 			state []byte
 			ticks []int
 		}
-		run := func(be Backend) result {
+		run := func(reference bool) result {
 			ph, err := NewPhone(Config{
 				Foreground: spec, Load: workload.BaselineLoad, Seed: int64(trial),
 				ScreenOn: true, WiFiOn: true,
@@ -178,7 +178,7 @@ func TestCrossBackendStormBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := NewEngineOpts(ph, Options{Backend: be, DebugInvariants: true})
+			eng := NewEngineOpts(ph, Options{DebugInvariants: true})
 			actors := make([]*stormActor, nActors)
 			for i := range actors {
 				actors[i] = &stormActor{
@@ -187,7 +187,12 @@ func TestCrossBackendStormBitIdentity(t *testing.T) {
 				}
 				eng.MustRegister(actors[i])
 			}
-			st := eng.Run(runFor, false)
+			var st Stats
+			if reference {
+				st = eng.RunReference(runFor, false)
+			} else {
+				st = eng.Run(runFor, false)
+			}
 			ticks := make([]int, nActors)
 			for i, a := range actors {
 				ticks[i] = a.ticks
@@ -195,69 +200,49 @@ func TestCrossBackendStormBitIdentity(t *testing.T) {
 			return result{stats: st, state: phoneStateJSON(t, ph), ticks: ticks}
 		}
 
-		ev, fx := run(BackendEvent), run(BackendFixed)
-		if !reflect.DeepEqual(ev.ticks, fx.ticks) {
-			t.Fatalf("trial %d: tick counts diverge: event %v fixed %v", trial, ev.ticks, fx.ticks)
+		ev, ref := run(false), run(true)
+		if !reflect.DeepEqual(ev.ticks, ref.ticks) {
+			t.Fatalf("trial %d: tick counts diverge: event %v reference %v", trial, ev.ticks, ref.ticks)
 		}
-		if ev.stats != fx.stats {
-			t.Fatalf("trial %d: stats diverge:\nevent %+v\nfixed %+v", trial, ev.stats, fx.stats)
+		if ev.stats != ref.stats {
+			t.Fatalf("trial %d: stats diverge:\nevent     %+v\nreference %+v", trial, ev.stats, ref.stats)
 		}
-		if string(ev.state) != string(fx.state) {
-			t.Fatalf("trial %d: device state diverges:\nevent %s\nfixed %s", trial, ev.state, fx.state)
+		if string(ev.state) != string(ref.state) {
+			t.Fatalf("trial %d: device state diverges:\nevent     %s\nreference %s", trial, ev.state, ref.state)
 		}
 	}
 }
 
-// TestInterruptBoundaryParity: both backends poll the interrupt at the
-// same event boundaries, so an interrupt that fires on the Nth poll
-// stops both cells at the identical simulated instant with identical
-// Stats.
+// TestInterruptBoundaryParity: the event core polls the interrupt at the
+// same boundaries as the reference loop, so an interrupt that fires on
+// the Nth poll stops both cells at the identical simulated instant with
+// identical Stats.
 func TestInterruptBoundaryParity(t *testing.T) {
 	for _, polls := range []int{1, 3, 10, 57} {
-		run := func(be Backend) (time.Duration, Stats) {
+		run := func(reference bool) (time.Duration, Stats) {
 			ph := newTestPhone(t, workload.AngryBirds(), workload.BaselineLoad)
-			eng := NewEngineOpts(ph, Options{Backend: be, DebugInvariants: true})
+			eng := NewEngineOpts(ph, Options{DebugInvariants: true})
 			eng.MustRegister(&FixedConfigActor{FreqIdx: 4, BWIdx: 4})
 			n := 0
 			eng.SetInterrupt(func() bool {
 				n++
 				return n >= polls
 			})
-			st := eng.Run(30*time.Second, false)
+			var st Stats
+			if reference {
+				st = eng.RunReference(30*time.Second, false)
+			} else {
+				st = eng.Run(30*time.Second, false)
+			}
 			return ph.Now(), st
 		}
-		evNow, evSt := run(BackendEvent)
-		fxNow, fxSt := run(BackendFixed)
-		if evNow != fxNow {
-			t.Fatalf("polls=%d: stop instant diverges: event %v fixed %v", polls, evNow, fxNow)
+		evNow, evSt := run(false)
+		refNow, refSt := run(true)
+		if evNow != refNow {
+			t.Fatalf("polls=%d: stop instant diverges: event %v reference %v", polls, evNow, refNow)
 		}
-		if evSt != fxSt {
-			t.Fatalf("polls=%d: stats diverge:\nevent %+v\nfixed %+v", polls, evSt, fxSt)
+		if evSt != refSt {
+			t.Fatalf("polls=%d: stats diverge:\nevent     %+v\nreference %+v", polls, evSt, refSt)
 		}
-	}
-}
-
-// TestEventBackendIsDefault pins the backend-selection contract: the
-// zero Options value and NewEngine select the event core, and the flag
-// spellings round-trip.
-func TestEventBackendIsDefault(t *testing.T) {
-	ph := newTestPhone(t, workload.AngryBirds(), workload.NoLoad)
-	if be := NewEngine(ph).Backend(); be != BackendEvent {
-		t.Fatalf("NewEngine backend = %v, want event", be)
-	}
-	for _, tc := range []struct {
-		in   string
-		want Backend
-	}{{"", BackendEvent}, {"event", BackendEvent}, {"fixed", BackendFixed}} {
-		got, err := ParseBackend(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseBackend("warp"); err == nil {
-		t.Fatal("ParseBackend(warp) should fail")
-	}
-	if BackendEvent.String() != "event" || BackendFixed.String() != "fixed" {
-		t.Fatal("backend String() drift")
 	}
 }

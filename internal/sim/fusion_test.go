@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"aspeo/internal/governor"
+	"aspeo/internal/perfmodel"
 	"aspeo/internal/platform"
 	"aspeo/internal/pmu"
 	"aspeo/internal/workload"
 )
 
-// fusionCell builds one simulation cell (phone + engine + default
-// governors) with step fusion forced on or off.
-func fusionCell(t *testing.T, spec *workload.Spec, load workload.BGLoad, seed int64, fused bool) (*Phone, *Engine) {
+// fusionCell builds one simulation cell (phone + engine with invariant
+// enforcement + default governors).
+func fusionCell(t *testing.T, spec *workload.Spec, load workload.BGLoad, seed int64) (*Phone, *Engine) {
 	t.Helper()
 	ph, err := NewPhone(Config{
 		Foreground: spec, Load: load, Seed: seed,
@@ -22,8 +23,7 @@ func fusionCell(t *testing.T, spec *workload.Spec, load workload.BGLoad, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph.SetStepFusion(fused)
-	eng := NewEngine(ph)
+	eng := NewEngineOpts(ph, Options{DebugInvariants: true})
 	if err := governor.Defaults(eng); err != nil {
 		t.Fatal(err)
 	}
@@ -40,24 +40,43 @@ func eqf(t *testing.T, what string, fused, slow float64) {
 	}
 }
 
+// touchHandoff steps from a jitter-free, touch-free paced phase
+// straight into a touch phase, so a span can end on the transition
+// step and must then draw the new phase's touches — a hand-off no
+// library app has but scenario chains produce.
+func touchHandoff() *workload.Spec {
+	tr := perfmodel.Traits{CPI: 1.5, BPI: 0.5, Par: 1}
+	return &workload.Spec{
+		Name: "touch-handoff",
+		Phases: []workload.Phase{
+			{Name: "quiet", Kind: workload.Paced, Traits: tr, Duration: 700 * time.Millisecond, DemandGIPS: 0.1},
+			{Name: "touch", Kind: workload.Paced, Traits: tr, Duration: 300 * time.Millisecond, DemandGIPS: 0.2,
+				DemandJitter: 0.2, JitterPeriod: 50 * time.Millisecond, TouchRate: 4},
+		},
+		Loop:   true,
+		RunFor: 30 * time.Second,
+	}
+}
+
 // TestStepFusionBitIdentity runs every evaluated app under the default
-// governors twice — once with the fused fast path, once step-at-a-time —
-// and requires every observable quantity to match bit for bit. This is
-// the test that guards the FuseBound contract: the recorded-trace
-// goldens cannot catch fusion bugs because recorded runs always take the
-// slow path.
+// governors twice — once on the event core, whose spans fuse steps in
+// closed form, once on the literal step-at-a-time reference loop — and
+// requires every observable quantity to match bit for bit. This is the
+// test that guards the SpanBound contract: the recorded-trace goldens
+// cannot catch fusion bugs because recorded runs always take the slow
+// path.
 func TestStepFusionBitIdentity(t *testing.T) {
-	specs := append(workload.Evaluated(), workload.EBook())
+	specs := append(workload.Evaluated(), workload.EBook(), touchHandoff())
 	for _, spec := range specs {
 		for _, load := range []workload.BGLoad{workload.BaselineLoad, workload.HeavierLoad} {
 			spec, load := spec, load
 			t.Run(spec.Name+"/"+load.String(), func(t *testing.T) {
 				t.Parallel()
 				const runFor = 30 * time.Second
-				phF, engF := fusionCell(t, spec, load, 707, true)
-				phS, engS := fusionCell(t, spec, load, 707, false)
+				phF, engF := fusionCell(t, spec, load, 707)
+				phS, engS := fusionCell(t, spec, load, 707)
 				stF := engF.Run(runFor, true)
-				stS := engS.Run(runFor, true)
+				stS := engS.RunReference(runFor, true)
 
 				if stF != stS {
 					t.Errorf("stats diverged:\nfused %+v\nslow  %+v", stF, stS)
@@ -103,9 +122,9 @@ func TestStepFusionBitIdentity(t *testing.T) {
 }
 
 // TestStepFusionConfigChurn exercises plan invalidation: an actor that
-// rewrites the configuration on a fixed cadence must leave fused and
-// slow runs identical, including the overlay energy charged per freq
-// transition.
+// rewrites the configuration on a fixed cadence must leave the event
+// core and the reference loop identical, including the overlay energy
+// charged per freq transition.
 func TestStepFusionConfigChurn(t *testing.T) {
 	run := func(fused bool) (Stats, *Phone) {
 		ph, err := NewPhone(Config{
@@ -115,11 +134,12 @@ func TestStepFusionConfigChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph.SetStepFusion(fused)
-		eng := NewEngine(ph)
+		eng := NewEngineOpts(ph, Options{DebugInvariants: true})
 		eng.MustRegister(&churnActor{})
-		st := eng.Run(20*time.Second, false)
-		return st, ph
+		if !fused {
+			return eng.RunReference(20*time.Second, false), ph
+		}
+		return eng.Run(20*time.Second, false), ph
 	}
 	stF, phF := run(true)
 	stS, phS := run(false)

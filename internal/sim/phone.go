@@ -1,14 +1,16 @@
-// Package sim is the fixed-step simulation engine: a Phone that executes
-// workload tasks under a chosen (CPU frequency, memory bandwidth)
-// configuration, accounts core time and memory traffic, evaluates the
-// power model, and exposes the same observation and actuation surfaces
-// software has on the real device — sysfs files, PMU counters, load
-// statistics and touch events.
+// Package sim is the discrete-event simulation engine: a Phone that
+// executes workload tasks in 1 ms steps under a chosen (CPU frequency,
+// memory bandwidth) configuration, accounts core time and memory
+// traffic, evaluates the power model, and exposes the same observation
+// and actuation surfaces software has on the real device — sysfs files,
+// PMU counters, load statistics and touch events. The Engine ticks the
+// periodic actors (governors, perf tool, controller) from an event queue
+// and integrates the quiescent intervals between their deadlines in
+// closed form, bit-identically to stepping them one at a time.
 package sim
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"time"
 
@@ -80,10 +82,9 @@ type Phone struct {
 
 	now time.Duration
 
-	// K-step fusion state (StepN). fusion gates the fast path; plan
-	// caches the per-step quantities of the last slow Step.
-	fusion bool
-	plan   stepPlan
+	// plan caches the per-step quantities of the last slow Step for
+	// StepSpan's fast path.
+	plan stepPlan
 
 	// Cumulative telemetry counters (governors snapshot and diff).
 	cumMachineBusySec float64 // aggregate machine-busy seconds
@@ -165,7 +166,6 @@ func NewPhone(cfg Config) (*Phone, error) {
 	p.tasks = make([]*workload.Task, 0, 1+len(p.bg))
 	p.tasks = append(p.tasks, p.fg)
 	p.tasks = append(p.tasks, p.bg...)
-	p.fusion = os.Getenv("ASPEO_NO_FUSION") == ""
 	p.plan.tasks = make([]fusedTask, 0, len(p.tasks))
 	if cfg.TraceEvery > 0 {
 		p.rec = trace.NewRecorder(cfg.TraceEvery)
@@ -421,8 +421,9 @@ func (p *Phone) FGDone() bool { return p.fg.Done() }
 // telemetry are accounted.
 //
 // Besides advancing the device, Step captures a step plan: the per-step
-// quantities it just computed, which StepN's fast path replays verbatim
-// while the workload's FuseBound contract proves they cannot change.
+// quantities it just computed, which StepSpan's fast path replays
+// verbatim while the workload's SpanBound contract proves they cannot
+// change.
 func (p *Phone) Step(dt time.Duration) {
 	s := p.soc
 	f := s.Freq(p.freqIdx)
@@ -448,7 +449,7 @@ func (p *Phone) Step(dt time.Duration) {
 	// A step is plan-capturable only when nothing transient is in play:
 	// no one-shot overlay energy and no full-rate trace recording (the
 	// recorder must see every step individually).
-	capture := p.fusion && p.rec == nil && p.pendingOverlayJ == 0
+	capture := p.rec == nil && p.pendingOverlayJ == 0
 	p.plan.valid = false
 	if capture {
 		p.plan.tasks = p.plan.tasks[:0]
@@ -579,7 +580,7 @@ func (p *Phone) Step(dt time.Duration) {
 	}
 }
 
-// --- K-step fusion (fast path) ---
+// --- Span fast path ---
 
 // fusedTask is one task's slice of the cached step plan.
 type fusedTask struct {
@@ -588,11 +589,11 @@ type fusedTask struct {
 	touch bool // captured phase generates touch events (consumes rng)
 }
 
-// stepPlan caches what the last slow Step computed, so fastSteps can
-// replay it. Replay is bit-identical because every input that fed the
-// computation is provably unchanged: the configuration and overlay
-// fields below are revalidated before each batch, and each task's
-// FuseBound proves its demand cannot change for the batch length.
+// stepPlan caches what the last slow Step computed, so fastForwardSpan
+// can replay it. Replay is bit-identical because every input that fed
+// the computation is provably unchanged: the configuration and overlay
+// fields below are revalidated before each span, and each task's
+// SpanBound proves its demand cannot change for the span length.
 type stepPlan struct {
 	valid   bool
 	dt      time.Duration
@@ -611,136 +612,20 @@ type stepPlan struct {
 	tasks       []fusedTask
 }
 
-// SetStepFusion enables or disables the K-step fused fast path. Fusion
-// is on by default (or off when the ASPEO_NO_FUSION environment variable
-// is set); results are bit-identical either way — the knob exists so
-// tests and benchmarks can prove exactly that.
-func (p *Phone) SetStepFusion(on bool) {
-	p.fusion = on
-	p.plan.valid = false
-}
-
-// StepFusion reports whether the fused fast path is enabled.
-func (p *Phone) StepFusion() bool { return p.fusion }
-
 // planReady reports whether the cached plan may be replayed for steps of
 // dt under the current device state.
 func (p *Phone) planReady(dt time.Duration) bool {
 	pl := &p.plan
-	return pl.valid && p.fusion && p.rec == nil &&
+	return pl.valid && p.rec == nil &&
 		pl.dt == dt &&
 		pl.freqIdx == p.freqIdx && pl.bwIdx == p.bwIdx &&
 		pl.perfFrac == p.perfOverheadCPU && pl.standingW == p.standingOverlay &&
 		p.pendingOverlayJ == 0
 }
 
-// planBudget returns how many steps (≤ limit) the plan can be replayed
-// before any task's demand could change; 0 sends the next step down the
-// slow path.
-func (p *Phone) planBudget(dt time.Duration, limit int) int {
-	k := limit
-	for i := range p.plan.tasks {
-		ft := &p.plan.tasks[i]
-		if ft.sp.Done {
-			if !ft.task.Done() {
-				return 0
-			}
-			continue
-		}
-		b := ft.task.FuseBound(ft.sp, dt)
-		if b <= 0 {
-			return 0
-		}
-		if b < k {
-			k = b
-		}
-	}
-	return k
-}
-
-// fastSteps replays the cached plan for k steps. Bit-identity with k
-// slow steps holds per task: AdvanceN repeats the identical executed
-// amount with sequential floating-point accumulation, touch draws happen
-// in step order from the same per-task rng stream, and a phase
-// transition can only occur on the batch's final step (FuseBound bounds
-// the batch to end there).
-func (p *Phone) fastSteps(dt time.Duration, k int) {
-	pl := &p.plan
-	for i := range pl.tasks {
-		ft := &pl.tasks[i]
-		if ft.sp.Done {
-			continue
-		}
-		t := ft.task
-		if ft.touch {
-			// Touch draws must interleave with advances step by step.
-			for j := 0; j < k; j++ {
-				t.Advance(ft.sp.Exec, dt)
-				p.pendingTouches += t.Touches(dt)
-			}
-		} else {
-			// No rng use before the final step; the final step may
-			// transition into a phase that does generate touches, in
-			// which case the slow path would have drawn for it.
-			t.AdvanceN(ft.sp.Exec, dt, k-1)
-			t.Advance(ft.sp.Exec, dt)
-			if t.TouchActive() {
-				p.pendingTouches += t.Touches(dt)
-			}
-		}
-	}
-	for i := 0; i < k; i++ {
-		p.cumMachineBusySec += pl.machineUsed
-		p.cumBusyCoreSec += pl.coreSec
-		p.cumTrafficBytes += pl.traffic
-	}
-	kd := time.Duration(k) * dt
-	p.cpuHist.Add(p.freqIdx, kd)
-	p.bwHist.Add(p.bwIdx, kd)
-	p.pmu.AddN(pmu.Instructions, pl.instr, k)
-	p.pmu.AddN(pmu.Cycles, pl.cycles, k)
-	p.pmu.AddN(pmu.BusAccessBytes, pl.traffic, k)
-	p.mon.ObserveN(pl.powerW, dt, k)
-	p.now += kd
-}
-
-// StepN advances the device by n steps of dt, replaying the cached step
-// plan in fused batches where the workload's FuseBound contract proves
-// the result is bit-identical to n individual Step calls, and falling
-// back to Step everywhere else. When stopWhenFGDone is set it returns as
-// soon as the step that completed the foreground task finishes, exactly
-// where a step-at-a-time caller would stop. It returns the number of
-// steps executed.
-func (p *Phone) StepN(dt time.Duration, n int, stopWhenFGDone bool) int {
-	ran := 0
-	for ran < n {
-		if p.planReady(dt) {
-			if k := p.planBudget(dt, n-ran); k > 0 {
-				p.fastSteps(dt, k)
-				ran += k
-				if stopWhenFGDone && p.fg.Done() {
-					return ran
-				}
-				continue
-			}
-		}
-		p.Step(dt)
-		ran++
-		if stopWhenFGDone && p.fg.Done() {
-			return ran
-		}
-	}
-	return ran
-}
-
-// --- Variable-length span fast-forward (event-queue backend) ---
-
-// spanBudget is planBudget under the workload's SpanBound contract: how
-// many steps (≤ limit) the cached plan can be replayed before any
-// task's demand could change. SpanBound grants the event backend one
-// extra liberty over FuseBound — jitter-free served paced phases run to
-// their phase boundary instead of stopping at every (no-op) jitter
-// resample deadline.
+// spanBudget returns how many steps (≤ limit) the cached plan can be
+// replayed before any task's demand could change, by the workload's
+// SpanBound contract; 0 sends the next step down the slow path.
 func (p *Phone) spanBudget(dt time.Duration, limit int) int {
 	k := limit
 	for i := range p.plan.tasks {
@@ -762,13 +647,15 @@ func (p *Phone) spanBudget(dt time.Duration, limit int) int {
 	return k
 }
 
-// fastForwardSpan replays the cached plan for k steps like fastSteps,
-// but integrates the per-step accumulations in closed form: task state
-// through workload.AdvanceSpan, PMU counters through pmu.AddSpan, the
-// power monitor through monsoon.ObserveSpan, and the phone's cumulative
+// fastForwardSpan replays the cached plan for k steps, integrating the
+// per-step accumulations in closed form: task state through
+// workload.AdvanceSpan, PMU counters through pmu.AddSpan, the power
+// monitor through monsoon.ObserveSpan, and the phone's cumulative
 // telemetry through fpacc.AddK — each bit-identical to its sequential
 // loop. Tasks whose phase draws touch randomness still advance step by
-// step (the rng interleaving is part of the contract).
+// step (the rng interleaving is part of the contract), and a phase
+// transition can only occur on the span's final step (SpanBound bounds
+// the span to end there).
 func (p *Phone) fastForwardSpan(dt time.Duration, k int) {
 	pl := &p.plan
 	for i := range pl.tasks {
@@ -802,14 +689,15 @@ func (p *Phone) fastForwardSpan(dt time.Duration, k int) {
 	p.now += kd
 }
 
-// StepSpan is StepN for the event-queue backend: it advances the device
-// by n steps of dt, bit-identically to n individual Step calls, but
-// integrates fused spans in closed form so an idle quiescent interval
-// costs O(log n) instead of O(n). Workload-phase transitions inside the
-// interval surface as derived micro-events: each span is bounded at the
-// next phase boundary, and the slow Step that follows re-plans from the
-// new phase. Returns the number of steps executed (early exit on
-// foreground completion, like StepN).
+// StepSpan advances the device by n steps of dt, bit-identically to n
+// individual Step calls, but integrates fused spans in closed form so an
+// idle quiescent interval costs O(log n) instead of O(n). Workload-phase
+// transitions inside the interval surface as derived micro-events: each
+// span is bounded at the next phase boundary, and the slow Step that
+// follows re-plans from the new phase. When stopWhenFGDone is set it
+// returns as soon as the step that completed the foreground task
+// finishes, exactly where a step-at-a-time caller would stop. It returns
+// the number of steps executed.
 func (p *Phone) StepSpan(dt time.Duration, n int, stopWhenFGDone bool) int {
 	ran := 0
 	for ran < n {

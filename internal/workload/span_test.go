@@ -75,8 +75,20 @@ func taskStateEqual(t *testing.T, a, b *Task, ignoreJitterClock bool) {
 	}
 }
 
-// TestAdvanceSpanBitIdentity drives AdvanceSpan against AdvanceN on the
-// telescoping regimes (batch, windowed batch, served paced) and the
+// advanceSteps is the literal reference AdvanceSpan must reproduce: n
+// consecutive Advance calls.
+func advanceSteps(t *Task, executed float64, dt time.Duration, n int) {
+	for i := 0; i < n; i++ {
+		t.Advance(executed, dt)
+	}
+}
+
+// jitterCap is the paced-phase span bound without the σ = 0 relaxation:
+// the steps up to and including the next jitter resample.
+func jitterCap(t *Task, dt time.Duration) int { return ceilSteps(t.jitterUntil-t.now, dt) }
+
+// TestAdvanceSpanBitIdentity drives AdvanceSpan against the literal
+// Advance loop on the telescoping regimes (batch, windowed batch, served paced) and the
 // fallback regime (starved paced with a draining backlog).
 func TestAdvanceSpanBitIdentity(t *testing.T) {
 	dt := time.Millisecond
@@ -101,7 +113,7 @@ func TestAdvanceSpanBitIdentity(t *testing.T) {
 			_ = fast.Demand(dt)
 			ref.Advance(e0, dt)
 			fast.Advance(e0, dt)
-			ref.AdvanceN(e0, dt, tc.n)
+			advanceSteps(ref, e0, dt, tc.n)
 			fast.AdvanceSpan(e0, dt, tc.n)
 			taskStateEqual(t, ref, fast, false)
 		})
@@ -122,8 +134,8 @@ func TestSpanBoundRelaxesZeroJitter(t *testing.T) {
 		return tk, StepPlan{Exec: want, MaxInstr: 1e9, Served: true, PhaseIdx: 0}, want
 	}
 	ref, sp, want := mk()
-	if fb := ref.FuseBound(sp, dt); fb != 60-1 {
-		t.Fatalf("FuseBound = %d, want 59 (capped at 60 ms jitter period)", fb)
+	if jc := jitterCap(ref, dt); jc != 60-1 {
+		t.Fatalf("jitter cap = %d, want 59 (60 ms jitter period)", jc)
 	}
 	sb := ref.SpanBound(sp, dt)
 	if wantBound := ceilSteps(spec.Phases[0].Duration-ref.phaseElapsed, dt); sb != wantBound {
@@ -131,7 +143,7 @@ func TestSpanBoundRelaxesZeroJitter(t *testing.T) {
 	}
 	// Replay the full relaxed span in one call vs. stepwise.
 	fast, _, _ := mk()
-	ref.AdvanceN(want, dt, sb)
+	advanceSteps(ref, want, dt, sb)
 	fast.AdvanceSpan(want, dt, sb)
 	taskStateEqual(t, ref, fast, true)
 	if ref.phaseElapsed != fast.phaseElapsed {
@@ -143,18 +155,20 @@ func TestSpanBoundRelaxesZeroJitter(t *testing.T) {
 	w := jt.Demand(dt).WantedInstr
 	jt.Advance(w, dt)
 	jsp := StepPlan{Exec: w, MaxInstr: 1e9, Served: true, PhaseIdx: 0}
-	if got, want := jt.SpanBound(jsp, dt), jt.FuseBound(jsp, dt); got != want {
-		t.Fatalf("σ>0 SpanBound = %d, want FuseBound = %d", got, want)
+	if got, want := jt.SpanBound(jsp, dt), jitterCap(jt, dt); got != want {
+		t.Fatalf("σ>0 SpanBound = %d, want the jitter cap %d", got, want)
 	}
 
 	// A stale non-1 multiplier (entering a σ=0 phase mid-jitter-window)
 	// must not be granted the relaxation.
+	// The plan is served at the stale demand, so only the jitter cap
+	// binds.
 	st := NewTask(spec, 7)
-	_ = st.Demand(dt)
-	st.Advance(0, dt)
+	st.Advance(st.Demand(dt).WantedInstr, dt)
 	st.jitterMul = 1.37
-	ssp := StepPlan{Exec: 0, MaxInstr: 1e9, Served: true, PhaseIdx: 0}
-	if got, want := st.SpanBound(ssp, dt), st.FuseBound(ssp, dt); got != want {
-		t.Fatalf("stale-multiplier SpanBound = %d, want FuseBound = %d", got, want)
+	stale := spec.Phases[0].DemandGIPS * 1e9 * dt.Seconds() * st.jitterMul
+	ssp := StepPlan{Exec: stale, MaxInstr: 1e9, Served: true, PhaseIdx: 0}
+	if got, want := st.SpanBound(ssp, dt), jitterCap(st, dt); got != want {
+		t.Fatalf("stale-multiplier SpanBound = %d, want the jitter cap %d", got, want)
 	}
 }

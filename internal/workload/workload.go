@@ -379,17 +379,17 @@ func (t *Task) nextPhase() {
 	}
 }
 
-// --- K-step fusion support (sim.Phone.StepN) ---
+// --- Span support (sim.Phone.StepSpan) ---
 //
-// The fixed-step simulator spends most of its time repeating steps whose
-// inputs have not changed: the configuration is constant between actor
-// ticks and a task's demand is constant between jitter resamples and
-// phase transitions. StepPlan/FuseBound let the simulator prove, from
-// task state alone, that the next k steps would execute exactly what the
-// last slow step executed — so it can replay them without recomputing
-// demand or the power model. The contract is bit-identity: a fused step
-// must leave every observable value (task state, rng stream, dropped
-// work) exactly as k slow steps would.
+// A step-at-a-time simulator spends most of its time repeating steps
+// whose inputs have not changed: the configuration is constant between
+// actor ticks and a task's demand is constant between jitter resamples
+// and phase transitions. StepPlan/SpanBound let the simulator prove,
+// from task state alone, that the next k steps would execute exactly
+// what the last slow step executed — so it can replay them without
+// recomputing demand or the power model. The contract is bit-identity:
+// a fused span must leave every observable value (task state, rng
+// stream, dropped work) exactly as k slow steps would.
 
 // StepPlan records what one simulator step executed for this task.
 type StepPlan struct {
@@ -400,7 +400,7 @@ type StepPlan struct {
 	Done     bool    // task was already done (step skipped it)
 }
 
-// unboundedSteps is FuseBound's "no task-side limit" answer; callers
+// unboundedSteps is SpanBound's "no task-side limit" answer; callers
 // min() it against engine-side bounds.
 const unboundedSteps = math.MaxInt32
 
@@ -413,29 +413,21 @@ func ceilSteps(a, dt time.Duration) int {
 	return int((a + dt - 1) / dt)
 }
 
-// FuseBound returns how many consecutive dt-steps the task can repeat
+// SpanBound returns how many consecutive dt-steps the task can repeat
 // sp before its demand could change: during those steps Demand would
 // return the same WantedInstr with the same clamp decision and no rng
 // draw would occur. 0 means the next step must run the slow path. The
 // bound may include the step that ends a paced phase or a windowed
 // batch (Advance handles the transition), but never extends past it.
-func (t *Task) FuseBound(sp StepPlan, dt time.Duration) int {
-	return t.fuseBound(sp, dt, false)
-}
-
-// SpanBound is FuseBound for the event-queue backend: identical
-// guarantees, with one relaxation. A steadily-served paced phase whose
-// jitter is disabled (σ = 0) and whose multiplier sits at its fixed
-// point of 1 is not capped at the next jitter resample — crossing the
+//
+// A paced phase is normally capped at its next jitter resample. The one
+// exception is a steadily-served phase whose jitter is disabled (σ = 0)
+// and whose multiplier sits at its fixed point of 1: crossing the
 // resample deadline draws no randomness and cannot change the demand,
 // so the span may run all the way to the phase boundary. The resample
 // deadline then goes stale, which is harmless: Demand refreshes it
 // lazily on the next slow step, and no observable depends on it.
 func (t *Task) SpanBound(sp StepPlan, dt time.Duration) int {
-	return t.fuseBound(sp, dt, true)
-}
-
-func (t *Task) fuseBound(sp StepPlan, dt time.Duration, relaxJitter bool) int {
 	if t.done || sp.Done || t.phaseIdx != sp.PhaseIdx {
 		return 0
 	}
@@ -475,11 +467,11 @@ func (t *Task) fuseBound(sp StepPlan, dt time.Duration, relaxJitter bool) int {
 	case Paced:
 		// Never step past the jitter resample deadline: Demand draws
 		// from the rng there (even with σ = 0 the multiplier is
-		// re-evaluated), and past it the demand may change. The one
-		// provable exception — σ = 0 with the multiplier already at its
-		// fixed point in a served phase — is granted only to SpanBound.
+		// re-evaluated), and past it the demand may change — except for
+		// σ = 0 with the multiplier already at its fixed point in a
+		// served phase.
 		k := unboundedSteps
-		if !(relaxJitter && sp.Served && p.DemandJitter <= 0 && t.jitterMul == 1) {
+		if !(sp.Served && p.DemandJitter <= 0 && t.jitterMul == 1) {
 			k = ceilSteps(t.jitterUntil-t.now, dt)
 			if k <= 0 {
 				return 0
@@ -511,27 +503,18 @@ func (t *Task) fuseBound(sp StepPlan, dt time.Duration, relaxJitter bool) int {
 	return 0
 }
 
-// AdvanceN reports n identical steps — bit-identical to n consecutive
-// Advance calls. The fused fast path uses it when FuseBound guarantees
-// the demand is unchanged across the batch.
-func (t *Task) AdvanceN(executed float64, dt time.Duration, n int) {
-	for i := 0; i < n; i++ {
-		t.Advance(executed, dt)
-	}
-}
-
-// AdvanceSpan reports n identical steps like AdvanceN — bit-identically
-// to n consecutive Advance calls — but folds the first n-1 steps in
-// closed form when the task state provably telescopes: batch phases
+// AdvanceSpan reports n identical steps — bit-identically to n
+// consecutive Advance calls — but folds the first n-1 steps in closed
+// form when the task state provably telescopes: batch phases
 // (instruction totals accumulate sequentially, fast-forwarded exactly
 // by fpacc.AddK) and steadily-served paced phases (an empty backlog
 // with executed == want keeps the unmet-work arithmetic at exactly
 // zero every step). Anything else falls back to the literal loop.
 //
-// Precondition: n must not exceed the task's SpanBound (or FuseBound)
-// for the step being replayed, so that no phase transition can occur
-// before the final step. The final step always runs the literal
-// Advance, which handles the transition if the span ends the phase.
+// Precondition: n must not exceed the task's SpanBound for the step
+// being replayed, so that no phase transition can occur before the
+// final step. The final step always runs the literal Advance, which
+// handles the transition if the span ends the phase.
 func (t *Task) AdvanceSpan(executed float64, dt time.Duration, n int) {
 	if n <= 0 || t.done {
 		return
@@ -546,7 +529,9 @@ func (t *Task) AdvanceSpan(executed float64, dt time.Duration, n int) {
 		closed = t.backlog == 0 && executed == want
 	}
 	if !closed {
-		t.AdvanceN(executed, dt, n)
+		for i := 0; i < n; i++ {
+			t.Advance(executed, dt)
+		}
 		return
 	}
 	t.now += time.Duration(n-1) * dt
