@@ -58,9 +58,11 @@ smoke-fleet:
 # The decision-trace determinism contract end to end: two runs of the
 # same seed diff to zero divergent cycles (including across an NDJSON
 # round trip, the aspeo-trace diff path), and two different seeds
-# diverge at a definite first cycle with attribute deltas.
+# diverge at a definite first cycle with attribute deltas. A traced
+# faulted cell must also reproduce the committed NDJSON dump and its
+# summary text byte for byte.
 smoke-trace:
-	$(GO) test -count=1 -run=TestTraceSmoke ./internal/experiment/
+	$(GO) test -count=1 -run='TestTraceSmoke|TestTraceGolden' ./internal/experiment/
 
 # Durability and chaos, under the race detector: sessions killed after a
 # checkpoint restore bit-identically (session- and fleet-level golden
@@ -111,13 +113,14 @@ vuln:
 	fi
 
 # Short fuzz passes: the sysfs path canonicalizer, the scenario spec
-# parser/compiler and the checkpoint envelope decoder (seed corpora in
-# the fuzz targets). Not part of `ci` — time-boxed runs belong in a
-# dedicated job.
+# parser/compiler, the checkpoint envelope decoder and the decision-trace
+# NDJSON decoder (seed corpora in the fuzz targets). Not part of `ci` —
+# time-boxed runs belong in a dedicated job.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClean -fuzztime=15s ./internal/sysfs/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=15s ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=15s ./internal/ckpt/
+	$(GO) test -run='^$$' -fuzz=FuzzReadNDJSON -fuzztime=15s ./internal/obs/
 
 # The campaign-scale benchmarks (quick Table III, serial vs parallel
 # with a reported speedup metric). Not part of `ci` — they simulate

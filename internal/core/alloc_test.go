@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aspeo/internal/obs"
 	"aspeo/internal/sim"
 	"aspeo/internal/workload"
 )
@@ -15,7 +16,10 @@ import (
 // and measurement noise cannot perturb the allocation. That is the
 // fault-free cache-hit steady state whose allocation budget the hot
 // path pins to zero.
-func steadyCell(tb testing.TB) (*sim.Engine, *Controller) {
+//
+// With a non-nil sink the cell is traced: Options.Trace is on and every
+// span reaches the sink.
+func steadyCell(tb testing.TB, sink obs.Sink) (*sim.Engine, *Controller) {
 	tb.Helper()
 	ph, err := sim.NewPhone(sim.Config{
 		Foreground: workload.Spotify(), Load: workload.NoLoad, Seed: 7,
@@ -28,6 +32,10 @@ func steadyCell(tb testing.TB) (*sim.Engine, *Controller) {
 	tab := syntheticTable(0.09)
 	opts := DefaultOptions(tab, 100*tab.BaseGIPS*tab.MaxSpeedup())
 	opts.Seed = 7
+	if sink != nil {
+		opts.Trace = true
+		ph.AttachSpanSink(sink)
+	}
 	ctl, err := New(opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -44,7 +52,7 @@ func steadyCell(tb testing.TB) (*sim.Engine, *Controller) {
 // regression pin for the hot-path work — any new per-cycle allocation
 // (a map rebuild, a fresh attr set, a fmt call) fails it.
 func TestSteadyStateCycleZeroAllocs(t *testing.T) {
-	eng, ctl := steadyCell(t)
+	eng, ctl := steadyCell(t, nil)
 	eng.Run(30*time.Second, false) // warm: caches filled, buffers grown
 
 	allocs := testing.AllocsPerRun(10, func() {
@@ -58,17 +66,44 @@ func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkControllerCycle measures one steady-state control cycle end
-// to end (engine, device, perf sampling, controller). `make bench` runs
-// it with -benchtime=1x to keep it compiling; run it with real
-// benchtime for numbers. ReportAllocs keeps the 0 allocs/op visible.
-func BenchmarkControllerCycle(b *testing.B) {
-	eng, _ := steadyCell(b)
-	eng.Run(30*time.Second, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// Decision tracing keeps the steady state heap-silent too: the
+// controller builds every span in its scratch array, and a flight
+// recorder that has wrapped reuses its storage for the copies it keeps.
+func TestSteadyStateTracedCycleZeroAllocs(t *testing.T) {
+	rec := obs.NewRecorder(16)
+	eng, ctl := steadyCell(t, rec)
+	eng.Run(30*time.Second, false) // 15 cycles, 75 spans: wrapped several times
+
+	allocs := testing.AllocsPerRun(10, func() {
 		eng.Run(2*time.Second, false)
+	})
+	if allocs != 0 {
+		t.Fatalf("traced steady-state control cycle allocates %.1f objects, want 0", allocs)
+	}
+	if rec.Dropped() == 0 || ctl.AllocCacheHits() == 0 {
+		t.Fatal("recorder never wrapped or cell never hit the cache; the test is not measuring the steady state")
+	}
+}
+
+// BenchmarkControllerCycle measures one steady-state control cycle end
+// to end (engine, device, perf sampling, controller), untraced and
+// traced into a wrapped flight recorder. `make bench` runs it with
+// -benchtime=1x to keep it compiling; run it with real benchtime for
+// numbers. ReportAllocs keeps the 0 allocs/op visible.
+func BenchmarkControllerCycle(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sink obs.Sink
+	}{{"untraced", nil}, {"traced", obs.NewRecorder(0)}} {
+		b.Run(c.name, func(b *testing.B) {
+			eng, _ := steadyCell(b, c.sink)
+			eng.Run(30*time.Second, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Run(2*time.Second, false)
+			}
+		})
 	}
 }
 

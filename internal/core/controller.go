@@ -202,6 +202,11 @@ type Controller struct {
 	// into the control law).
 	gateCause     string // why the gate rejected this cycle's sample
 	lastSolvePath string // "lp", "cache" or "frontier"
+	// spanAttrs is the scratch array every span's attributes are built
+	// in (allocated only when tracing). Sinks borrow a span for the
+	// length of Emit and copy what they keep, so one array serves every
+	// span and tracing allocates nothing per cycle.
+	spanAttrs []obs.Attr
 
 	// Diagnostics.
 	cycles       int
@@ -266,6 +271,9 @@ func New(opt Options) (*Controller, error) {
 	}
 	if n := c.res.StuckWindow - 1; n > 0 {
 		c.recentY = make([]float64, 0, n)
+	}
+	if opt.Trace {
+		c.spanAttrs = make([]obs.Attr, 0, 16) // the widest span, "cycle", has 13
 	}
 	if opt.PhaseAware {
 		maxPhases := opt.MaxPhases
@@ -404,7 +412,7 @@ func (c *Controller) cycleBody(dev platform.Device) {
 
 	// Trace collection: plain scalar locals populated along the decision
 	// path and emitted as spans afterwards. Writes are unconditional
-	// (they cost nothing); attribute maps are only built when tracing.
+	// (they cost nothing); attributes are only assembled when tracing.
 	var (
 		trHaveY, trAccepted, trKalman bool
 		trY, trZ, trErr               float64
@@ -480,30 +488,29 @@ func (c *Controller) cycleBody(dev platform.Device) {
 	}
 
 	if c.opt.Trace {
-		attrs := obs.Attrs{
-			"have_measurement": trHaveY,
-			"accepted":         trAccepted,
-			"ownership_ok":     ownershipOK,
-		}
+		attrs := append(c.spanAttrs[:0],
+			obs.Bool("have_measurement", trHaveY),
+			obs.Bool("accepted", trAccepted),
+			obs.Bool("ownership_ok", ownershipOK),
+		)
 		if trHaveY {
-			attrs["measured_gips"] = trY
-			attrs["z"] = trZ
+			attrs = append(attrs, obs.Float("measured_gips", trY), obs.Float("z", trZ))
 		}
 		if c.gateCause != "" {
-			attrs["gate_verdict"] = c.gateCause
+			attrs = append(attrs, obs.String("gate_verdict", c.gateCause))
 		}
 		if trAccepted {
-			attrs["err_gips"] = trErr
+			attrs = append(attrs, obs.Float("err_gips", trErr))
 		}
 		c.emitSpan(dev, obs.StageMeasure, attrs)
 		if trKalman {
 			b, _ := c.kf.Estimate()
-			c.emitSpan(dev, obs.StageKalman, obs.Attrs{
-				"base_estimate_gips": b,
-				"variance":           c.kf.Variance(),
-				"gain":               c.kf.Gain(),
-				"steps":              obs.Num(c.kf.Steps()),
-			})
+			c.emitSpan(dev, obs.StageKalman, append(c.spanAttrs[:0],
+				obs.Float("base_estimate_gips", b),
+				obs.Float("variance", c.kf.Variance()),
+				obs.Float("gain", c.kf.Gain()),
+				obs.Int("steps", c.kf.Steps()),
+			))
 		}
 	}
 
@@ -531,27 +538,27 @@ func (c *Controller) cycleBody(dev platform.Device) {
 		})
 	}
 	if c.opt.Trace {
-		c.emitSpan(dev, obs.StageOptimize, obs.Attrs{
-			"target_speedup":   c.sPrev,
-			"path":             c.lastSolvePath,
-			"low_freq_idx":     obs.Num(alloc.Low.FreqIdx),
-			"low_bw_idx":       obs.Num(alloc.Low.BWIdx),
-			"high_freq_idx":    obs.Num(alloc.High.FreqIdx),
-			"high_bw_idx":      obs.Num(alloc.High.BWIdx),
-			"tau_low_ns":       obs.Num(int64(alloc.TauLow)),
-			"tau_high_ns":      obs.Num(int64(alloc.TauHigh)),
-			"expected_speedup": alloc.ExpectedSpeedup,
-			"expected_power_w": alloc.ExpectedPowerW,
-		})
+		c.emitSpan(dev, obs.StageOptimize, append(c.spanAttrs[:0],
+			obs.Float("target_speedup", c.sPrev),
+			obs.String("path", c.lastSolvePath),
+			obs.Int("low_freq_idx", alloc.Low.FreqIdx),
+			obs.Int("low_bw_idx", alloc.Low.BWIdx),
+			obs.Int("high_freq_idx", alloc.High.FreqIdx),
+			obs.Int("high_bw_idx", alloc.High.BWIdx),
+			obs.Int("tau_low_ns", alloc.TauLow),
+			obs.Int("tau_high_ns", alloc.TauHigh),
+			obs.Float("expected_speedup", alloc.ExpectedSpeedup),
+			obs.Float("expected_power_w", alloc.ExpectedPowerW),
+		))
 	}
 	hiSlots := c.fillSlots(alloc)
 	if c.opt.Trace {
-		c.emitSpan(dev, obs.StageSchedule, obs.Attrs{
-			"safe":       false,
-			"hi_slots":   obs.Num(hiSlots),
-			"n_slots":    obs.Num(len(c.slots)),
-			"quantum_ns": obs.Num(int64(c.opt.Quantum)),
-		})
+		c.emitSpan(dev, obs.StageSchedule, append(c.spanAttrs[:0],
+			obs.Bool("safe", false),
+			obs.Int("hi_slots", hiSlots),
+			obs.Int("n_slots", len(c.slots)),
+			obs.Int("quantum_ns", c.opt.Quantum),
+		))
 	}
 	// Charge the regulator+optimizer compute cost (§V-A1).
 	dev.AddOverlayEnergyJ(cycleOverheadJ)
@@ -559,7 +566,8 @@ func (c *Controller) cycleBody(dev platform.Device) {
 
 // emitSpan publishes one decision-trace span through the device's
 // telemetry surface. Callers gate on Options.Trace before assembling
-// attributes, so an untraced run never builds them.
+// attributes, so an untraced run never builds them, and assemble them in
+// c.spanAttrs, which the sink only borrows.
 func (c *Controller) emitSpan(dev platform.Device, stage string, attrs obs.Attrs) {
 	dev.RecordSpan(obs.Span{Cycle: c.cyclesRun, Stage: stage, At: dev.Now(), Attrs: attrs})
 }

@@ -267,11 +267,11 @@ func (c *Controller) watchdog(dev platform.Device, failing bool) bool {
 		c.lastAlloc = alloc
 		c.fillSlots(alloc)
 		if c.opt.Trace {
-			c.emitSpan(dev, obs.StageSchedule, obs.Attrs{
-				"safe":          true,
-				"safe_freq_idx": obs.Num(alloc.Low.FreqIdx),
-				"safe_bw_idx":   obs.Num(alloc.Low.BWIdx),
-			})
+			c.emitSpan(dev, obs.StageSchedule, append(c.spanAttrs[:0],
+				obs.Bool("safe", true),
+				obs.Int("safe_freq_idx", alloc.Low.FreqIdx),
+				obs.Int("safe_bw_idx", alloc.Low.BWIdx),
+			))
 		}
 		return true
 	}
@@ -285,11 +285,11 @@ func (c *Controller) watchdog(dev platform.Device, failing bool) bool {
 func (c *Controller) ladderTransition(dev platform.Device, name string) {
 	c.health.LastTransition = fmt.Sprintf("%s@%d", name, c.cyclesRun)
 	if c.opt.Trace {
-		c.emitSpan(dev, obs.StageLadder, obs.Attrs{
-			"transition":           name,
-			"consecutive_failures": obs.Num(c.health.ConsecutiveFailures),
-			"watchdog_trips":       obs.Num(c.health.WatchdogTrips),
-		})
+		c.emitSpan(dev, obs.StageLadder, append(c.spanAttrs[:0],
+			obs.String("transition", name),
+			obs.Int("consecutive_failures", c.health.ConsecutiveFailures),
+			obs.Int("watchdog_trips", c.health.WatchdogTrips),
+		))
 	}
 }
 

@@ -86,22 +86,22 @@ func (c *Controller) publishCycle(dev platform.Device) {
 	if c.opt.Trace {
 		s := c.Snapshot()
 		snap, haveSnap = s, true
-		attrs := obs.Attrs{
-			"cycles":               obs.Num(s.Cycles),
-			"measured_gips":        s.MeasuredGIPS,
-			"target_gips":          s.TargetGIPS,
-			"speedup_setting":      s.SpeedupSetting,
-			"base_estimate_gips":   s.BaseEstimateGIPS,
-			"expected_speedup":     s.ExpectedSpeedup,
-			"mean_abs_err_gips":    s.MeanAbsErrGIPS,
-			"power_w":              s.PowerW,
-			"alloc_cache_hits":     obs.Num(s.AllocCacheHits),
-			"degraded":             s.Degraded,
-			"relinquished":         s.Health.Relinquished,
-			"consecutive_failures": obs.Num(s.Health.ConsecutiveFailures),
-		}
+		attrs := append(c.spanAttrs[:0],
+			obs.Int("cycles", s.Cycles),
+			obs.Float("measured_gips", s.MeasuredGIPS),
+			obs.Float("target_gips", s.TargetGIPS),
+			obs.Float("speedup_setting", s.SpeedupSetting),
+			obs.Float("base_estimate_gips", s.BaseEstimateGIPS),
+			obs.Float("expected_speedup", s.ExpectedSpeedup),
+			obs.Float("mean_abs_err_gips", s.MeanAbsErrGIPS),
+			obs.Float("power_w", s.PowerW),
+			obs.Int("alloc_cache_hits", s.AllocCacheHits),
+			obs.Bool("degraded", s.Degraded),
+			obs.Bool("relinquished", s.Health.Relinquished),
+			obs.Int("consecutive_failures", s.Health.ConsecutiveFailures),
+		)
 		if s.Health.LastTransition != "" {
-			attrs["last_transition"] = s.Health.LastTransition
+			attrs = append(attrs, obs.String("last_transition", s.Health.LastTransition))
 		}
 		c.emitSpan(dev, obs.StageCycle, attrs)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"aspeo/internal/fault"
 	"aspeo/internal/governor"
 	"aspeo/internal/obs"
+	"aspeo/internal/perftool"
 	"aspeo/internal/sysfs"
 	"aspeo/internal/workload"
 )
@@ -49,8 +52,8 @@ func TestTracingDoesNotPerturbController(t *testing.T) {
 }
 
 // Every emitted span must be well formed: a known stage, a positive
-// cycle ordinal, a non-decreasing backend timestamp, and attribute
-// values restricted to the JSON-scalar contract (bool, string, float64).
+// cycle ordinal, a non-decreasing backend timestamp, and unique
+// attribute keys.
 func TestSpanWellformedness(t *testing.T) {
 	tab := syntheticTable(0.13)
 	eng, _, _ := installController(t, workload.Spotify(), tab, 0.3, fault.Plan{},
@@ -81,11 +84,9 @@ func TestSpanWellformedness(t *testing.T) {
 			t.Fatalf("span %d timestamp went backward: %v after %v", i, s.At, prevAt)
 		}
 		prevAt = s.At
-		for k, v := range s.Attrs {
-			switch v.(type) {
-			case bool, string, float64:
-			default:
-				t.Fatalf("span %d attr %q has non-canonical type %T", i, k, v)
+		for j := 1; j < len(s.Attrs); j++ {
+			if s.Attrs[j-1].Key >= s.Attrs[j].Key {
+				t.Fatalf("span %d attrs not unique and sorted: %q before %q", i, s.Attrs[j-1].Key, s.Attrs[j].Key)
 			}
 		}
 	}
@@ -135,7 +136,7 @@ func TestLadderSpansUnderForcedFaults(t *testing.T) {
 	}
 	var sawSafe bool
 	for _, s := range rec.Snapshot() {
-		if s.Stage == obs.StageSchedule && s.Attrs["safe"] == true {
+		if safe, _ := s.Attrs.Get("safe"); s.Stage == obs.StageSchedule && safe.Bool() {
 			sawSafe = true
 			break
 		}
@@ -160,10 +161,61 @@ func TestGateVerdictInMeasureSpan(t *testing.T) {
 	}
 	for _, s := range tr.Spans() {
 		if s.Stage == obs.StageMeasure {
-			if v, ok := s.Attrs["gate_verdict"].(string); ok && v != "" {
+			if v, _ := s.Attrs.Get("gate_verdict"); v.Str() != "" {
 				return
 			}
 		}
 	}
 	t.Fatal("no measure span carries a gate_verdict despite rejections")
+}
+
+// Regression: one non-finite attribute used to lose the whole dump
+// (encoding/json rejects NaN, and WriteNDJSON returned before flushing).
+// A perf reading that comes back NaN once is gated as non-finite; the
+// trace carrying it must still write completely and round-trip.
+func TestNonFiniteMeasurementTraceDumps(t *testing.T) {
+	tab := syntheticTable(0.13)
+	eng, ctl, _ := installController(t, workload.Spotify(), tab, 0.3, fault.Plan{},
+		func(o *Options) { o.Trace = true })
+	injected := false
+	ctl.Perf().SetFaultHook(func(r perftool.Reading) (perftool.Reading, bool) {
+		if !injected && r.EndedAt >= 10*time.Second {
+			injected = true
+			r.GIPS = math.NaN()
+		}
+		return r, true
+	})
+	tr := obs.NewTrace()
+	eng.Phone().AttachSpanSink(tr)
+	eng.Run(30*time.Second, false)
+
+	if ctl.Health().NonFiniteSamples != 1 {
+		t.Fatalf("NonFiniteSamples = %d, want 1", ctl.Health().NonFiniteSamples)
+	}
+	spans := tr.Spans()
+	var dump bytes.Buffer
+	if err := obs.WriteNDJSON(&dump, spans); err != nil {
+		t.Fatal(err)
+	}
+	written := dump.String()
+	if n := strings.Count(written, "\n"); n != len(spans) {
+		t.Fatalf("dump has %d lines for %d spans", n, len(spans))
+	}
+	if !strings.Contains(written, `"gate_verdict":"non-finite"`) || !strings.Contains(written, `"NaN"`) {
+		t.Fatal("dump lacks the non-finite measure span")
+	}
+	back, err := obs.ReadNDJSON(strings.NewReader(written))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := obs.Diff(spans, back); !res.Identical() {
+		t.Fatalf("round trip diverged at cycle %d: %v", res.FirstDivergent, res.Deltas)
+	}
+	var again bytes.Buffer
+	if err := obs.WriteNDJSON(&again, back); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != written {
+		t.Fatal("rewriting the read-back trace changed its bytes")
+	}
 }

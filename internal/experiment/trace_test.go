@@ -150,3 +150,37 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatal("divergence reported without attribute deltas")
 	}
 }
+
+// TestTraceGolden pins the NDJSON dump format byte for byte: a traced
+// stuck-perf cell (gate verdicts, a degrade and a relinquish on the
+// ladder, last_transition on the cycle spans) must reproduce the
+// committed dump and its `aspeo-trace summary` text exactly.
+func TestTraceGolden(t *testing.T) {
+	prof, target := traceProfile(t)
+	tr := obs.NewTrace()
+	spec := traceSpec(prof, target, 42, tr)
+	spec.Faults = "stuck-perf"
+	spec.RunFor = 60 * time.Second
+	runTraced(t, spec)
+
+	var dump, summary bytes.Buffer
+	if err := obs.WriteNDJSON(&dump, tr.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	obs.WriteSummary(&summary, obs.Summarize(tr.Spans()))
+	for _, c := range []struct {
+		file string
+		got  []byte
+	}{
+		{"trace_stuck_perf.ndjson", dump.Bytes()},
+		{"trace_stuck_perf.summary.txt", summary.Bytes()},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.got, want) {
+			t.Fatalf("%s: output differs from the golden\ngot:\n%s", c.file, c.got)
+		}
+	}
+}

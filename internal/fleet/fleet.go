@@ -558,6 +558,6 @@ func (m *Manager) Rollup() report.FleetRollup {
 		Relinquished:        t.Health.Relinquished > 0,
 		LastTransition:      t.Health.LastTransition,
 	}
-	r.CyclesTotal, r.CyclesPerSec = m.agg.rate()
+	r.CyclesTotal, r.CyclesPerSec = m.agg.rate(int64(t.Cycles))
 	return r
 }

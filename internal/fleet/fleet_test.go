@@ -342,6 +342,37 @@ func TestFleetGoldenSingleSession(t *testing.T) {
 	}
 }
 
+// The fleet's cycle total is the telemetry pipeline's count — no shared
+// counter rides the cycle hook — and after a drain it covers every cycle
+// each session ran.
+func TestFleetCyclesTotalFromTelemetry(t *testing.T) {
+	prof, target := goldenProfile(t)
+	m := fleet.NewManager(fleet.Options{Workers: 3})
+	for i := 0; i < 6; i++ {
+		if _, err := m.Submit(fleet.Config{
+			App: "spotify", Load: "BL", Controller: true,
+			Profile: prof, TargetGIPS: target, Seed: int64(10 + i), RunForS: 10,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, v := range m.List("") {
+		if v.State != fleet.StateCompleted || v.LastCycle == nil {
+			t.Fatalf("session %s ended %s without cycles (error %q)", v.ID, v.State, v.Error)
+		}
+		want += v.LastCycle.CyclesRun
+	}
+	r := m.Rollup()
+	if r.CyclesTotal != int(r.Telemetry.Cycles) || r.CyclesTotal != want {
+		t.Fatalf("CyclesTotal = %d, Telemetry.Cycles = %d, sessions ran %d cycles",
+			r.CyclesTotal, r.Telemetry.Cycles, want)
+	}
+}
+
 // TestFleetRace64Sessions drives 64 concurrent sessions — a mix of
 // governor and controller cells — to completion while reader goroutines
 // hammer the status surfaces. Run under -race (make race / make

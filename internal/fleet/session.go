@@ -277,7 +277,6 @@ func (m *Manager) runAttempt(worker int, s *session, attempt int) (failure strin
 	cohort, arrival := s.cohortID, s.cfg.ArrivalS
 	stormP, stormB := s.cfg.StormPeriodS, s.cfg.StormBurstS
 	spec.OnCycle = func(cs core.CycleSnapshot) {
-		m.agg.observeCycle()
 		at := cs.At.Seconds()
 		rec := pipeline.CycleRecord{
 			Session:      s.seq,
@@ -410,14 +409,12 @@ func (s *session) finish(state State, errMsg string) {
 	close(s.done)
 }
 
-// aggregator keeps the fleet-wide cycle counter and computes a stable
-// recent throughput: the rate over the window since the last baseline,
-// where the baseline only advances once the window exceeds a second —
-// so back-to-back /metrics scrapes don't each measure a microscopic
-// window.
+// aggregator turns the telemetry pipeline's fleet-wide cycle count into
+// a stable recent throughput: the rate over the window since the last
+// baseline, where the baseline only advances once the window exceeds a
+// second — so back-to-back /metrics scrapes don't each measure a
+// microscopic window.
 type aggregator struct {
-	cycles atomic.Int64
-
 	mu         sync.Mutex
 	start      time.Time
 	baseWall   time.Time
@@ -425,11 +422,10 @@ type aggregator struct {
 	lastRate   float64
 }
 
-func (a *aggregator) observeCycle() { a.cycles.Add(1) }
-
-func (a *aggregator) rate() (total int, perSec float64) {
+// rate reports the cycle total and recent throughput given the current
+// fleet-wide cycle count.
+func (a *aggregator) rate(cycles int64) (total int, perSec float64) {
 	now := time.Now()
-	cycles := a.cycles.Load()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.baseWall.IsZero() {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,22 +133,15 @@ func diffSpan(a, b Span) []Delta {
 		deltas = append(deltas, Delta{Stage: a.Stage, Key: "at_ns",
 			A: strconv.FormatInt(int64(a.At), 10), B: strconv.FormatInt(int64(b.At), 10)})
 	}
-	keys := make(map[string]struct{}, len(a.Attrs)+len(b.Attrs))
-	for k := range a.Attrs {
-		keys[k] = struct{}{}
+	keys := make([]string, 0, len(a.Attrs)+len(b.Attrs))
+	for _, as := range []Attrs{a.Attrs, b.Attrs} {
+		for _, at := range as {
+			keys = append(keys, at.Key)
+		}
 	}
-	for k := range b.Attrs {
-		keys[k] = struct{}{}
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		va, oka := a.Attrs[k]
-		vb, okb := b.Attrs[k]
-		sa, sb := renderAttr(va, oka), renderAttr(vb, okb)
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
+		sa, sb := renderAttr(a.Attrs, k), renderAttr(b.Attrs, k)
 		if sa != sb {
 			deltas = append(deltas, Delta{Stage: a.Stage, Key: k, A: sa, B: sb})
 		}
@@ -155,23 +149,15 @@ func diffSpan(a, b Span) []Delta {
 	return deltas
 }
 
-// renderAttr canonicalizes an attribute value for comparison and
-// display. Numbers render in shortest float form, so an in-memory
-// float64 and its JSON round trip compare equal.
-func renderAttr(v any, present bool) string {
-	if !present {
+// renderAttr canonicalizes the attribute named key for comparison and
+// display ("<none>" when absent). Numbers render in shortest float form,
+// so an in-memory float64 and its JSON round trip compare equal.
+func renderAttr(as Attrs, key string) string {
+	a, ok := as.Get(key)
+	if !ok {
 		return "<none>"
 	}
-	switch x := v.(type) {
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case bool:
-		return strconv.FormatBool(x)
-	case string:
-		return strconv.Quote(x)
-	default:
-		return fmt.Sprintf("%v", x)
-	}
+	return a.render()
 }
 
 // Summary condenses a decision trace for `aspeo-trace summary`.
@@ -208,9 +194,9 @@ func Summarize(spans []Span) Summary {
 		}
 		switch s.Stage {
 		case StageLadder:
-			if t, ok := s.Attrs["transition"].(string); ok {
+			if t, ok := s.Attrs.Get("transition"); ok && t.kind == kindString {
 				sum.LadderTransitions = append(sum.LadderTransitions,
-					fmt.Sprintf("%s@%d", t, s.Cycle))
+					fmt.Sprintf("%s@%d", t.str, s.Cycle))
 			}
 		case StageCycle:
 			sum.Final = s.Attrs
@@ -237,14 +223,11 @@ func WriteSummary(w interface{ Write([]byte) (int, error) }, sum Summary) {
 		fmt.Fprintf(w, "ladder: %s\n", strings.Join(sum.LadderTransitions, " "))
 	}
 	if sum.Final != nil {
-		keys := make([]string, 0, len(sum.Final))
-		for k := range sum.Final {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Fprintf(w, "final cycle:")
-		for _, k := range keys {
-			fmt.Fprintf(w, " %s=%s", k, renderAttr(sum.Final[k], true))
+		final := slices.Clone(sum.Final)
+		slices.SortFunc(final, byKey)
+		for _, a := range final {
+			fmt.Fprintf(w, " %s=%s", a.Key, a.render())
 		}
 		fmt.Fprintln(w)
 	}

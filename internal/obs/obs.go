@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -42,17 +43,6 @@ const (
 	StageLadder   = "ladder"   // resilience ladder transition event
 )
 
-// Attrs is a span's typed attribute set. Values are restricted to JSON
-// scalars — bool, string, and float64 (use Num for any numeric) — so
-// every span is losslessly NDJSON-round-trippable and two traces compare
-// value-for-value regardless of which side was decoded from disk.
-type Attrs map[string]any
-
-// Num canonicalizes a numeric attribute value: all numbers are stored as
-// float64, matching what a JSON decode produces, so in-memory and
-// round-tripped traces diff cleanly. Exact for integers up to 2⁵³.
-func Num[T ~int | ~int64 | ~float64](v T) float64 { return float64(v) }
-
 // Span is one record of the decision trace: a stage of one control
 // cycle (or a ladder event within it), stamped with the backend clock —
 // never the wall clock, so seeded runs trace identically.
@@ -67,9 +57,12 @@ type Span struct {
 	Attrs Attrs `json:"attrs,omitempty"`
 }
 
-// Sink receives emitted spans. Implementations must treat spans as
-// read-only observations; Emit must be cheap enough to call several
-// times per control cycle.
+// Sink receives emitted spans. Emit borrows the span, as slog.Handler
+// borrows a record: its Attrs belong to the emitter, which rewrites
+// them as soon as Emit returns (the controller builds every span in one
+// reusable scratch array). A sink that retains a span must copy its
+// attributes — Trace and Recorder do. Emit must be cheap enough to call
+// several times per control cycle.
 type Sink interface {
 	Emit(Span)
 }
@@ -108,53 +101,96 @@ func Tee(sinks ...Sink) Sink {
 	})
 }
 
+// keepAttrs copies attrs onto the end of *store and returns the copy,
+// sorted by key and capacity-limited, so an append to one kept span can
+// never reach its neighbour's attributes.
+func keepAttrs(store *[]Attr, attrs Attrs) Attrs {
+	if len(attrs) == 0 {
+		return nil
+	}
+	n := len(*store)
+	*store = append(*store, attrs...)
+	kept := Attrs((*store)[n:len(*store):len(*store)])
+	if !slices.IsSortedFunc(kept, byKey) {
+		slices.SortFunc(kept, byKey)
+	}
+	return kept
+}
+
+// traceChunk is the attribute count of one Trace arena chunk.
+const traceChunk = 4096
+
 // Trace is an unbounded span collector — the full decision trace of one
 // run, as written by `aspeo-run -trace-out` and consumed by
-// `aspeo-trace`. Safe for concurrent emission.
+// `aspeo-trace`. Attributes are copied into an append-only arena of
+// fixed-size chunks, so a kept span's attributes are never moved or
+// rewritten. Safe for concurrent emission.
 type Trace struct {
 	mu    sync.Mutex
 	spans []Span
+	arena []Attr // current chunk; earlier chunks live on in the spans
 }
 
 // NewTrace returns an empty trace collector.
 func NewTrace() *Trace { return &Trace{} }
 
-// Emit implements Sink.
+// Emit implements Sink, copying the span's attributes.
 func (t *Trace) Emit(s Span) {
 	t.mu.Lock()
+	if cap(t.arena)-len(t.arena) < len(s.Attrs) {
+		t.arena = make([]Attr, 0, max(traceChunk, len(s.Attrs)))
+	}
+	s.Attrs = keepAttrs(&t.arena, s.Attrs)
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of the collected spans in emission order.
+// Spans returns the collected spans in emission order. The slice is a
+// copy; the attributes are shared with the trace, which never rewrites
+// them, and must be treated as read-only.
 func (t *Trace) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
+	return slices.Clone(t.spans)
 }
 
 // WriteNDJSON dumps the trace as NDJSON.
 func (t *Trace) WriteNDJSON(w io.Writer) error { return WriteNDJSON(w, t.Spans()) }
 
-// DefaultFlightCap is the flight recorder's default ring capacity:
-// roughly 700 control cycles of full-verbosity tracing — minutes of
-// history around a failure, at a few hundred kilobytes per session.
+// DefaultFlightCap is the flight recorder's default capacity: roughly
+// 700 control cycles of full-verbosity tracing — minutes of history
+// around a failure. Storage grows with the spans actually recorded, so
+// a short session pays for its own spans only (about 2 KiB a cycle); a
+// full recorder holds under 2 MiB.
 const DefaultFlightCap = 4096
 
-// Recorder is the flight recorder: a bounded ring buffer of the most
-// recent spans, dumped as NDJSON when something goes wrong (watchdog
-// escalation, session failure) or on demand. Eviction is purely
-// count-based — no wall-clock reads — so a seeded run's ring content is
-// deterministic. Safe for concurrent use.
+// recorderChunk bounds the spans of one recorder generation, and so the
+// storage a full recorder holds beyond its capacity.
+const recorderChunk = 512
+
+// Recorder is the flight recorder: the most recent spans, dumped as
+// NDJSON when something goes wrong (watchdog escalation, session
+// failure) or on demand. Eviction is purely count-based — no wall-clock
+// reads — so a seeded run's content is deterministic. Safe for
+// concurrent use.
+//
+// Storage is a queue of generations, each at most recorderChunk spans
+// (or the capacity, when smaller) with the attribute storage its spans
+// point into. Generations are allocated as spans arrive; once the
+// oldest holds only evicted spans it is reset and refilled, so a
+// recorder that has wrapped stops allocating.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int    // write position
-	n       int    // live spans (== len(buf) once wrapped)
-	total   uint64 // spans ever emitted
-	dropped uint64 // spans evicted by the ring bound
+	mu       sync.Mutex
+	capacity int
+	chunk    int           // spans per generation
+	gens     []*generation // oldest first; the last one fills
+	stored   int           // spans held across gens (>= the live ones)
+	total    uint64        // spans ever emitted
+}
+
+type generation struct {
+	spans []Span
+	attrs []Attr
 }
 
 // NewRecorder returns a flight recorder holding the last capacity spans
@@ -163,35 +199,68 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	return &Recorder{buf: make([]Span, capacity)}
+	return &Recorder{capacity: capacity, chunk: min(capacity, recorderChunk)}
 }
 
-// Emit implements Sink: the span enters the ring, evicting the oldest
-// once full.
+// Emit implements Sink: the span and a copy of its attributes enter the
+// recorder, evicting the oldest span once full.
 func (r *Recorder) Emit(s Span) {
 	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.dropped++
-	} else {
-		r.n++
-	}
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
+	g := r.filling()
+	s.Attrs = keepAttrs(&g.attrs, s.Attrs)
+	g.spans = append(g.spans, s)
+	r.stored++
 	r.total++
 	r.mu.Unlock()
 }
 
-// Snapshot returns the ring's current content, oldest first.
+// filling returns the generation the next span goes into: the newest
+// while it has room, else the oldest once every span it holds is evicted
+// (the other generations cover the capacity, counting the incoming
+// span), else a new one.
+func (r *Recorder) filling() *generation {
+	n := len(r.gens)
+	if n > 0 && len(r.gens[n-1].spans) < r.chunk {
+		return r.gens[n-1]
+	}
+	if n > 0 && r.stored-len(r.gens[0].spans) >= r.capacity-1 {
+		g := r.gens[0]
+		r.stored -= len(g.spans)
+		copy(r.gens, r.gens[1:])
+		r.gens[n-1] = g
+		g.spans, g.attrs = g.spans[:0], g.attrs[:0]
+		return g
+	}
+	g := &generation{}
+	r.gens = append(r.gens, g)
+	return g
+}
+
+// live returns how many of the stored spans are within the capacity.
+func (r *Recorder) live() int { return min(r.stored, r.capacity) }
+
+// Snapshot returns a deep copy of the recorder's current content, the
+// last min(Total, capacity) spans, oldest first.
 func (r *Recorder) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, r.n)
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.buf)
+	nAttrs := 0
+	for _, g := range r.gens {
+		nAttrs += len(g.attrs)
 	}
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+	out := make([]Span, 0, r.live())
+	kept := make([]Attr, 0, nAttrs) // enough for every stored span: never regrows
+	skip := r.stored - r.live()
+	for _, g := range r.gens {
+		if skip >= len(g.spans) {
+			skip -= len(g.spans)
+			continue
+		}
+		for _, s := range g.spans[skip:] {
+			s.Attrs = keepAttrs(&kept, s.Attrs)
+			out = append(out, s)
+		}
+		skip = 0
 	}
 	return out
 }
@@ -203,19 +272,21 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
-// Dropped returns how many spans the ring bound evicted.
+// Dropped returns how many spans the capacity bound evicted.
 func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.total - uint64(r.live())
 }
 
-// WriteNDJSON dumps the ring's current content as NDJSON, oldest first.
+// WriteNDJSON dumps the recorder's current content as NDJSON, oldest
+// first.
 func (r *Recorder) WriteNDJSON(w io.Writer) error { return WriteNDJSON(w, r.Snapshot()) }
 
-// WriteNDJSON writes spans as NDJSON: one JSON object per line, attribute
-// keys sorted (encoding/json sorts map keys), floats in shortest form —
-// the canonical flight-recorder dump format.
+// WriteNDJSON writes spans as NDJSON: one JSON object per line,
+// attribute keys sorted, floats in encoding/json's shortest form and
+// non-finite numbers as the strings "NaN", "+Inf" and "-Inf" — the
+// canonical flight-recorder dump format.
 func WriteNDJSON(w io.Writer, spans []Span) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -228,7 +299,8 @@ func WriteNDJSON(w io.Writer, spans []Span) error {
 }
 
 // ReadNDJSON reads a span stream written by WriteNDJSON. Blank lines are
-// skipped; a malformed line fails with its line number.
+// skipped; a malformed line — including an attribute whose value is not
+// a number, bool or string — fails with its line number.
 func ReadNDJSON(r io.Reader) ([]Span, error) {
 	var spans []Span
 	sc := bufio.NewScanner(r)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -47,8 +48,11 @@ func TestRecorderBelowCapacity(t *testing.T) {
 func TestRecorderDefaultCap(t *testing.T) {
 	for _, cap := range []int{0, -1} {
 		r := NewRecorder(cap)
-		if len(r.buf) != DefaultFlightCap {
-			t.Fatalf("NewRecorder(%d) capacity = %d, want DefaultFlightCap", cap, len(r.buf))
+		if r.capacity != DefaultFlightCap {
+			t.Fatalf("NewRecorder(%d) capacity = %d, want DefaultFlightCap", cap, r.capacity)
+		}
+		if len(r.gens) != 0 {
+			t.Fatalf("NewRecorder(%d) allocated %d generations before the first span", cap, len(r.gens))
 		}
 	}
 }
@@ -56,12 +60,12 @@ func TestRecorderDefaultCap(t *testing.T) {
 func TestNDJSONRoundTrip(t *testing.T) {
 	in := []Span{
 		span(1, StageMeasure, 2*time.Second, Attrs{
-			"measured_gips": 0.4375, "accepted": true, "gate_verdict": "outlier",
+			Bool("accepted", true), String("gate_verdict", "outlier"), Float("measured_gips", 0.4375),
 		}),
 		span(1, StageOptimize, 2*time.Second, Attrs{
-			"low_freq_idx": Num(3), "tau_low_ns": Num(int64(1_400_000_000)),
+			Int("low_freq_idx", 3), Int("tau_low_ns", 1400*time.Millisecond),
 		}),
-		span(2, StageLadder, 4*time.Second, Attrs{"transition": "degraded"}),
+		span(2, StageLadder, 4*time.Second, Attrs{String("transition", "degraded")}),
 		span(3, StageCycle, 6*time.Second, nil),
 	}
 	var buf bytes.Buffer
@@ -84,7 +88,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 
 func TestNDJSONDeterministicBytes(t *testing.T) {
 	spans := []Span{span(1, StageKalman, time.Second, Attrs{
-		"b": 0.125, "a": true, "c": "x",
+		Float("b", 0.125), Bool("a", true), String("c", "x"),
 	})}
 	var b1, b2 bytes.Buffer
 	if err := WriteNDJSON(&b1, spans); err != nil {
@@ -158,9 +162,9 @@ func TestTraceConcurrentEmit(t *testing.T) {
 
 func TestDiffIdentical(t *testing.T) {
 	a := []Span{
-		span(1, StageMeasure, time.Second, Attrs{"measured_gips": 0.4}),
+		span(1, StageMeasure, time.Second, Attrs{Float("measured_gips", 0.4)}),
 		span(1, StageCycle, time.Second, nil),
-		span(2, StageMeasure, 2*time.Second, Attrs{"measured_gips": 0.41}),
+		span(2, StageMeasure, 2*time.Second, Attrs{Float("measured_gips", 0.41)}),
 	}
 	res := Diff(a, a)
 	if !res.Identical() || res.CyclesA != 2 || res.SpansA != 3 {
@@ -170,14 +174,14 @@ func TestDiffIdentical(t *testing.T) {
 
 func TestDiffFirstDivergentCycle(t *testing.T) {
 	a := []Span{
-		span(1, StageMeasure, time.Second, Attrs{"measured_gips": 0.4}),
-		span(2, StageMeasure, 2*time.Second, Attrs{"measured_gips": 0.5}),
-		span(3, StageMeasure, 3*time.Second, Attrs{"measured_gips": 0.6}),
+		span(1, StageMeasure, time.Second, Attrs{Float("measured_gips", 0.4)}),
+		span(2, StageMeasure, 2*time.Second, Attrs{Float("measured_gips", 0.5)}),
+		span(3, StageMeasure, 3*time.Second, Attrs{Float("measured_gips", 0.6)}),
 	}
 	b := []Span{
-		span(1, StageMeasure, time.Second, Attrs{"measured_gips": 0.4}),
-		span(2, StageMeasure, 2*time.Second, Attrs{"measured_gips": 0.55}),
-		span(3, StageMeasure, 3*time.Second, Attrs{"measured_gips": 0.7}),
+		span(1, StageMeasure, time.Second, Attrs{Float("measured_gips", 0.4)}),
+		span(2, StageMeasure, 2*time.Second, Attrs{Float("measured_gips", 0.55)}),
+		span(3, StageMeasure, 3*time.Second, Attrs{Float("measured_gips", 0.7)}),
 	}
 	res := Diff(a, b)
 	if res.FirstDivergent != 2 {
@@ -223,7 +227,7 @@ func TestDiffOneTraceLonger(t *testing.T) {
 }
 
 func TestDiffAttrPresence(t *testing.T) {
-	a := []Span{span(1, StageMeasure, time.Second, Attrs{"gate_verdict": "stuck"})}
+	a := []Span{span(1, StageMeasure, time.Second, Attrs{String("gate_verdict", "stuck")})}
 	b := []Span{span(1, StageMeasure, time.Second, nil)}
 	res := Diff(a, b)
 	if res.FirstDivergent != 1 || len(res.Deltas) != 1 {
@@ -238,10 +242,10 @@ func TestDiffAttrPresence(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	spans := []Span{
 		span(1, StageMeasure, time.Second, nil),
-		span(1, StageCycle, time.Second, Attrs{"degraded": false}),
-		span(2, StageLadder, 2*time.Second, Attrs{"transition": "degraded"}),
-		span(2, StageCycle, 2*time.Second, Attrs{"degraded": true}),
-		span(3, StageLadder, 3*time.Second, Attrs{"transition": "recovered"}),
+		span(1, StageCycle, time.Second, Attrs{Bool("degraded", false)}),
+		span(2, StageLadder, 2*time.Second, Attrs{String("transition", "degraded")}),
+		span(2, StageCycle, 2*time.Second, Attrs{Bool("degraded", true)}),
+		span(3, StageLadder, 3*time.Second, Attrs{String("transition", "recovered")}),
 	}
 	sum := Summarize(spans)
 	if sum.Spans != 5 || sum.Cycles != 3 || sum.FirstCycle != 1 || sum.LastCycle != 3 {
@@ -251,7 +255,7 @@ func TestSummarize(t *testing.T) {
 	if !reflect.DeepEqual(sum.LadderTransitions, want) {
 		t.Fatalf("LadderTransitions = %v, want %v", sum.LadderTransitions, want)
 	}
-	if got := sum.Final["degraded"]; got != true {
+	if got, _ := sum.Final.Get("degraded"); !got.Bool() {
 		t.Fatalf("Final = %+v, want the last cycle span's attrs", sum.Final)
 	}
 	var buf bytes.Buffer
@@ -260,5 +264,107 @@ func TestSummarize(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("summary text missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// emitter mimics the controller: every span's attributes are built in
+// one scratch array that is rewritten for the next span.
+type emitter struct {
+	scratch [4]Attr
+	n       int
+}
+
+// next emits span number n+1 (a varying attribute count, so generations
+// hold differently sized spans) and returns the copy a sink should keep.
+func (e *emitter) next(sink Sink) Span {
+	e.n++
+	attrs := append(e.scratch[:0], Int("n", e.n), String("stage", StageCycle))
+	if e.n%3 == 0 {
+		attrs = append(attrs, Bool("third", true))
+	}
+	s := span(e.n, StageCycle, time.Duration(e.n), attrs)
+	sink.Emit(s)
+	return span(e.n, StageCycle, time.Duration(e.n), slices.Clone(attrs))
+}
+
+// The recorder holds exactly the last min(total, cap) spans, oldest
+// first, with correct Total and Dropped — checked after every emission
+// across several wraps, and across generation boundaries at the
+// default capacity.
+func TestRecorderKeepsLastSpans(t *testing.T) {
+	for _, capacity := range []int{1, 3, 4096} {
+		r := NewRecorder(capacity)
+		var e emitter
+		var all []Span
+		n := 3*capacity + 2
+		for i := 1; i <= n; i++ {
+			all = append(all, e.next(r))
+			if capacity == 4096 && i%509 != 0 && i != n {
+				continue // full snapshots at the default capacity are costly
+			}
+			want := all[max(0, len(all)-capacity):]
+			if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d after %d spans: snapshot holds %d spans %v..., want the last %d",
+					capacity, i, len(got), got[:min(len(got), 2)], len(want))
+			}
+			if r.Total() != uint64(i) || r.Dropped() != uint64(i-len(want)) {
+				t.Fatalf("cap %d after %d spans: Total=%d Dropped=%d, want %d/%d",
+					capacity, i, r.Total(), r.Dropped(), i, i-len(want))
+			}
+		}
+	}
+}
+
+// Sinks copy what they keep: neither a snapshot nor Trace.Spans may
+// change when the emitter rewrites its scratch array or more spans
+// arrive — not even once the recorder reuses its storage.
+func TestSinksCopyBorrowedAttrs(t *testing.T) {
+	rec, tr := NewRecorder(5), NewTrace()
+	sink := Tee(rec, tr)
+	var e emitter
+	var want []Span
+	for i := 0; i < 7; i++ {
+		want = append(want, e.next(sink))
+	}
+	snap, spans := rec.Snapshot(), tr.Spans()
+	for i := 0; i < 40; i++ {
+		e.next(sink)
+	}
+	e.scratch = [4]Attr{}
+	if !reflect.DeepEqual(snap, want[2:]) {
+		t.Fatalf("recorder snapshot changed after later emissions:\n%v\nwant %v", snap, want[2:])
+	}
+	if !reflect.DeepEqual(spans, want) {
+		t.Fatalf("trace spans changed after later emissions:\n%v\nwant %v", spans, want)
+	}
+	if got := tr.Spans()[:7]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace lost its early spans:\n%v\nwant %v", got, want)
+	}
+}
+
+// A recorder that has wrapped reuses its storage: emission allocates
+// nothing.
+func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
+	r := NewRecorder(16)
+	var e emitter
+	for i := 0; i < 100; i++ {
+		e.next(r)
+	}
+	s := span(1, StageCycle, 0, Attrs{Int("n", 1), String("stage", StageCycle), Bool("third", true)})
+	if allocs := testing.AllocsPerRun(100, func() { r.Emit(s) }); allocs != 0 {
+		t.Fatalf("Recorder.Emit allocates %.1f objects once wrapped, want 0", allocs)
+	}
+}
+
+// Storage grows with use: a recorder holding a handful of spans has not
+// allocated its capacity.
+func TestRecorderGrowsWithUse(t *testing.T) {
+	r := NewRecorder(0)
+	var e emitter
+	for i := 0; i < 10; i++ {
+		e.next(r)
+	}
+	if len(r.gens) != 1 || cap(r.gens[0].spans) >= DefaultFlightCap {
+		t.Fatalf("10 spans hold %d generations, span capacity %d", len(r.gens), cap(r.gens[0].spans))
 	}
 }

@@ -276,7 +276,7 @@ func testTelemetry(t *testing.T, f Fixture) {
 	// perturb the device — same clock and counters before and after.
 	now0, busy1 := dev.Now(), dev.CumMachineBusySec()
 	dev.RecordSpan(obs.Span{Cycle: 1, Stage: obs.StageCycle, At: now0,
-		Attrs: obs.Attrs{"probe": true}})
+		Attrs: obs.Attrs{obs.Bool("probe", true)}})
 	if got := dev.Now(); got != now0 {
 		t.Fatalf("RecordSpan advanced the clock: %v -> %v", now0, got)
 	}
