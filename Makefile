@@ -1,16 +1,20 @@
 # CI entry points. `make ci` is what .github/workflows/ci.yml runs:
-# vet, build, the full test suite under the race detector, the
-# benchmark module's tests, the fault-campaign, record/replay, fleet
-# control-plane, decision-trace, chaos/kill-restore, event-core
-# reference-equivalence, scenario-generator and telemetry-pipeline
-# smoke tests, and — when the tools are on PATH — staticcheck and
-# govulncheck.
+# the gofmt gate, vet, build, the full test suite under the race
+# detector, the benchmark module's tests, the fault-campaign,
+# record/replay, fleet control-plane, decision-trace, chaos/kill-restore,
+# event-core reference-equivalence, scenario-generator and
+# telemetry-pipeline smoke tests, and — when the tools are on PATH —
+# staticcheck and govulncheck.
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-test bench-campaign smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln fuzz
+.PHONY: ci fmt vet build test race bench bench-test bench-campaign smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln fuzz
 
-ci: vet build race bench-test smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln
+ci: fmt vet build race bench-test smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln
+
+# Fails, listing the offenders, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -90,11 +94,16 @@ smoke-gen:
 
 # The telemetry pipeline end to end, under the race detector: a seeded
 # saturating population must report its brownout deterministically
-# (byte-identical rollups across runs), and a 64-session fleet with a
-# live stream subscriber must replay its captured NDJSON into the exact
-# live rollup while scrapes hammer the epoch-snapshot path.
+# (byte-identical rollups across runs), a 64-session fleet with a live
+# stream subscriber must replay its captured NDJSON into the exact live
+# rollup while scrapes hammer the epoch-snapshot path, and a drained
+# faulted fleet must reproduce its /metrics, rollup JSON and text
+# goldens byte for byte, replay the committed telemetry_v1.ndjson
+# capture into its live rollup, and report the sum of its sessions'
+# health ledgers — including ladder activity after a session's last
+# cycle.
 smoke-telemetry:
-	$(GO) test -count=1 -race -run='TestBrownoutGolden|TestTelemetryPipelineSmoke|TestTelemetryScrapeUnderLoad' ./internal/fleet/
+	$(GO) test -count=1 -race -run='TestBrownoutGolden|TestTelemetryPipelineSmoke|TestTelemetryScrapeUnderLoad|TestFleetOutputGolden|TestFleetHealthResidual' ./internal/fleet/
 
 # staticcheck and govulncheck run when installed (CI installs them);
 # locally they no-op with a note rather than failing the build.
@@ -113,14 +122,16 @@ vuln:
 	fi
 
 # Short fuzz passes: the sysfs path canonicalizer, the scenario spec
-# parser/compiler, the checkpoint envelope decoder and the decision-trace
-# NDJSON decoder (seed corpora in the fuzz targets). Not part of `ci` —
-# time-boxed runs belong in a dedicated job.
+# parser/compiler, the checkpoint envelope decoder, the decision-trace
+# NDJSON decoder and the telemetry-stream NDJSON decoder (seed corpora in
+# the fuzz targets). Not part of `ci` — time-boxed runs belong in a
+# dedicated job.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClean -fuzztime=15s ./internal/sysfs/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=15s ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=15s ./internal/ckpt/
 	$(GO) test -run='^$$' -fuzz=FuzzReadNDJSON -fuzztime=15s ./internal/obs/
+	$(GO) test -run='^$$' -fuzz=FuzzReadNDJSON -fuzztime=15s ./internal/obs/pipeline/
 
 # The campaign-scale benchmarks (quick Table III, serial vs parallel
 # with a reported speedup metric). Not part of `ci` — they simulate

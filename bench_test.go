@@ -314,16 +314,6 @@ func BenchmarkAblationCoarseQuantum(b *testing.B) {
 	b.ReportMetric(g, "GIPS")
 }
 
-// BenchmarkAblationLPSolver swaps the O(N²) search for the simplex LP.
-func BenchmarkAblationLPSolver(b *testing.B) {
-	var e, g float64
-	for i := 0; i < b.N; i++ {
-		e, g = ablationRun(b, func(o *core.Options) { o.UseLP = true })
-	}
-	b.ReportMetric(e, "energy_J")
-	b.ReportMetric(g, "GIPS")
-}
-
 // BenchmarkAblationSlowControlCycle doubles the control period to 4 s.
 func BenchmarkAblationSlowControlCycle(b *testing.B) {
 	var e, g float64

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aspeo/internal/kalman"
-	"aspeo/internal/lp"
 	"aspeo/internal/obs"
 	"aspeo/internal/perftool"
 	"aspeo/internal/platform"
@@ -34,9 +33,6 @@ type Options struct {
 	// CPUOnly restricts actuation to the CPU frequency, leaving the
 	// memory bandwidth to its default governor — the Table V baseline.
 	CPUOnly bool
-	// UseLP makes the online optimizer call the simplex solver instead
-	// of the specialized two-configuration search (results identical).
-	UseLP bool
 	// Pole ρ ∈ [0,1) damps the integral regulator:
 	// s_n = s_{n-1} + (1−ρ)·e_{n-1}/b_{n-1}. ρ = 0 is the deadbeat
 	// controller of Eqn. (3); a positive pole trades convergence speed
@@ -114,16 +110,11 @@ func DefaultOptions(t *profile.Table, targetGIPS float64) Options {
 // cycle: <10 ms at ~25 mW average over the 2 s cycle (§V-A1).
 const cycleOverheadJ = 0.050
 
-// allocCacheMax bounds the controller's allocation cache; targets are
-// clamped to the table's speedup range, so in practice a phase settles
-// on a handful of quantized targets and the bound is never hit.
-const allocCacheMax = 256
-
-// allocCacheScale quantizes cached targets to a 2⁻¹² grid (≈2.4e-4
-// speedup resolution — an order of magnitude below the table's
-// measurement noise), so a converged regulator re-requesting the same
-// operating point skips the solve entirely.
-const allocCacheScale = 4096
+// targetScale quantizes the regulator's speedup demand to a 2⁻¹² grid
+// (≈2.4e-4 speedup resolution — an order of magnitude below the table's
+// measurement noise) before the solve, so a converged regulator whose
+// demand jitters below that resolution keeps the identical allocation.
+const targetScale = 4096
 
 // AllocationRecord is one entry of the controller's decision log: the
 // control-cycle ordinal, the clock when the cycle ran, the speedup the
@@ -145,25 +136,8 @@ type Controller struct {
 	// entries are immutable for the controller's lifetime, so it is
 	// built once in New.
 	frontier *Frontier
-	// allocCache memoizes solved allocations by quantized target. The
-	// cached value depends only on the (static) pruned table, so entries
-	// never go stale — phase switches merely change which keys are hit.
-	allocCache     map[float64]Allocation
-	allocCacheHits int
-	// memo* is a single-entry fast path in front of allocCache: a
-	// converged regulator whose Kalman target moved less than the
-	// quantized-cache resolution re-requests the same key cycle after
-	// cycle, and the repeat skips even the map hash. A memo hit reports
-	// exactly like a map hit (allocCacheHits, lastSolvePath).
-	memoQT    float64
-	memoAlloc Allocation
-	memoOK    bool
-	// lpWS is the simplex workspace reused across UseLP-mode solves;
-	// lpC/lpS/lpOnes are the matching problem-row scratch vectors.
-	lpWS             lp.Workspace
-	lpC, lpS, lpOnes []float64
-	perf             *perftool.Perf
-	kf               *kalman.Filter
+	perf     *perftool.Perf
+	kf       *kalman.Filter
 
 	dev platform.Device // the device under control; set by Install
 	// batch is dev's optional batched-write capability (nil when absent —
@@ -200,8 +174,7 @@ type Controller struct {
 
 	// Decision-trace state (observation only — nothing below feeds back
 	// into the control law).
-	gateCause     string // why the gate rejected this cycle's sample
-	lastSolvePath string // "lp", "cache" or "frontier"
+	gateCause string // why the gate rejected this cycle's sample
 	// spanAttrs is the scratch array every span's attributes are built
 	// in (allocated only when tracing). Sinks borrow a span for the
 	// length of Emit and copy what they keep, so one array serves every
@@ -258,13 +231,12 @@ func New(opt Options) (*Controller, error) {
 
 	nSlots := int(opt.CycleT / opt.Quantum)
 	c := &Controller{
-		opt:        opt,
-		entries:    entries,
-		frontier:   frontier,
-		allocCache: make(map[float64]Allocation),
-		perf:       perftool.MustNew(opt.PerfPeriod, opt.Seed),
-		kf:         kf,
-		res:        opt.Resilience.withDefaults(),
+		opt:      opt,
+		entries:  entries,
+		frontier: frontier,
+		perf:     perftool.MustNew(opt.PerfPeriod, opt.Seed),
+		kf:       kf,
+		res:      opt.Resilience.withDefaults(),
 		sPrev: clamp(opt.TargetGIPS/b0,
 			entries[0].Speedup, entries[len(entries)-1].Speedup),
 		slots: make([]profile.Entry, nSlots),
@@ -273,7 +245,7 @@ func New(opt Options) (*Controller, error) {
 		c.recentY = make([]float64, 0, n)
 	}
 	if opt.Trace {
-		c.spanAttrs = make([]obs.Attr, 0, 16) // the widest span, "cycle", has 13
+		c.spanAttrs = make([]obs.Attr, 0, 16) // the widest span, "cycle", has 12
 	}
 	if opt.PhaseAware {
 		maxPhases := opt.MaxPhases
@@ -540,7 +512,6 @@ func (c *Controller) cycleBody(dev platform.Device) {
 	if c.opt.Trace {
 		c.emitSpan(dev, obs.StageOptimize, append(c.spanAttrs[:0],
 			obs.Float("target_speedup", c.sPrev),
-			obs.String("path", c.lastSolvePath),
 			obs.Int("low_freq_idx", alloc.Low.FreqIdx),
 			obs.Int("low_bw_idx", alloc.Low.BWIdx),
 			obs.Int("high_freq_idx", alloc.High.FreqIdx),
@@ -572,44 +543,13 @@ func (c *Controller) emitSpan(dev platform.Device, stage string, attrs obs.Attrs
 	dev.RecordSpan(obs.Span{Cycle: c.cyclesRun, Stage: stage, At: dev.Now(), Attrs: attrs})
 }
 
-// optimize resolves the target through the frontier fast path, with a
-// quantized-target memo in front: a converged regulator asks for the
-// same operating point cycle after cycle, and within one phase those
-// repeats skip the solve entirely. Quantization happens before the
-// solve, so a cache hit returns exactly what the solver would.
+// optimize quantizes the target to the 2⁻¹² grid and solves it on the
+// frontier. The solve takes nanoseconds against a 2 s control cycle, so
+// every cycle solves; the quantization stays because it decides the
+// allocation a near-converged regulator gets.
 func (c *Controller) optimize(target float64) (Allocation, error) {
-	if c.opt.UseLP {
-		c.lastSolvePath = "lp"
-		return c.optimizeLP(target)
-	}
-	qt := math.Round(target*allocCacheScale) / allocCacheScale
-	if c.memoOK && qt == c.memoQT {
-		// Target moved less than the cache resolution: same key, same
-		// allocation, and the same hit accounting as the map below.
-		c.allocCacheHits++
-		c.lastSolvePath = "cache"
-		return c.memoAlloc, nil
-	}
-	if a, ok := c.allocCache[qt]; ok {
-		c.allocCacheHits++
-		c.lastSolvePath = "cache"
-		c.memoQT, c.memoAlloc, c.memoOK = qt, a, true
-		return a, nil
-	}
-	c.lastSolvePath = "frontier"
-	a, err := c.frontier.Optimize(qt, c.opt.CycleT)
-	if err != nil {
-		return a, err
-	}
-	if len(c.allocCache) >= allocCacheMax {
-		// The memo stays valid across the flush: the solver is a pure
-		// function of the immutable pruned table, so a re-solve of the
-		// memo key would return the identical allocation.
-		clear(c.allocCache)
-	}
-	c.allocCache[qt] = a
-	c.memoQT, c.memoAlloc, c.memoOK = qt, a, true
-	return a, nil
+	qt := math.Round(target*targetScale) / targetScale
+	return c.frontier.Optimize(qt, c.opt.CycleT)
 }
 
 // fillSlots quantizes the allocation onto the scheduler's dwell grid and
@@ -731,9 +671,11 @@ func (c *Controller) CurrentSpeedupSetting() float64 { return c.sPrev }
 // optimizer (for the §V-A1 overhead reproduction).
 func (c *Controller) OptimizerWallTime() time.Duration { return c.optWallTime }
 
-// AllocCacheHits returns how many control cycles were served from the
-// quantized-target allocation cache without a solve.
-func (c *Controller) AllocCacheHits() int { return c.allocCacheHits }
+// AllocCacheHits always returns 0: the controller keeps no allocation
+// cache. It stays because the repo benchmark (benchmark/) reads it for
+// its core.solve_cache_hit_ratio row, and dropping that row changes the
+// benchmark's definition.
+func (c *Controller) AllocCacheHits() int { return 0 }
 
 // PhasesDetected returns how many phases the tracker has distinguished;
 // 0 when phase awareness is off.

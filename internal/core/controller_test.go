@@ -221,37 +221,6 @@ func TestControllerBeatsMaxPinned(t *testing.T) {
 	}
 }
 
-// UseLP must produce the same closed-loop behaviour as the direct search.
-func TestLPAndSearchAgreeOnline(t *testing.T) {
-	tab := syntheticTable(0.13)
-	run := func(useLP bool) float64 {
-		ph, err := sim.NewPhone(sim.Config{
-			Foreground: workload.AngryBirds(), Load: workload.NoLoad, Seed: 5,
-			ScreenOn: true, WiFiOn: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := sim.NewEngine(ph)
-		opts := DefaultOptions(tab, 0.3)
-		opts.UseLP = useLP
-		opts.Seed = 5
-		ctl, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctl.Install(eng); err != nil {
-			t.Fatal(err)
-		}
-		st := eng.Run(40*time.Second, false)
-		return st.EnergyJ
-	}
-	search, lp := run(false), run(true)
-	if math.Abs(search-lp)/search > 0.02 {
-		t.Fatalf("LP (%f J) and search (%f J) diverge online", lp, search)
-	}
-}
-
 func TestSchedulerQuantization(t *testing.T) {
 	tab := syntheticTable(0.13)
 	opts := DefaultOptions(tab, 0.3)

@@ -195,10 +195,11 @@ func TestOptimizeLargeSpeedupTable(t *testing.T) {
 	}
 }
 
-// TestControllerAllocCache drives the controller's optimize path twice
-// at one target: the second call must come from the cache and return the
-// identical allocation.
-func TestControllerAllocCache(t *testing.T) {
+// TestControllerTargetQuantization pins the controller's solve path:
+// the regulator's demand is quantized to the 2⁻¹² grid before the
+// frontier solve, so every target in one bucket gets the identical
+// allocation and the next bucket a different one.
+func TestControllerTargetQuantization(t *testing.T) {
 	tab := &profile.Table{
 		App: "synthetic", BaseGIPS: 1,
 		Entries: []profile.Entry{
@@ -211,27 +212,35 @@ func TestControllerAllocCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0 := ctl.AllocCacheHits()
-	a1, err := ctl.optimize(1.7)
+	solve := func(target float64) Allocation {
+		t.Helper()
+		a, err := ctl.optimize(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	const target = 1.7 // off the grid: 1.7·4096 = 6963.2
+	a := solve(target)
+	want, err := ctl.frontier.Optimize(6963.0/targetScale, ctl.opt.CycleT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := ctl.optimize(1.7)
+	if a != want {
+		t.Fatalf("optimize(%v) = %+v, want the solve of the quantized target %+v", target, a, want)
+	}
+	raw, err := ctl.frontier.Optimize(target, ctl.opt.CycleT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctl.AllocCacheHits() != hits0+1 {
-		t.Fatalf("cache hits %d, want %d", ctl.AllocCacheHits(), hits0+1)
+	if raw == a {
+		t.Fatal("the raw target solves to the same allocation; the test cannot see quantization")
 	}
-	if a1 != a2 {
-		t.Fatalf("cache returned a different allocation: %+v vs %+v", a1, a2)
+	if same := solve(target + 1.0/(4*targetScale)); same != a {
+		t.Fatalf("a target in the same bucket got %+v, want %+v", same, a)
 	}
-	// A target within the same quantization bucket also hits.
-	if _, err := ctl.optimize(1.7 + 1.0/(4*allocCacheScale)); err != nil {
-		t.Fatal(err)
-	}
-	if ctl.AllocCacheHits() != hits0+2 {
-		t.Fatalf("nearby target missed the cache: hits %d", ctl.AllocCacheHits())
+	if next := solve(target + 1.0/targetScale); next == a {
+		t.Fatalf("a target in the next bucket got the same allocation %+v", next)
 	}
 }
 

@@ -171,34 +171,10 @@ func singleConfig(e profile.Entry, T time.Duration) Allocation {
 
 // OptimizeLP solves the same problem with the general simplex solver from
 // internal/lp — the formulation of Eqns. (4)–(7) verbatim. It exists to
-// cross-validate Optimize (they must agree on the optimal energy) and to
-// demonstrate the LP formulation; the direct search is what the online
-// controller uses.
+// cross-validate Optimize and Frontier.Optimize (they must agree on the
+// optimal energy) and to demonstrate the LP formulation; the frontier is
+// what the online controller uses.
 func OptimizeLP(entries []profile.Entry, target float64, T time.Duration) (Allocation, error) {
-	n := len(entries)
-	var ws lp.Workspace
-	return optimizeLPWith(&ws, make([]float64, n), make([]float64, n), make([]float64, n),
-		entries, target, T)
-}
-
-// optimizeLP is the controller's UseLP-mode solve: the same formulation
-// as OptimizeLP, but the simplex workspace and the problem-row vectors
-// persist on the controller across cycles instead of being rebuilt.
-func (c *Controller) optimizeLP(target float64) (Allocation, error) {
-	if n := len(c.entries); len(c.lpC) < n {
-		c.lpC = make([]float64, n)
-		c.lpS = make([]float64, n)
-		c.lpOnes = make([]float64, n)
-	}
-	n := len(c.entries)
-	return optimizeLPWith(&c.lpWS, c.lpC[:n], c.lpS[:n], c.lpOnes[:n],
-		c.entries, target, c.opt.CycleT)
-}
-
-// optimizeLPWith solves the energy LP into caller-supplied scratch: c,
-// sRow and ones must be len(entries) vectors, overwritten on every call.
-func optimizeLPWith(ws *lp.Workspace, c, sRow, ones []float64,
-	entries []profile.Entry, target float64, T time.Duration) (Allocation, error) {
 	if len(entries) == 0 {
 		return Allocation{}, ErrEmptyTable
 	}
@@ -208,13 +184,15 @@ func optimizeLPWith(ws *lp.Workspace, c, sRow, ones []float64,
 	minS, maxS := entries[0].Speedup, entries[len(entries)-1].Speedup
 	clamped := math.Max(minS, math.Min(maxS, target))
 
+	n := len(entries)
+	c, sRow, ones := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i, e := range entries {
 		c[i] = e.PowerW
 		sRow[i] = e.Speedup
 		ones[i] = 1
 	}
 	Tsec := T.Seconds()
-	sol, err := ws.Solve(&lp.Problem{
+	sol, err := lp.Solve(&lp.Problem{
 		C:   c,
 		A:   [][]float64{sRow, ones},
 		B:   []float64{clamped * Tsec, Tsec},

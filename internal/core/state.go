@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"aspeo/internal/kalman"
 	"aspeo/internal/platform"
@@ -12,26 +11,19 @@ import (
 
 // This file implements platform.Checkpointer for the Controller: the
 // full regulator state — Kalman filter, integrator, phase tracker,
-// scheduler dwell position, allocation cache/memo and hit counter,
-// resilience ladder — serialized so a restored controller continues
-// bit-identically. Structures rebuilt deterministically from the
-// immutable profile table (entries, frontier, LP workspace, precomputed
-// sysfs value strings) are not serialized; they are reconstructed by
-// New on the restored cell and lazily on first actuation.
+// scheduler dwell position, resilience ladder — serialized so a
+// restored controller continues bit-identically. Structures rebuilt
+// deterministically from the immutable profile table (entries,
+// frontier, precomputed sysfs value strings) are not serialized; they
+// are reconstructed by New on the restored cell and lazily on first
+// actuation. OptimizerWallTime is deliberately NOT serialized — it is
+// host wall time, not simulation state, and no deterministic output
+// includes it.
 //
-// The allocation cache IS serialized even though the solver is a pure
-// function of the table: AllocCacheHits appears in the run summary, so
-// dropping the cache would change the restored run's hit counts and
-// break byte-identity of summaries. Cache entries are sorted by key so
-// the snapshot bytes themselves are deterministic (map iteration is
-// not). OptimizerWallTime is deliberately NOT serialized — it is host
-// wall time, not simulation state, and no deterministic output includes
-// it.
-
-type allocCacheEntry struct {
-	QT    float64    `json:"qt"`
-	Alloc Allocation `json:"alloc"`
-}
+// Restore ignores keys it does not know, so snapshots written by older
+// controllers — which also carried an allocation cache, its hit counter
+// and the last solve path — still restore; none of those fed the
+// control law.
 
 type trackerState struct {
 	Phases  []trackerPhase `json:"phases"`
@@ -55,12 +47,6 @@ type controllerState struct {
 	LastAlloc Allocation         `json:"last_alloc"`
 	AllocLog  []AllocationRecord `json:"alloc_log,omitempty"`
 
-	AllocCache     []allocCacheEntry `json:"alloc_cache"`
-	AllocCacheHits int               `json:"alloc_cache_hits"`
-	MemoQT         float64           `json:"memo_qt"`
-	MemoAlloc      Allocation        `json:"memo_alloc"`
-	MemoOK         bool              `json:"memo_ok"`
-
 	Kalman  kalman.State  `json:"kalman"`
 	Tracker *trackerState `json:"tracker,omitempty"`
 
@@ -75,8 +61,7 @@ type controllerState struct {
 	StockBWGov       string          `json:"stock_bw_gov"`
 	InstalledMaxFreq string          `json:"installed_max_freq"`
 
-	GateCause     string `json:"gate_cause"`
-	LastSolvePath string `json:"last_solve_path"`
+	GateCause string `json:"gate_cause"`
 
 	Cycles       int     `json:"cycles"`
 	SumAbsErr    float64 `json:"sum_abs_err"`
@@ -95,11 +80,6 @@ func (c *Controller) CheckpointState() (json.RawMessage, error) {
 		LastAlloc: c.lastAlloc,
 		AllocLog:  c.allocLog,
 
-		AllocCacheHits: c.allocCacheHits,
-		MemoQT:         c.memoQT,
-		MemoAlloc:      c.memoAlloc,
-		MemoOK:         c.memoOK,
-
 		Kalman: c.kf.State(),
 
 		Health:           c.health,
@@ -113,18 +93,12 @@ func (c *Controller) CheckpointState() (json.RawMessage, error) {
 		StockBWGov:       c.stockBWGov,
 		InstalledMaxFreq: c.installedMaxFreq,
 
-		GateCause:     c.gateCause,
-		LastSolvePath: c.lastSolvePath,
+		GateCause: c.gateCause,
 
 		Cycles:       c.cycles,
 		SumAbsErr:    c.sumAbsErr,
 		LastMeasured: c.lastMeasured,
 	}
-	s.AllocCache = make([]allocCacheEntry, 0, len(c.allocCache))
-	for qt, a := range c.allocCache {
-		s.AllocCache = append(s.AllocCache, allocCacheEntry{QT: qt, Alloc: a})
-	}
-	sort.Slice(s.AllocCache, func(i, j int) bool { return s.AllocCache[i].QT < s.AllocCache[j].QT })
 	if c.tracker != nil {
 		ts := &trackerState{Current: c.tracker.current}
 		for _, p := range c.tracker.phases {
@@ -167,13 +141,6 @@ func (c *Controller) RestoreState(raw json.RawMessage, _ platform.Device) error 
 	c.lastAlloc = s.LastAlloc
 	c.allocLog = s.AllocLog
 
-	clear(c.allocCache)
-	for _, e := range s.AllocCache {
-		c.allocCache[e.QT] = e.Alloc
-	}
-	c.allocCacheHits = s.AllocCacheHits
-	c.memoQT, c.memoAlloc, c.memoOK = s.MemoQT, s.MemoAlloc, s.MemoOK
-
 	if c.tracker != nil {
 		c.tracker.phases = c.tracker.phases[:0]
 		for _, p := range s.Tracker.Phases {
@@ -202,7 +169,6 @@ func (c *Controller) RestoreState(raw json.RawMessage, _ platform.Device) error 
 	c.installedMaxFreq = s.InstalledMaxFreq
 
 	c.gateCause = s.GateCause
-	c.lastSolvePath = s.LastSolvePath
 
 	c.cycles = s.Cycles
 	c.sumAbsErr = s.SumAbsErr

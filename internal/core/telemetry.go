@@ -38,8 +38,6 @@ type CycleSnapshot struct {
 	MeanAbsErrGIPS float64 `json:"mean_abs_err_gips"`
 	// PowerW is the device power over the step that ended the cycle.
 	PowerW float64 `json:"power_w"`
-	// AllocCacheHits counts cycles served from the allocation cache.
-	AllocCacheHits int `json:"alloc_cache_hits"`
 	// PhasesDetected is the phase tracker's cluster count (0 = off).
 	PhasesDetected int `json:"phases_detected"`
 	// Degraded reports whether the watchdog pins the safe configuration.
@@ -62,7 +60,6 @@ func (c *Controller) Snapshot() CycleSnapshot {
 		BaseEstimateGIPS: c.BaseSpeedEstimate(),
 		ExpectedSpeedup:  c.lastAlloc.ExpectedSpeedup,
 		MeanAbsErrGIPS:   c.MeanAbsError(),
-		AllocCacheHits:   c.allocCacheHits,
 		PhasesDetected:   c.PhasesDetected(),
 		Degraded:         c.degraded,
 		Health:           c.health,
@@ -95,7 +92,6 @@ func (c *Controller) publishCycle(dev platform.Device) {
 			obs.Float("expected_speedup", s.ExpectedSpeedup),
 			obs.Float("mean_abs_err_gips", s.MeanAbsErrGIPS),
 			obs.Float("power_w", s.PowerW),
-			obs.Int("alloc_cache_hits", s.AllocCacheHits),
 			obs.Bool("degraded", s.Degraded),
 			obs.Bool("relinquished", s.Health.Relinquished),
 			obs.Int("consecutive_failures", s.Health.ConsecutiveFailures),

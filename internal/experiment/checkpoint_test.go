@@ -72,9 +72,11 @@ func runToEnd(t *testing.T, spec experiment.SessionSpec) ([]byte, []interface{})
 
 // killRestore runs the spec with checkpointing, interrupts ("kills")
 // the run after `afterCkpts` snapshots have landed, rebuilds a fresh
-// session from the same spec, restores the last snapshot, and runs it
-// to completion — returning the restored run's summary and log.
-func killRestore(t *testing.T, spec experiment.SessionSpec, afterCkpts int) ([]byte, []interface{}) {
+// session from the same spec, restores the last snapshot — edited by
+// plant first, when non-nil — and runs it to completion, returning the
+// restored run's summary and log.
+func killRestore(t *testing.T, spec experiment.SessionSpec, afterCkpts int,
+	plant func(*testing.T, *experiment.CellState)) ([]byte, []interface{}) {
 	t.Helper()
 	var last *experiment.CellState
 	sink := func(cs *experiment.CellState) error { last = cs; return nil }
@@ -98,6 +100,9 @@ func killRestore(t *testing.T, spec experiment.SessionSpec, afterCkpts int) ([]b
 		t.Fatalf("kill did not interrupt: ran %v of %v", st.Duration, spec.RunFor)
 	}
 
+	if plant != nil {
+		plant(t, last)
+	}
 	second, err := experiment.NewSession(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +127,11 @@ func killRestore(t *testing.T, spec experiment.SessionSpec, afterCkpts int) ([]b
 	return raw, log
 }
 
-func checkGolden(t *testing.T, spec experiment.SessionSpec, afterCkpts int) {
+func checkGolden(t *testing.T, spec experiment.SessionSpec, afterCkpts int,
+	plant func(*testing.T, *experiment.CellState)) {
 	t.Helper()
 	wantJSON, wantLog := runToEnd(t, spec)
-	gotJSON, gotLog := killRestore(t, spec, afterCkpts)
+	gotJSON, gotLog := killRestore(t, spec, afterCkpts, plant)
 	if !bytes.Equal(wantJSON, gotJSON) {
 		t.Fatalf("restored summary diverged:\nuninterrupted: %s\nrestored:      %s", wantJSON, gotJSON)
 	}
@@ -143,15 +149,56 @@ func checkGolden(t *testing.T, spec experiment.SessionSpec, afterCkpts int) {
 // TestKillRestoreControllerGolden is the checkpoint acceptance test: a
 // controller session killed mid-run and restored from its last snapshot
 // finishes with byte-identical summary JSON and an identical allocation
-// log, cycle for cycle.
+// log, cycle for cycle — also when the snapshot carries the keys older
+// controllers wrote.
 func TestKillRestoreControllerGolden(t *testing.T) {
 	prof, target := storedProfile(t)
-	checkGolden(t, experiment.SessionSpec{
+	spec := experiment.SessionSpec{
 		App: "spotify", Load: "BL", Controller: true,
 		Profile: prof, TargetGIPS: target, Seed: 42,
 		RunFor: 30 * time.Second, LogAllocations: true,
 		CheckpointEvery: 3,
-	}, 2)
+	}
+	checkGolden(t, spec, 2, nil)
+	checkGolden(t, spec, 2, plantLegacyControllerKeys)
+}
+
+// plantLegacyControllerKeys adds to the controller's snapshot the keys
+// controllers wrote before the allocation cache was removed — the
+// cache, its single-entry memo, the hit counter and the last solve
+// path — filled with values such a controller would have held.
+func plantLegacyControllerKeys(t *testing.T, cs *experiment.CellState) {
+	t.Helper()
+	for i := range cs.Actors {
+		if cs.Actors[i].Name != "aspeo-controller" {
+			continue
+		}
+		var st map[string]json.RawMessage
+		if err := json.Unmarshal(cs.Actors[i].State, &st); err != nil {
+			t.Fatal(err)
+		}
+		qt, alloc := st["s_prev"], st["last_alloc"]
+		for k, v := range map[string]string{
+			"alloc_cache":      `[{"qt":` + string(qt) + `,"alloc":` + string(alloc) + `}]`,
+			"alloc_cache_hits": `7`,
+			"memo_qt":          string(qt),
+			"memo_alloc":       string(alloc),
+			"memo_ok":          `true`,
+			"last_solve_path":  `"cache"`,
+		} {
+			if _, ok := st[k]; ok {
+				t.Fatalf("controller snapshot still writes %q", k)
+			}
+			st[k] = json.RawMessage(v)
+		}
+		raw, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.Actors[i].State = raw
+		return
+	}
+	t.Fatal("snapshot has no controller actor")
 }
 
 // TestKillRestoreGovernorGolden covers the stock-governor path: the
@@ -162,7 +209,7 @@ func TestKillRestoreGovernorGolden(t *testing.T) {
 		App: "wechat", Load: "HL", Governor: "interactive", Seed: 7,
 		RunFor:          20 * time.Second,
 		CheckpointEvery: 4,
-	}, 2)
+	}, 2, nil)
 }
 
 // TestKillRestoreFaultsGolden adds a fault scenario on top of the
@@ -176,7 +223,7 @@ func TestKillRestoreFaultsGolden(t *testing.T) {
 		Faults: "combined",
 		RunFor: 30 * time.Second, LogAllocations: true,
 		CheckpointEvery: 2,
-	}, 3)
+	}, 3, nil)
 }
 
 // TestCheckpointSinkFailureDoesNotKillRun: losing durability is counted,

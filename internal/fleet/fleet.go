@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,6 @@ import (
 	"aspeo/internal/obs"
 	"aspeo/internal/obs/pipeline"
 	"aspeo/internal/par"
-	"aspeo/internal/platform"
 	"aspeo/internal/report"
 	"aspeo/internal/workload"
 )
@@ -153,6 +153,9 @@ func (c Config) Validate() error {
 	}
 	if c.RunForS < 0 {
 		return fmt.Errorf("negative run duration %vs", c.RunForS)
+	}
+	if !(c.ArrivalS >= 0) || math.IsInf(c.ArrivalS, 1) {
+		return fmt.Errorf("arrival time %v must be a finite, non-negative number of seconds", c.ArrivalS)
 	}
 	return nil
 }
@@ -535,28 +538,7 @@ func (m *Manager) Rollup() report.FleetRollup {
 		Restarts:           int(m.restarts.Load()),
 		PanicsRecovered:    int(m.panics.Load()),
 		CheckpointsWritten: int(m.ckptDone.Load()),
-		SimSecondsTotal:    t.Totals.SimSeconds,
-		EnergyJTotal:       t.Totals.EnergyJ,
-		DroppedInstrTotal:  t.Totals.DroppedInstr,
-		MeanGIPS:           t.Totals.MeanGIPS,
-		MeanAbsErrGIPS:     t.Totals.MeanAbsErrGIPS,
-		Relinquished:       int(t.Health.Relinquished),
 		Telemetry:          t,
-	}
-	r.Health = platform.Health{
-		ActuationFailures:   int(t.Health.ActuationFailures),
-		ActuationRetries:    int(t.Health.ActuationRetries),
-		GovernorReinstalls:  int(t.Health.GovernorReinstalls),
-		MaxFreqRestores:     int(t.Health.MaxFreqRestores),
-		RejectedSamples:     int(t.Health.RejectedSamples),
-		NonFiniteSamples:    int(t.Health.NonFiniteSamples),
-		StuckSamples:        int(t.Health.StuckSamples),
-		OutlierSamples:      int(t.Health.OutlierSamples),
-		DegradedCycles:      int(t.Health.DegradedCycles),
-		WatchdogTrips:       int(t.Health.WatchdogTrips),
-		ConsecutiveFailures: int(t.Health.ConsecutiveFailures),
-		Relinquished:        t.Health.Relinquished > 0,
-		LastTransition:      t.Health.LastTransition,
 	}
 	r.CyclesTotal, r.CyclesPerSec = m.agg.rate(int64(t.Cycles))
 	return r

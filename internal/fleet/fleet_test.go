@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -201,6 +202,9 @@ func TestFleetSubmitValidates(t *testing.T) {
 		{App: "spotify", Faults: "no-such-scenario"},
 		{App: "spotify", MaxRestarts: -1},
 		{App: "spotify", RunForS: -1},
+		{App: "spotify", ArrivalS: -1},
+		{App: "spotify", ArrivalS: math.NaN()},
+		{App: "spotify", ArrivalS: math.Inf(1)},
 	} {
 		if _, err := m.Submit(cfg); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid config", cfg)
@@ -444,13 +448,13 @@ func TestFleetRace64Sessions(t *testing.T) {
 		t.Fatalf("rollup completed=%d submitted=%d, want %d/%d", r.Completed, r.Submitted, total, total)
 	}
 	// 48 governor sessions × 2s + 16 controller sessions × 4s = 160s.
-	if r.SimSecondsTotal < 159 || r.SimSecondsTotal > 161 {
-		t.Fatalf("sim seconds total %.1f, want ~160", r.SimSecondsTotal)
+	if sim := r.Telemetry.Totals.SimSeconds; sim < 159 || sim > 161 {
+		t.Fatalf("sim seconds total %.1f, want ~160", sim)
 	}
 	if r.CyclesTotal == 0 {
 		t.Fatal("no controller cycles observed by the aggregator")
 	}
-	if r.EnergyJTotal <= 0 {
+	if r.Telemetry.Totals.EnergyJ <= 0 {
 		t.Fatal("no energy accounted")
 	}
 

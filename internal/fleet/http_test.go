@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -144,10 +145,11 @@ func TestFleetSmokeHTTP(t *testing.T) {
 	if rollup.Submitted != 8 || rollup.Failed != 0 || rollup.Stopped != 0 {
 		t.Fatalf("rollup %+v, want 8 clean completions", rollup)
 	}
-	if rollup.SimSecondsTotal < 15.9 || rollup.SimSecondsTotal > 16.1 {
-		t.Fatalf("sim seconds %.2f, want ~16 (8 sessions × 2s)", rollup.SimSecondsTotal)
+	tot := rollup.Telemetry.Totals
+	if tot.SimSeconds < 15.9 || tot.SimSeconds > 16.1 {
+		t.Fatalf("sim seconds %.2f, want ~16 (8 sessions × 2s)", tot.SimSeconds)
 	}
-	if rollup.EnergyJTotal <= 0 || rollup.MeanGIPS <= 0 {
+	if tot.EnergyJ <= 0 || tot.MeanGIPS <= 0 {
 		t.Fatalf("rollup missing aggregates: %+v", rollup)
 	}
 
@@ -203,5 +205,44 @@ func TestFleetSmokeHTTP(t *testing.T) {
 		if views[i-1].ID >= views[i].ID {
 			t.Fatalf("list not ordered by submission: %s before %s", views[i-1].ID, views[i].ID)
 		}
+	}
+}
+
+// A session submitted with an enormous (finite) arrival time must not
+// wedge telemetry. Converting its analyzer window index to int before
+// clamping overflows to a negative index; the panic answers the submit
+// 500 and leaves a shard mutex locked, so every later scrape hangs.
+func TestHugeArrivalScrapeAnswers(t *testing.T) {
+	m := fleet.NewManager(fleet.Options{Workers: 1})
+	srv := httptest.NewServer(fleet.NewServer(m))
+	defer srv.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	client := &http.Client{Timeout: 30 * time.Second}
+
+	resp, err := client.Post(srv.URL+"/api/v1/sessions", "application/json",
+		strings.NewReader(`{"app":"spotify","run_for_s":2,"arrival_s":1e300}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: status %d (%s), want 201", resp.StatusCode, body)
+	}
+
+	resp, err = client.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape after a huge arrival: %v", err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "aspeo_fleet_sessions_submitted_total 1") {
+		t.Fatalf("scrape: status %d, body:\n%s", resp.StatusCode, body)
 	}
 }

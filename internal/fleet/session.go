@@ -38,10 +38,10 @@ type session struct {
 	// cohortID is the telemetry pipeline's interned cohort, captured at
 	// submit so the hot path never touches the intern table.
 	cohortID uint32
-	// healthResid accumulates the ladder deltas each attempt's final
+	// healthResid accumulates the ladder counters each attempt's final
 	// summary carried beyond its last observed cycle; the worker
 	// goroutine owns it and the session's final record reports it.
-	healthResid pipeline.HealthDelta
+	healthResid platform.HealthCounts
 	// lastSnap is the most recent cycle snapshot, published lock-free
 	// from the cycle hot path and read by views.
 	lastSnap atomic.Pointer[core.CycleSnapshot]
@@ -207,43 +207,6 @@ func (m *Manager) foldFinal(worker int, s *session) {
 	m.pipe.ObserveFinal(worker, &fin)
 }
 
-// healthDelta computes the per-record ladder delta between two ledgers
-// and advances prev. Counters difference exactly; ConsecutiveFailures
-// is a level, not a counter, and its deltas (which may be negative)
-// reconstruct the sum of last-seen levels when aggregated.
-func healthDelta(prev *platform.Health, cur *platform.Health) pipeline.HealthDelta {
-	d := pipeline.HealthDelta{
-		ActuationFailures:   int32(cur.ActuationFailures - prev.ActuationFailures),
-		ActuationRetries:    int32(cur.ActuationRetries - prev.ActuationRetries),
-		GovernorReinstalls:  int32(cur.GovernorReinstalls - prev.GovernorReinstalls),
-		MaxFreqRestores:     int32(cur.MaxFreqRestores - prev.MaxFreqRestores),
-		RejectedSamples:     int32(cur.RejectedSamples - prev.RejectedSamples),
-		NonFiniteSamples:    int32(cur.NonFiniteSamples - prev.NonFiniteSamples),
-		StuckSamples:        int32(cur.StuckSamples - prev.StuckSamples),
-		OutlierSamples:      int32(cur.OutlierSamples - prev.OutlierSamples),
-		DegradedCycles:      int32(cur.DegradedCycles - prev.DegradedCycles),
-		WatchdogTrips:       int32(cur.WatchdogTrips - prev.WatchdogTrips),
-		ConsecutiveFailures: int32(cur.ConsecutiveFailures - prev.ConsecutiveFailures),
-	}
-	*prev = *cur
-	return d
-}
-
-// addHealthDelta accumulates d into acc.
-func addHealthDelta(acc *pipeline.HealthDelta, d pipeline.HealthDelta) {
-	acc.ActuationFailures += d.ActuationFailures
-	acc.ActuationRetries += d.ActuationRetries
-	acc.GovernorReinstalls += d.GovernorReinstalls
-	acc.MaxFreqRestores += d.MaxFreqRestores
-	acc.RejectedSamples += d.RejectedSamples
-	acc.NonFiniteSamples += d.NonFiniteSamples
-	acc.StuckSamples += d.StuckSamples
-	acc.OutlierSamples += d.OutlierSamples
-	acc.DegradedCycles += d.DegradedCycles
-	acc.WatchdogTrips += d.WatchdogTrips
-	acc.ConsecutiveFailures += d.ConsecutiveFailures
-}
-
 // runAttempt builds and runs one cell. It returns "" on success or a
 // failure description: a construction error, a run that died, a worker
 // panic (contained here — the deferred recover converts it into an
@@ -271,9 +234,9 @@ func (m *Manager) runAttempt(worker int, s *session, attempt int) (failure strin
 	// The cycle hook is the fleet's telemetry hot path: one compact
 	// record into this worker's ring (lock-free, allocation-free in the
 	// steady state) and a lock-free snapshot publish. prevHealth turns
-	// the cumulative ladder ledger into per-cycle deltas so shard sums
+	// the cumulative ladder counters into per-cycle deltas so shard sums
 	// commute; it is worker-local state, one goroutine only.
-	var prevHealth platform.Health
+	var prevHealth platform.HealthCounts
 	cohort, arrival := s.cohortID, s.cfg.ArrivalS
 	stormP, stormB := s.cfg.StormPeriodS, s.cfg.StormBurstS
 	spec.OnCycle = func(cs core.CycleSnapshot) {
@@ -285,8 +248,10 @@ func (m *Manager) runAttempt(worker int, s *session, attempt int) (failure strin
 			MeasuredGIPS: cs.MeasuredGIPS,
 			TargetGIPS:   cs.TargetGIPS,
 			PowerW:       cs.PowerW,
-			Health:       healthDelta(&prevHealth, &cs.Health),
+			Health:       cs.Health.HealthCounts,
 		}
+		rec.Health.Sub(prevHealth)
+		prevHealth = cs.Health.HealthCounts
 		if stormP > 0 {
 			rec.Storm = math.Mod(at, stormP) < stormB
 		}
@@ -350,7 +315,9 @@ func (m *Manager) runAttempt(worker int, s *session, attempt int) (failure strin
 		// Ladder activity between the last observed cycle and the final
 		// ledger rides on the session's final record, so aggregate health
 		// is exact — cumulative across every attempt.
-		addHealthDelta(&s.healthResid, healthDelta(&prevHealth, &c.Health))
+		resid := c.Health.HealthCounts
+		resid.Sub(prevHealth)
+		s.healthResid.Add(resid)
 	}
 
 	s.mu.Lock()

@@ -74,11 +74,7 @@ func runPopulation(t *testing.T, workers int, cfgs []fleet.Config) *pipeline.Rol
 			t.Fatalf("session %s landed %s (error %q)", id, v.State, v.Error)
 		}
 	}
-	r := m.Rollup()
-	if r.Telemetry == nil {
-		t.Fatal("rollup has no telemetry")
-	}
-	return r.Telemetry
+	return m.Rollup().Telemetry
 }
 
 // TestFleetRollupByteIdentity is the acceptance bar for the sharded
@@ -220,7 +216,7 @@ func TestTelemetryScrapeUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	r := m.Rollup()
-	if r.Telemetry == nil || r.Telemetry.Cycles == 0 {
+	if r.Telemetry.Cycles == 0 {
 		t.Fatal("final rollup lost the population's cycles")
 	}
 	if got := r.Telemetry.Totals.Finished; got != uint64(len(cfgs)) {
@@ -286,7 +282,7 @@ func TestTelemetryPipelineSmoke(t *testing.T) {
 	wg.Wait()
 
 	live := m.Rollup().Telemetry
-	if live == nil || live.Cycles == 0 {
+	if live.Cycles == 0 {
 		t.Fatal("live rollup has no telemetry")
 	}
 	if pipe.Dropped() != 0 {

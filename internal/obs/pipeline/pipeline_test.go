@@ -6,8 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"aspeo/internal/platform"
 )
 
 func TestQuantize(t *testing.T) {
@@ -99,10 +102,10 @@ func genRecords(seed int64, n int) (cycles []CycleRecord, finals []FinalRecord, 
 			rec.TargetGIPS = 0.5 + rng.Float64()*6
 		}
 		if rng.Intn(10) == 0 {
-			rec.Health = HealthDelta{
-				RejectedSamples:     int32(rng.Intn(3)),
-				DegradedCycles:      int32(rng.Intn(2)),
-				ConsecutiveFailures: int32(rng.Intn(5) - 2),
+			rec.Health = platform.HealthCounts{
+				RejectedSamples:     rng.Intn(3),
+				DegradedCycles:      rng.Intn(2),
+				ConsecutiveFailures: rng.Intn(5) - 2,
 			}
 		}
 		cycles = append(cycles, rec)
@@ -423,5 +426,29 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	if r.Totals.Finished != workers {
 		t.Fatalf("lost finals: %d, want %d", r.Totals.Finished, workers)
+	}
+}
+
+// A finite but enormous timestamp lands in the analyzer's last window.
+// Converting its window index to int before clamping would overflow
+// t_s=1e300 to a negative index and panic Aggregate.
+func TestAggregateHugeTimestampLastWindow(t *testing.T) {
+	line := `{"epoch":1,"arrivals":[{"cohort":"c","t_s":1e300}],` +
+		`"cycles":[{"session":1,"cohort":"c","t_s":1e300,"measured_gips":1,"target_gips":2,"power_w":1}]}`
+	batches, err := ReadNDJSON(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Aggregate(batches, Options{})
+	if r.Cycles != 1 || r.Sessions != 1 {
+		t.Fatalf("rollup folded %d cycles and %d arrivals, want 1 and 1", r.Cycles, r.Sessions)
+	}
+	s := r.Saturation
+	if s == nil || len(s.Brownouts) != 1 {
+		t.Fatalf("saturation = %+v, want one brownout window", s)
+	}
+	last := float64(DefaultMaxWindows-1) * DefaultWindowS
+	if b := s.Brownouts[0]; b.OnsetS != last || b.Cycles != 1 {
+		t.Fatalf("brownout %+v, want the record alone in the last window (onset %v s)", b, last)
 	}
 }

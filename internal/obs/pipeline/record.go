@@ -32,7 +32,11 @@
 // records are never dropped, which the byte-identity contract requires.
 package pipeline
 
-import "math"
+import (
+	"math"
+
+	"aspeo/internal/platform"
+)
 
 // qBits is the quantization grid: observations are rounded to multiples
 // of 2^-17 ≈ 7.6e-6 before accumulation. Fine enough that rollup means
@@ -63,29 +67,6 @@ func Quantize(v float64) float64 {
 	return math.Ldexp(math.Round(math.Ldexp(v, qBits)), -qBits)
 }
 
-// HealthDelta is the per-record change of the resilience ladder's
-// integer counters since the previous record of the same attempt.
-// Deltas sum exactly (integers), so shard merges reproduce the sum of
-// last-seen values regardless of how records were partitioned.
-// ConsecutiveFailures is a level, not a counter — its deltas may be
-// negative; the sum still reconstructs the level sum exactly.
-type HealthDelta struct {
-	ActuationFailures   int32 `json:"actuation_failures,omitempty"`
-	ActuationRetries    int32 `json:"actuation_retries,omitempty"`
-	GovernorReinstalls  int32 `json:"governor_reinstalls,omitempty"`
-	MaxFreqRestores     int32 `json:"max_freq_restores,omitempty"`
-	RejectedSamples     int32 `json:"rejected_samples,omitempty"`
-	NonFiniteSamples    int32 `json:"non_finite_samples,omitempty"`
-	StuckSamples        int32 `json:"stuck_samples,omitempty"`
-	OutlierSamples      int32 `json:"outlier_samples,omitempty"`
-	DegradedCycles      int32 `json:"degraded_cycles,omitempty"`
-	WatchdogTrips       int32 `json:"watchdog_trips,omitempty"`
-	ConsecutiveFailures int32 `json:"consecutive_failures,omitempty"`
-}
-
-// Zero reports whether the delta carries no change.
-func (d *HealthDelta) Zero() bool { return *d == HealthDelta{} }
-
 // CycleRecord is the compact fixed-size record one control cycle
 // appends to its worker's ring: no pointers, no strings, no slices —
 // a ring slot is one flat copy.
@@ -106,9 +87,11 @@ type CycleRecord struct {
 	MeasuredGIPS float64
 	TargetGIPS   float64
 	PowerW       float64
-	// Health is the ladder ledger's change since the previous cycle of
-	// this attempt.
-	Health HealthDelta
+	// Health is the ladder counters' change since the previous cycle of
+	// this attempt. Changes sum exactly (integers), so shard merges
+	// reproduce the sum of last-seen ledgers however records were
+	// partitioned.
+	Health platform.HealthCounts
 }
 
 // FinalRecord is a session's terminal record. Finals bypass the ring —
@@ -134,9 +117,10 @@ type FinalRecord struct {
 	DroppedInstr   float64
 	GIPS           float64
 	MeanAbsErrGIPS float64
-	// Health is the residual ledger delta since the last cycle record
-	// of the final attempt (for governor sessions: the whole ledger).
-	Health HealthDelta
+	// Health is the residual change of the ladder counters since the
+	// last cycle record of each attempt (for governor sessions: the
+	// whole ledger).
+	Health platform.HealthCounts
 	// Relinquished marks sessions whose final attempt handed the device
 	// back to the stock governors.
 	Relinquished bool

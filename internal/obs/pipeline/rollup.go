@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"aspeo/internal/histogram"
+	"aspeo/internal/platform"
 )
 
 // DistSnapshot is a histogram.Dist's complete serializable state: the
@@ -53,17 +54,7 @@ func (s DistSnapshot) Mean() float64 {
 // restart attempts — a richer ledger than the pre-pipeline rollup,
 // which only saw each session's final attempt).
 type HealthTotals struct {
-	ActuationFailures   int64 `json:"actuation_failures"`
-	ActuationRetries    int64 `json:"actuation_retries"`
-	GovernorReinstalls  int64 `json:"governor_reinstalls"`
-	MaxFreqRestores     int64 `json:"max_freq_restores"`
-	RejectedSamples     int64 `json:"rejected_samples"`
-	NonFiniteSamples    int64 `json:"non_finite_samples"`
-	StuckSamples        int64 `json:"stuck_samples"`
-	OutlierSamples      int64 `json:"outlier_samples"`
-	DegradedCycles      int64 `json:"degraded_cycles"`
-	WatchdogTrips       int64 `json:"watchdog_trips"`
-	ConsecutiveFailures int64 `json:"consecutive_failures"`
+	platform.HealthCounts
 	// Relinquished counts sessions whose final attempt handed the
 	// device back.
 	Relinquished uint64 `json:"relinquished"`
@@ -206,19 +197,9 @@ func (p *Pipeline) assemble(epoch uint64, merged []*cohortAgg) *Rollup {
 		r.Totals.MeanAbsErrGIPS = pop.absErr / float64(pop.ctlFinals)
 	}
 	r.Health = HealthTotals{
-		ActuationFailures:   pop.health.ActuationFailures,
-		ActuationRetries:    pop.health.ActuationRetries,
-		GovernorReinstalls:  pop.health.GovernorReinstalls,
-		MaxFreqRestores:     pop.health.MaxFreqRestores,
-		RejectedSamples:     pop.health.RejectedSamples,
-		NonFiniteSamples:    pop.health.NonFiniteSamples,
-		StuckSamples:        pop.health.StuckSamples,
-		OutlierSamples:      pop.health.OutlierSamples,
-		DegradedCycles:      pop.health.DegradedCycles,
-		WatchdogTrips:       pop.health.WatchdogTrips,
-		ConsecutiveFailures: pop.health.ConsecutiveFailures,
-		Relinquished:        pop.relinquished,
-		LastTransition:      pop.lastTrans,
+		HealthCounts:   pop.health,
+		Relinquished:   pop.relinquished,
+		LastTransition: pop.lastTrans,
 	}
 
 	r.Saturation = analyzeSaturation(pop.wins, p.opts)

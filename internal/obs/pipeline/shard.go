@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"aspeo/internal/histogram"
+	"aspeo/internal/platform"
 )
 
 // winCell is one analyzer time window of one cohort: exact integer
@@ -28,50 +29,6 @@ func (w *winCell) merge(o *winCell) {
 	w.TargetSum += o.TargetSum
 	w.SlackSum += o.SlackSum
 	w.PowerSum += o.PowerSum
-}
-
-// healthSums is the ladder ledger aggregated as exact int64 sums of
-// per-record deltas.
-type healthSums struct {
-	ActuationFailures   int64
-	ActuationRetries    int64
-	GovernorReinstalls  int64
-	MaxFreqRestores     int64
-	RejectedSamples     int64
-	NonFiniteSamples    int64
-	StuckSamples        int64
-	OutlierSamples      int64
-	DegradedCycles      int64
-	WatchdogTrips       int64
-	ConsecutiveFailures int64
-}
-
-func (h *healthSums) add(d *HealthDelta) {
-	h.ActuationFailures += int64(d.ActuationFailures)
-	h.ActuationRetries += int64(d.ActuationRetries)
-	h.GovernorReinstalls += int64(d.GovernorReinstalls)
-	h.MaxFreqRestores += int64(d.MaxFreqRestores)
-	h.RejectedSamples += int64(d.RejectedSamples)
-	h.StuckSamples += int64(d.StuckSamples)
-	h.NonFiniteSamples += int64(d.NonFiniteSamples)
-	h.OutlierSamples += int64(d.OutlierSamples)
-	h.DegradedCycles += int64(d.DegradedCycles)
-	h.WatchdogTrips += int64(d.WatchdogTrips)
-	h.ConsecutiveFailures += int64(d.ConsecutiveFailures)
-}
-
-func (h *healthSums) merge(o *healthSums) {
-	h.ActuationFailures += o.ActuationFailures
-	h.ActuationRetries += o.ActuationRetries
-	h.GovernorReinstalls += o.GovernorReinstalls
-	h.MaxFreqRestores += o.MaxFreqRestores
-	h.RejectedSamples += o.RejectedSamples
-	h.StuckSamples += o.StuckSamples
-	h.NonFiniteSamples += o.NonFiniteSamples
-	h.OutlierSamples += o.OutlierSamples
-	h.DegradedCycles += o.DegradedCycles
-	h.WatchdogTrips += o.WatchdogTrips
-	h.ConsecutiveFailures += o.ConsecutiveFailures
 }
 
 // Distribution bucket bounds. GIPSBounds must match the fleet's
@@ -105,7 +62,7 @@ type cohortAgg struct {
 	stormSlackN  uint64  // slack observations under storm
 	slack, pow   *histogram.Dist
 	gips         *histogram.Dist
-	health       healthSums
+	health       platform.HealthCounts
 	relinquished uint64
 
 	// Finished-session totals (final records with a run summary).
@@ -167,14 +124,16 @@ func (sh *shard) agg(cohort uint32) *cohortAgg {
 
 // win returns the window cell for scenario time t, clamping to the
 // window bound so one runaway timestamp cannot grow the slice without
-// limit.
+// limit. The clamp happens in float, before the conversion: a huge t
+// would overflow int to a negative index. NaN and non-positive times
+// land in the first window.
 func (a *cohortAgg) win(t, windowS float64, maxWindows int) *winCell {
 	w := 0
 	if t > 0 {
-		w = int(t / windowS)
-	}
-	if w >= maxWindows {
 		w = maxWindows - 1
+		if f := t / windowS; f < float64(w) {
+			w = int(f)
+		}
 	}
 	for w >= len(a.wins) {
 		a.wins = append(a.wins, winCell{})
@@ -197,7 +156,7 @@ func (sh *shard) foldCycle(rec *CycleRecord, windowS float64, maxWindows int) {
 	a.powerSum += qp
 	a.gips.Observe(qm)
 	a.pow.Observe(qp)
-	a.health.add(&rec.Health)
+	a.health.Add(rec.Health)
 
 	w := a.win(rec.T, windowS, maxWindows)
 	w.Cycles++
@@ -228,7 +187,7 @@ func (sh *shard) foldFinal(fin *FinalRecord) {
 	if fin.Relinquished {
 		a.relinquished++
 	}
-	a.health.add(&fin.Health)
+	a.health.Add(fin.Health)
 	if fin.LastTransition != "" && fin.Session > a.lastTransSeq {
 		a.lastTransSeq = fin.Session
 		a.lastTrans = fin.LastTransition
@@ -277,7 +236,7 @@ func (a *cohortAgg) merge(o *cohortAgg) {
 	if err := a.gips.Merge(o.gips); err != nil {
 		panic(err)
 	}
-	a.health.merge(&o.health)
+	a.health.Add(o.health)
 	a.relinquished += o.relinquished
 	a.finals += o.finals
 	a.ctlFinals += o.ctlFinals

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"aspeo/internal/platform"
 )
 
 // StreamBatch is one epoch's drained records, the NDJSON telemetry
@@ -32,30 +34,30 @@ type StreamArrival struct {
 
 // StreamCycle is one cycle record with the cohort resolved to its name.
 type StreamCycle struct {
-	Session      uint64       `json:"session"`
-	Cohort       string       `json:"cohort"`
-	T            float64      `json:"t_s"`
-	MeasuredGIPS float64      `json:"measured_gips"`
-	TargetGIPS   float64      `json:"target_gips,omitempty"`
-	PowerW       float64      `json:"power_w"`
-	Storm        bool         `json:"storm,omitempty"`
-	Health       *HealthDelta `json:"health,omitempty"`
+	Session      uint64                 `json:"session"`
+	Cohort       string                 `json:"cohort"`
+	T            float64                `json:"t_s"`
+	MeasuredGIPS float64                `json:"measured_gips"`
+	TargetGIPS   float64                `json:"target_gips,omitempty"`
+	PowerW       float64                `json:"power_w"`
+	Storm        bool                   `json:"storm,omitempty"`
+	Health       *platform.HealthCounts `json:"health,omitempty"`
 }
 
 // StreamFinal is one terminal-session record with the cohort resolved.
 type StreamFinal struct {
-	Session        uint64       `json:"session"`
-	Cohort         string       `json:"cohort"`
-	HasSummary     bool         `json:"has_summary"`
-	Controller     bool         `json:"controller,omitempty"`
-	DurationS      float64      `json:"duration_s,omitempty"`
-	EnergyJ        float64      `json:"energy_j,omitempty"`
-	DroppedInstr   float64      `json:"dropped_instr,omitempty"`
-	GIPS           float64      `json:"gips,omitempty"`
-	MeanAbsErrGIPS float64      `json:"mean_abs_err_gips,omitempty"`
-	Health         *HealthDelta `json:"health,omitempty"`
-	Relinquished   bool         `json:"relinquished,omitempty"`
-	LastTransition string       `json:"last_transition,omitempty"`
+	Session        uint64                 `json:"session"`
+	Cohort         string                 `json:"cohort"`
+	HasSummary     bool                   `json:"has_summary"`
+	Controller     bool                   `json:"controller,omitempty"`
+	DurationS      float64                `json:"duration_s,omitempty"`
+	EnergyJ        float64                `json:"energy_j,omitempty"`
+	DroppedInstr   float64                `json:"dropped_instr,omitempty"`
+	GIPS           float64                `json:"gips,omitempty"`
+	MeanAbsErrGIPS float64                `json:"mean_abs_err_gips,omitempty"`
+	Health         *platform.HealthCounts `json:"health,omitempty"`
+	Relinquished   bool                   `json:"relinquished,omitempty"`
+	LastTransition string                 `json:"last_transition,omitempty"`
 }
 
 // append moves a shard's pending records into the batch, resolving
@@ -78,7 +80,7 @@ func (b *StreamBatch) append(p *Pipeline, sh *shard) {
 			MeasuredGIPS: rec.MeasuredGIPS, TargetGIPS: rec.TargetGIPS,
 			PowerW: rec.PowerW, Storm: rec.Storm,
 		}
-		if !rec.Health.Zero() {
+		if rec.Health != (platform.HealthCounts{}) {
 			h := rec.Health
 			sc.Health = &h
 		}
@@ -94,7 +96,7 @@ func (b *StreamBatch) append(p *Pipeline, sh *shard) {
 			MeanAbsErrGIPS: fin.MeanAbsErrGIPS,
 			Relinquished:   fin.Relinquished, LastTransition: fin.LastTransition,
 		}
-		if !fin.Health.Zero() {
+		if fin.Health != (platform.HealthCounts{}) {
 			h := fin.Health
 			sf.Health = &h
 		}

@@ -151,13 +151,13 @@ type BatchWriter interface {
 	WriteFiles(writes []FileWrite) error
 }
 
-// Health is a control actor's self-diagnostics ledger: what its fault
-// ladder observed and did. It lives in the platform contract (rather
-// than internal/core, whose controller populates it) so every backend
-// records the same shape through Telemetry.RecordHealth and every
-// consumer — the report layer, the fleet rollups, the resilience tests —
-// reads one definition.
-type Health struct {
+// HealthCounts are the integer counters of a control actor's fault
+// ladder. One type serves every place the counters travel: a
+// controller's ledger (embedded in Health), the per-cycle change the
+// fleet's telemetry records carry, and the fleet-wide sums the rollup
+// reports. Add and Sub work counter by counter, so deltas of ledgers sum
+// exactly to the difference of their totals.
+type HealthCounts struct {
 	// ActuationFailures counts failed sysfs actuation writes, retries
 	// included.
 	ActuationFailures int `json:"actuation_failures"`
@@ -179,24 +179,14 @@ type Health struct {
 	DegradedCycles int `json:"degraded_cycles"`
 	// WatchdogTrips counts degrade and relinquish transitions.
 	WatchdogTrips int `json:"watchdog_trips"`
-	// ConsecutiveFailures is the watchdog's current failing-cycle run.
+	// ConsecutiveFailures is the watchdog's current failing-cycle run —
+	// a level, not a counter: a delta of it may be negative, and a sum
+	// of it reads as "failing cycles currently in flight".
 	ConsecutiveFailures int `json:"consecutive_failures"`
-	// Relinquished is set once control is handed back to the stock
-	// governors; the controller stops actuating for good.
-	Relinquished bool `json:"relinquished"`
-	// LastTransition names the most recent ladder transition and the
-	// control cycle it fired on ("degraded@41", "recovered@44",
-	// "relinquished@52"); empty until a transition fires. It mirrors the
-	// ladder events of the decision trace, so an aggregate that only
-	// sees the ledger still knows which rung fired last.
-	LastTransition string `json:"last_transition,omitempty"`
 }
 
-// Add folds another ledger into this one, field by field. Fleet rollups
-// use it to sum health across sessions; ConsecutiveFailures sums too
-// (it reads as "failing cycles currently in flight" fleet-wide) and
-// Relinquished ORs.
-func (h *Health) Add(o Health) {
+// Add adds o to h, counter by counter.
+func (h *HealthCounts) Add(o HealthCounts) {
 	h.ActuationFailures += o.ActuationFailures
 	h.ActuationRetries += o.ActuationRetries
 	h.GovernorReinstalls += o.GovernorReinstalls
@@ -208,12 +198,40 @@ func (h *Health) Add(o Health) {
 	h.DegradedCycles += o.DegradedCycles
 	h.WatchdogTrips += o.WatchdogTrips
 	h.ConsecutiveFailures += o.ConsecutiveFailures
-	h.Relinquished = h.Relinquished || o.Relinquished
-	if o.LastTransition != "" {
-		// Fold order is the fleet's session-store order, so fleet-wide
-		// this reads "a transition some session fired most recently".
-		h.LastTransition = o.LastTransition
-	}
+}
+
+// Sub subtracts o from h, counter by counter.
+func (h *HealthCounts) Sub(o HealthCounts) {
+	h.ActuationFailures -= o.ActuationFailures
+	h.ActuationRetries -= o.ActuationRetries
+	h.GovernorReinstalls -= o.GovernorReinstalls
+	h.MaxFreqRestores -= o.MaxFreqRestores
+	h.RejectedSamples -= o.RejectedSamples
+	h.NonFiniteSamples -= o.NonFiniteSamples
+	h.StuckSamples -= o.StuckSamples
+	h.OutlierSamples -= o.OutlierSamples
+	h.DegradedCycles -= o.DegradedCycles
+	h.WatchdogTrips -= o.WatchdogTrips
+	h.ConsecutiveFailures -= o.ConsecutiveFailures
+}
+
+// Health is a control actor's self-diagnostics ledger: what its fault
+// ladder observed and did. It lives in the platform contract (rather
+// than internal/core, whose controller populates it) so every backend
+// records the same shape through Telemetry.RecordHealth and every
+// consumer — the report layer, the fleet rollups, the resilience tests —
+// reads one definition.
+type Health struct {
+	HealthCounts
+	// Relinquished is set once control is handed back to the stock
+	// governors; the controller stops actuating for good.
+	Relinquished bool `json:"relinquished"`
+	// LastTransition names the most recent ladder transition and the
+	// control cycle it fired on ("degraded@41", "recovered@44",
+	// "relinquished@52"); empty until a transition fires. It mirrors the
+	// ladder events of the decision trace, so an aggregate that only
+	// sees the ledger still knows which rung fired last.
+	LastTransition string `json:"last_transition,omitempty"`
 }
 
 // Telemetry is the device's statistics surface. Downward, it is what the

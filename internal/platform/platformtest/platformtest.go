@@ -264,7 +264,9 @@ func testTelemetry(t *testing.T, f Fixture) {
 	if h := dev.LastHealth(); h != (platform.Health{}) {
 		t.Fatalf("LastHealth before any RecordHealth = %+v, want zero", h)
 	}
-	want := platform.Health{ActuationFailures: 3, RejectedSamples: 2, StuckSamples: 2, WatchdogTrips: 1}
+	want := platform.Health{HealthCounts: platform.HealthCounts{
+		ActuationFailures: 3, RejectedSamples: 2, StuckSamples: 2, WatchdogTrips: 1,
+	}}
 	dev.RecordHealth(want)
 	if got := dev.LastHealth(); got != want {
 		t.Fatalf("LastHealth = %+v, want %+v", got, want)

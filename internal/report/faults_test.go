@@ -7,6 +7,7 @@ import (
 	"aspeo/internal/core"
 	"aspeo/internal/experiment"
 	"aspeo/internal/fault"
+	"aspeo/internal/platform"
 	"aspeo/internal/workload"
 )
 
@@ -23,9 +24,12 @@ func sampleFaultResult() *experiment.FaultCampaignResult {
 			StockSlackPct: -0.6, UnhardenedSlackPct: -22.4, HardenedSlackPct: -0.3,
 			HardenedVsStockEnergyPct: 9.5,
 			Health: core.Health{
-				ActuationFailures: 48, ActuationRetries: 29, GovernorReinstalls: 5,
-				RejectedSamples: 8, OutlierSamples: 6, StuckSamples: 2,
-				WatchdogTrips: 2, DegradedCycles: 5, Relinquished: true,
+				HealthCounts: platform.HealthCounts{
+					ActuationFailures: 48, ActuationRetries: 29, GovernorReinstalls: 5,
+					RejectedSamples: 8, OutlierSamples: 6, StuckSamples: 2,
+					WatchdogTrips: 2, DegradedCycles: 5,
+				},
+				Relinquished: true,
 			},
 			Injected: fault.Counts{WriteFailures: 48, Hijacks: 5, DroppedSamples: 16, Spikes: 6},
 		}},

@@ -53,7 +53,6 @@ type ControllerSummary struct {
 	Cycles           int             `json:"cycles"`
 	MeanAbsErrGIPS   float64         `json:"mean_abs_err_gips"`
 	BaseEstimateGIPS float64         `json:"base_estimate_gips"`
-	AllocCacheHits   int             `json:"alloc_cache_hits"`
 	PhasesDetected   int             `json:"phases_detected"`
 	Health           platform.Health `json:"health"`
 }
@@ -88,7 +87,6 @@ func NewRunSummary(s *experiment.Session, st sim.Stats) RunSummary {
 			Cycles:           s.Controller.Cycles(),
 			MeanAbsErrGIPS:   s.Controller.MeanAbsError(),
 			BaseEstimateGIPS: s.Controller.BaseSpeedEstimate(),
-			AllocCacheHits:   s.Controller.AllocCacheHits(),
 			PhasesDetected:   s.Controller.PhasesDetected(),
 			Health:           s.Controller.Health(),
 		}
@@ -108,11 +106,12 @@ func (r RunSummary) WriteJSON(w io.Writer) error {
 }
 
 // FleetRollup is the fleet-wide aggregate the session manager folds its
-// sessions into: population by state, throughput, and the summed energy,
-// performance and health figures. Like RunSummary it is a shared schema
-// — the fleet API returns it as JSON, Fleet renders it as text, and
-// RollupMetrics publishes it on a metrics registry for the Prometheus
-// exposition.
+// sessions into: population by state and throughput, which only the
+// manager knows, next to the telemetry pipeline's epoch rollup, which
+// carries the summed energy, performance and health figures. Like
+// RunSummary it is a shared schema — the fleet API returns it as JSON,
+// Fleet renders it as text, and RollupMetrics publishes it on a metrics
+// registry for the Prometheus exposition.
 type FleetRollup struct {
 	// Sessions by lifecycle state.
 	Pending   int `json:"pending"`
@@ -138,26 +137,11 @@ type FleetRollup struct {
 	CyclesTotal  int     `json:"cycles_total"`
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 
-	// Finished-session aggregates (terminal states only: completed,
-	// failed and stopped sessions that produced a summary).
-	SimSecondsTotal   float64 `json:"sim_seconds_total"`
-	EnergyJTotal      float64 `json:"energy_j_total"`
-	DroppedInstrTotal float64 `json:"dropped_instr_total"`
-	// MeanGIPS and MeanAbsErrGIPS average over finished sessions (the
-	// error over finished controller sessions).
-	MeanGIPS       float64 `json:"mean_gips"`
-	MeanAbsErrGIPS float64 `json:"mean_abs_err_gips"`
-
-	// Health sums the ladder ledgers across all controller sessions —
-	// exact per-cycle deltas, cumulative across restart attempts;
-	// Relinquished counts sessions whose final attempt handed the
-	// device back.
-	Health       platform.Health `json:"health"`
-	Relinquished int             `json:"relinquished"`
-
-	// Telemetry is the pipeline's epoch rollup: per-cohort population
-	// distributions, saturation (brownout) events and interference
-	// analysis. Nil on rollups assembled without a pipeline.
+	// Telemetry is the pipeline's epoch rollup: finished-session totals
+	// (Totals), the ladder ledger summed across sessions and restart
+	// attempts (Health), per-cohort population distributions,
+	// saturation (brownout) events and interference analysis. The
+	// manager always sets it.
 	Telemetry *pipeline.Rollup `json:"telemetry,omitempty"`
 }
 
@@ -169,17 +153,15 @@ func (r FleetRollup) Active() int { return r.Pending + r.Running }
 func Fleet(w io.Writer, r FleetRollup) {
 	fmt.Fprintf(w, "fleet: %d pending, %d running, %d completed, %d failed, %d stopped (%d submitted, %d restarts)\n",
 		r.Pending, r.Running, r.Completed, r.Failed, r.Stopped, r.Submitted, r.Restarts)
+	tot, h := r.Telemetry.Totals, r.Telemetry.Health
 	fmt.Fprintf(w, "  cycles=%d (%.1f/s) sim-time=%.0fs energy=%.1fJ mean-gips=%.4f mean-abs-err=%.4f\n",
-		r.CyclesTotal, r.CyclesPerSec, r.SimSecondsTotal, r.EnergyJTotal, r.MeanGIPS, r.MeanAbsErrGIPS)
-	h := r.Health
+		r.CyclesTotal, r.CyclesPerSec, tot.SimSeconds, tot.EnergyJ, tot.MeanGIPS, tot.MeanAbsErrGIPS)
 	fmt.Fprintf(w, "  health: actuation-failures=%d reinstalls=%d rejected-samples=%d watchdog-trips=%d degraded-cycles=%d relinquished=%d\n",
-		h.ActuationFailures, h.GovernorReinstalls, h.RejectedSamples, h.WatchdogTrips, h.DegradedCycles, r.Relinquished)
+		h.ActuationFailures, h.GovernorReinstalls, h.RejectedSamples, h.WatchdogTrips, h.DegradedCycles, h.Relinquished)
 	if h.LastTransition != "" {
 		fmt.Fprintf(w, "  last-transition: %s\n", h.LastTransition)
 	}
-	if r.Telemetry != nil {
-		pipeline.WriteTable(w, r.Telemetry)
-	}
+	pipeline.WriteTable(w, r.Telemetry)
 }
 
 // RollupMetrics publishes the rollup onto an obs.Registry, creating the
@@ -212,13 +194,13 @@ func RollupMetrics(reg *obs.Registry, r FleetRollup) {
 	counter("aspeo_fleet_session_restarts_total", "Session restart attempts consumed.", float64(r.Restarts))
 	counter("aspeo_fleet_cycles_total", "Control cycles observed across all controller sessions.", float64(r.CyclesTotal))
 	gauge("aspeo_fleet_cycles_per_second", "Recent fleet control-cycle throughput.", r.CyclesPerSec)
-	counter("aspeo_fleet_sim_seconds_total", "Simulated seconds completed by finished sessions.", r.SimSecondsTotal)
-	counter("aspeo_fleet_energy_joules_total", "Energy consumed by finished sessions.", r.EnergyJTotal)
-	counter("aspeo_fleet_dropped_instructions_total", "Foreground instructions dropped by finished sessions.", r.DroppedInstrTotal)
-	gauge("aspeo_fleet_mean_gips", "Mean GIPS over finished sessions.", r.MeanGIPS)
-	gauge("aspeo_fleet_mean_abs_error_gips", "Mean |target-measured| GIPS over finished controller sessions.", r.MeanAbsErrGIPS)
+	tot, h := r.Telemetry.Totals, r.Telemetry.Health
+	counter("aspeo_fleet_sim_seconds_total", "Simulated seconds completed by finished sessions.", tot.SimSeconds)
+	counter("aspeo_fleet_energy_joules_total", "Energy consumed by finished sessions.", tot.EnergyJ)
+	counter("aspeo_fleet_dropped_instructions_total", "Foreground instructions dropped by finished sessions.", tot.DroppedInstr)
+	gauge("aspeo_fleet_mean_gips", "Mean GIPS over finished sessions.", tot.MeanGIPS)
+	gauge("aspeo_fleet_mean_abs_error_gips", "Mean |target-measured| GIPS over finished controller sessions.", tot.MeanAbsErrGIPS)
 
-	h := r.Health
 	for _, m := range []struct {
 		name, help string
 		v          int
@@ -233,11 +215,9 @@ func RollupMetrics(reg *obs.Registry, r FleetRollup) {
 	} {
 		counter(m.name, m.help, float64(m.v))
 	}
-	gauge("aspeo_fleet_relinquished_sessions", "Sessions whose controller relinquished the device.", float64(r.Relinquished))
+	gauge("aspeo_fleet_relinquished_sessions", "Sessions whose controller relinquished the device.", float64(h.Relinquished))
 
-	if t := r.Telemetry; t != nil {
-		telemetryMetrics(reg, t)
-	}
+	telemetryMetrics(reg, r.Telemetry)
 }
 
 // telemetryMetrics publishes the pipeline rollup's distribution and

@@ -212,7 +212,9 @@ func TestValidateFieldPaths(t *testing.T) {
 	}{
 		{func(s *Spec) { s.Sessions = 0 }, "sessions"},
 		{func(s *Spec) { s.Arrival.Process = "lumpy" }, "arrival.process"},
-		{func(s *Spec) { s.Arrival = Arrival{Process: ProcessBursty, BurstFactor: 0.5, MeanBurstS: 1, MeanCalmS: 1} }, "arrival.burst_factor"},
+		{func(s *Spec) {
+			s.Arrival = Arrival{Process: ProcessBursty, BurstFactor: 0.5, MeanBurstS: 1, MeanCalmS: 1}
+		}, "arrival.burst_factor"},
 		{func(s *Spec) { s.LoadCurve = []CurveTerm{{PeriodS: -1, Amplitude: 0.1}} }, "load_curve[0].period_s"},
 		{func(s *Spec) { s.LoadCurve = []CurveTerm{{PeriodS: 10, Amplitude: 0.6}, {PeriodS: 10, Amplitude: 0.6}} }, "load_curve"},
 		{func(s *Spec) { s.Cohorts = nil }, "cohorts"},
