@@ -101,9 +101,10 @@ smoke-gen:
 # goldens byte for byte, replay the committed telemetry_v1.ndjson
 # capture into its live rollup, and report the sum of its sessions'
 # health ledgers — including ladder activity after a session's last
-# cycle.
+# cycle. A fleet with cohort names that need escaping and non-zero live
+# counters must reproduce its /metrics edge golden byte for byte.
 smoke-telemetry:
-	$(GO) test -count=1 -race -run='TestBrownoutGolden|TestTelemetryPipelineSmoke|TestTelemetryScrapeUnderLoad|TestFleetOutputGolden|TestFleetHealthResidual' ./internal/fleet/
+	$(GO) test -count=1 -race -run='TestBrownoutGolden|TestTelemetryPipelineSmoke|TestTelemetryScrapeUnderLoad|TestFleetOutputGolden|TestFleetMetricsEdgeGolden|TestFleetHealthResidual' ./internal/fleet/
 
 # staticcheck and govulncheck run when installed (CI installs them);
 # locally they no-op with a note rather than failing the build.

@@ -80,9 +80,7 @@ func captureFleetOutputs(t *testing.T, cfgs []fleet.Config) fleetOutputs {
 	out.text = text.Bytes()
 	out.live = r.Telemetry
 
-	rec := httptest.NewRecorder()
-	fleet.NewServer(m).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	out.metrics = maskMetric(rec.Body.Bytes(), "aspeo_fleet_cycles_per_second")
+	out.metrics = scrapeMetrics(m)
 
 	for draining := true; draining; {
 		select {
@@ -100,6 +98,14 @@ func captureFleetOutputs(t *testing.T, cfgs []fleet.Config) fleetOutputs {
 		out.views = append(out.views, v)
 	}
 	return out
+}
+
+// scrapeMetrics answers GET /metrics through the fleet's HTTP server,
+// with the cycle throughput masked.
+func scrapeMetrics(m *fleet.Manager) []byte {
+	rec := httptest.NewRecorder()
+	fleet.NewServer(m).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return maskMetric(rec.Body.Bytes(), "aspeo_fleet_cycles_per_second")
 }
 
 // maskMetric replaces the value of an unlabelled sample with "MASKED".
@@ -184,6 +190,54 @@ func TestFleetOutputGolden(t *testing.T) {
 	sum, relinquished := checkHealthLedger(t, out)
 	if relinquished == 0 || sum.WatchdogTrips == 0 || sum.RejectedSamples == 0 {
 		t.Fatalf("population never exercised the ladder (%+v, %d relinquished); the check proves nothing", sum, relinquished)
+	}
+}
+
+// TestFleetMetricsEdgeGolden pins the exposition's edge cases against a
+// golden made before /metrics was last rewritten: cohort names the
+// submit API accepts but the exposition must escape (a quote, a
+// backslash, a newline — which also sorts a\nb after a\\b), storm
+// cohorts so interference rows appear, and non-zero live counters.
+func TestFleetMetricsEdgeGolden(t *testing.T) {
+	prof, target := goldenProfile(t)
+	var cfgs []fleet.Config
+	for i, cohort := range []string{"Z", `a"b`, `a\b`, "a\nb", "plain"} {
+		for j := 0; j < 2; j++ {
+			cfg := fleet.Config{
+				App: "spotify", Cohort: cohort, Controller: true,
+				Profile: prof, TargetGIPS: target,
+				ArrivalS: float64(2*i+j) * 0.5, Seed: int64(400 + 2*i + j),
+				RunForS: 4,
+			}
+			if j == 0 {
+				cfg.StormPeriodS, cfg.StormBurstS = 2, 0.5
+			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	m := fleet.NewManager(fleet.Options{Workers: 1, Queue: len(cfgs) + 8, FlightCap: -1})
+	for i, cfg := range cfgs {
+		if _, err := m.Submit(cfg); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fleet.AddLiveCounters(m, fleet.LiveCounters{
+		HTTPPanics: 1, WorkerPanics: 2, CheckpointsWritten: 1, CkptFailed: 3,
+		ShedQueueFull: 1, ShedMaxStreams: 2,
+	})
+
+	got := scrapeMetrics(m)
+	want, err := os.ReadFile(filepath.Join("testdata", "fleet_metrics_edge.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet_metrics_edge.txt: live output differs from the golden\ngot:\n%s", got)
 	}
 }
 
