@@ -298,7 +298,7 @@ func TestFleetChaosRecovery(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := m.Registry().WriteText(&buf); err != nil {
+	if err := report.WriteMetrics(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	metrics := buf.String()
@@ -413,6 +413,39 @@ func TestFleetHTTPOverloadAndReadyz(t *testing.T) {
 	}
 	if resp2.Header.Get("Retry-After") == "" {
 		t.Error("stream shed response missing Retry-After")
+	}
+
+	// Each shed request is counted once, under its reason, on /metrics
+	// and in the rollup.
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s %v", path, resp.StatusCode, raw, err)
+		}
+		return raw
+	}
+	metrics := string(get("/metrics"))
+	for _, want := range []string{
+		`aspeo_fleet_requests_shed_total{reason="max_streams"} 1` + "\n",
+		`aspeo_fleet_requests_shed_total{reason="queue_full"} 1` + "\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	var rollup report.FleetRollup
+	if err := json.Unmarshal(get("/api/v1/rollup"), &rollup); err != nil {
+		t.Fatal(err)
+	}
+	if rollup.ShedQueueFull != 1 || rollup.ShedMaxStreams != 1 {
+		t.Errorf("rollup shed_queue_full=%d shed_max_streams=%d, want 1 and 1",
+			rollup.ShedQueueFull, rollup.ShedMaxStreams)
 	}
 
 	// Ready while serving…

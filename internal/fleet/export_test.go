@@ -3,23 +3,18 @@ package fleet
 // LiveCounters are the manager's live counters — the ones no session
 // record carries — for tests that pin how /metrics renders them.
 type LiveCounters struct {
-	HTTPPanics, WorkerPanics       int
-	CheckpointsWritten, CkptFailed int
-	ShedQueueFull, ShedMaxStreams  int
+	HTTPPanics, WorkerPanics               int
+	CheckpointsWritten, CheckpointFailures int
+	ShedQueueFull, ShedMaxStreams          int
 }
 
 // AddLiveCounters raises the manager's live counters by c, as if the
 // events had happened.
 func AddLiveCounters(m *Manager, c LiveCounters) {
-	add := func(n int, inc func()) {
-		for i := 0; i < n; i++ {
-			inc()
-		}
-	}
-	add(c.HTTPPanics, func() { m.cPanics.With("http").Inc() })
-	add(c.WorkerPanics, func() { m.panics.Add(1); m.cPanics.With("worker").Inc() })
-	add(c.CheckpointsWritten, func() { m.ckptDone.Add(1); m.cCkpt.Inc() })
-	add(c.CkptFailed, m.cCkptFail.Inc)
-	add(c.ShedQueueFull, func() { m.cShed.With("queue_full").Inc() })
-	add(c.ShedMaxStreams, func() { m.cShed.With("max_streams").Inc() })
+	m.httpPanics.Add(int64(c.HTTPPanics))
+	m.panics.Add(int64(c.WorkerPanics))
+	m.ckptDone.Add(int64(c.CheckpointsWritten))
+	m.ckptFailed.Add(int64(c.CheckpointFailures))
+	m.shedQueue.Add(int64(c.ShedQueueFull))
+	m.shedStreams.Add(int64(c.ShedMaxStreams))
 }

@@ -199,13 +199,6 @@ type Options struct {
 	// stalls, checkpoint-write failures — for the chaos tests. The zero
 	// value injects nothing.
 	Chaos fault.ProcessPlan
-
-	// Telemetry pipeline knobs (zero selects the pipeline defaults):
-	// the analyzer window in scenario seconds, the per-worker ring
-	// capacity, and the brownout trigger fraction.
-	TelemetryWindowS  float64
-	TelemetryRingCap  int
-	BrownoutThreshold float64
 }
 
 // Defaults for the zero-valued knobs above.
@@ -256,9 +249,15 @@ type Manager struct {
 	seq       atomic.Uint64 // session ordinal source
 	submitted atomic.Int64
 	restarts  atomic.Int64
-	panics    atomic.Int64 // worker panics recovered
-	ckptDone  atomic.Int64 // checkpoints written durably
 	draining  atomic.Bool
+
+	// Live counters no session record carries, reported in the rollup.
+	panics      atomic.Int64 // worker panics recovered
+	httpPanics  atomic.Int64 // control-plane handler panics recovered
+	ckptDone    atomic.Int64 // checkpoints written durably
+	ckptFailed  atomic.Int64 // checkpoint writes that failed
+	shedQueue   atomic.Int64 // submissions shed: queue full
+	shedStreams atomic.Int64 // streams shed: at MaxStreams
 
 	// Lifecycle population counters, maintained at every transition so
 	// Rollup never walks the session store (the scrape path takes no
@@ -279,13 +278,7 @@ type Manager struct {
 	// aggregation, and the epoch snapshots the scrape paths serve from.
 	pipe *pipeline.Pipeline
 
-	// reg is the manager's long-lived metrics registry: rollup families
-	// refreshed at scrape time from the pipeline's epoch snapshot.
-	reg       *obs.Registry
-	cPanics   obs.CounterVec // aspeo_fleet_panics_recovered_total{boundary}
-	cCkpt     obs.Counter    // aspeo_fleet_checkpoints_written_total
-	cCkptFail obs.Counter    // aspeo_fleet_checkpoint_failures_total
-	cShed     obs.CounterVec // aspeo_fleet_requests_shed_total{reason}
+	shim report.MetricsShim // see Registry
 }
 
 // NewManager starts the worker pool and returns a ready manager. It
@@ -305,35 +298,15 @@ func NewManager(o Options) *Manager {
 		m.ckptFS = ckpt.OS{}
 	}
 	m.streamSem = make(chan struct{}, o.maxStreams())
-	m.pipe = pipeline.New(pipeline.Options{
-		Workers:           m.pool.NumWorkers(),
-		RingCap:           o.TelemetryRingCap,
-		WindowS:           o.TelemetryWindowS,
-		BrownoutThreshold: o.BrownoutThreshold,
-	})
-	m.reg = obs.NewRegistry()
-	// Registered up front so the family exists on the first scrape; its
-	// contents are loaded from the pipeline's epoch snapshot at scrape
-	// time (report.RollupMetrics), never observed on the session hot
-	// path.
-	m.reg.Histogram("aspeo_fleet_measured_gips",
-		"Per-cycle measured performance across all controller sessions.",
-		pipeline.GIPSBounds)
-	m.cPanics = m.reg.CounterVec("aspeo_fleet_panics_recovered_total",
-		"Panics recovered at containment boundaries.", "boundary")
-	m.cCkpt = m.reg.Counter("aspeo_fleet_checkpoints_written_total",
-		"Session checkpoints written durably.")
-	m.cCkptFail = m.reg.Counter("aspeo_fleet_checkpoint_failures_total",
-		"Session checkpoint writes that failed (the session continued).")
-	m.cShed = m.reg.CounterVec("aspeo_fleet_requests_shed_total",
-		"Control-plane requests shed by overload protection.", "reason")
+	m.pipe = pipeline.New(pipeline.Options{Workers: m.pool.NumWorkers()})
 	return m
 }
 
-// Registry returns the manager's metrics registry. The /metrics handler
-// refreshes the rollup families onto it (report.RollupMetrics) and
-// renders it; callers may register additional process-level instruments.
-func (m *Manager) Registry() *obs.Registry { return m.reg }
+// Registry returns the shim behind the scrape call shape
+// report.RollupMetrics(m.Registry(), r) then m.Registry().WriteText(w).
+// It exists only for the repo benchmark, which scrapes that way; the
+// /metrics handler calls report.WriteMetrics(w, m.Rollup()).
+func (m *Manager) Registry() *report.MetricsShim { return &m.shim }
 
 // Telemetry returns the fleet's telemetry pipeline — the epoch-snapshot
 // and NDJSON-stream surface (aspeo-fleet's /api/v1/telemetry, scenario
@@ -529,16 +502,20 @@ func (m *Manager) Draining() bool { return m.draining.Load() }
 func (m *Manager) Rollup() report.FleetRollup {
 	t := m.pipe.Rollup()
 	r := report.FleetRollup{
-		Pending:            int(m.stPending.Load()),
-		Running:            int(m.stRunning.Load()),
-		Completed:          int(m.stCompleted.Load()),
-		Failed:             int(m.stFailed.Load()),
-		Stopped:            int(m.stStopped.Load()),
-		Submitted:          int(m.submitted.Load()),
-		Restarts:           int(m.restarts.Load()),
-		PanicsRecovered:    int(m.panics.Load()),
-		CheckpointsWritten: int(m.ckptDone.Load()),
-		Telemetry:          t,
+		Pending:             int(m.stPending.Load()),
+		Running:             int(m.stRunning.Load()),
+		Completed:           int(m.stCompleted.Load()),
+		Failed:              int(m.stFailed.Load()),
+		Stopped:             int(m.stStopped.Load()),
+		Submitted:           int(m.submitted.Load()),
+		Restarts:            int(m.restarts.Load()),
+		PanicsRecovered:     int(m.panics.Load()),
+		HTTPPanicsRecovered: int(m.httpPanics.Load()),
+		CheckpointsWritten:  int(m.ckptDone.Load()),
+		CheckpointFailures:  int(m.ckptFailed.Load()),
+		ShedQueueFull:       int(m.shedQueue.Load()),
+		ShedMaxStreams:      int(m.shedStreams.Load()),
+		Telemetry:           t,
 	}
 	r.CyclesTotal, r.CyclesPerSec = m.agg.rate(int64(t.Cycles))
 	return r

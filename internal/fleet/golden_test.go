@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -39,6 +41,7 @@ func outputGoldenPopulation(prof string, target float64) []fleet.Config {
 // every session's final view.
 type fleetOutputs struct {
 	metrics, rollup, text []byte
+	fleet                 report.FleetRollup
 	live                  *pipeline.Rollup
 	stream                []pipeline.StreamBatch
 	views                 []fleet.SessionView
@@ -78,7 +81,7 @@ func captureFleetOutputs(t *testing.T, cfgs []fleet.Config) fleetOutputs {
 	var text bytes.Buffer
 	report.Fleet(&text, r)
 	out.text = text.Bytes()
-	out.live = r.Telemetry
+	out.fleet, out.live = r, r.Telemetry
 
 	out.metrics = scrapeMetrics(m)
 
@@ -193,11 +196,37 @@ func TestFleetOutputGolden(t *testing.T) {
 	}
 }
 
+// TestWriteMetricsCheap holds one render of the golden fleet's /metrics
+// to a budget of 200 allocations and 16 KiB: a scrape must not cost the
+// fleet more than the rollup it renders.
+func TestWriteMetricsCheap(t *testing.T) {
+	prof, target := goldenProfile(t)
+	r := captureFleetOutputs(t, outputGoldenPopulation(prof, target)).fleet
+	render := func() {
+		if err := report.WriteMetrics(io.Discard, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, render)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		render()
+	}
+	runtime.ReadMemStats(&m1)
+	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / 1024
+	t.Logf("one render: %.0f allocations, %.1f KiB", allocs, kib)
+	if allocs > 200 || kib > 16 {
+		t.Fatalf("one render: %.0f allocations, %.1f KiB; budget 200 and 16 KiB", allocs, kib)
+	}
+}
+
 // TestFleetMetricsEdgeGolden pins the exposition's edge cases against a
-// golden made before /metrics was last rewritten: cohort names the
-// submit API accepts but the exposition must escape (a quote, a
-// backslash, a newline — which also sorts a\nb after a\\b), storm
-// cohorts so interference rows appear, and non-zero live counters.
+// golden that is never regenerated: cohort names the submit API accepts
+// but the exposition must escape (a quote, a backslash, a newline —
+// which also sorts a\nb after a\\b), storm cohorts so interference
+// rows appear, and non-zero live counters.
 func TestFleetMetricsEdgeGolden(t *testing.T) {
 	prof, target := goldenProfile(t)
 	var cfgs []fleet.Config
@@ -227,9 +256,14 @@ func TestFleetMetricsEdgeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet.AddLiveCounters(m, fleet.LiveCounters{
-		HTTPPanics: 1, WorkerPanics: 2, CheckpointsWritten: 1, CkptFailed: 3,
+		HTTPPanics: 1, WorkerPanics: 2, CheckpointsWritten: 1, CheckpointFailures: 3,
 		ShedQueueFull: 1, ShedMaxStreams: 2,
 	})
+	r := m.Rollup()
+	if got := [...]int{r.HTTPPanicsRecovered, r.PanicsRecovered, r.CheckpointsWritten,
+		r.CheckpointFailures, r.ShedQueueFull, r.ShedMaxStreams}; got != [...]int{1, 2, 1, 3, 1, 2} {
+		t.Errorf("rollup live counters %v, want [1 2 1 3 1 2]", got)
+	}
 
 	got := scrapeMetrics(m)
 	want, err := os.ReadFile(filepath.Join("testdata", "fleet_metrics_edge.txt"))

@@ -105,12 +105,8 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, m.Rollup())
 	})
 	mux.Handle("GET /metrics", timed(func(w http.ResponseWriter, r *http.Request) {
-		// Refresh the rollup families on the manager's long-lived
-		// registry, then render everything on it — rollup and live
-		// instruments alike — through the one text encoder.
-		report.RollupMetrics(m.Registry(), m.Rollup())
-		w.Header().Set("Content-Type", obs.ContentType)
-		_ = m.Registry().WriteText(w)
+		w.Header().Set("Content-Type", report.ContentType)
+		_ = report.WriteMetrics(w, m.Rollup())
 	}))
 	mux.Handle("GET /healthz", timed(func(w http.ResponseWriter, r *http.Request) {
 		status := "ok"
@@ -145,7 +141,7 @@ func withRecovery(m *Manager, h http.Handler) http.Handler {
 					// (client gone mid-stream); let it propagate.
 					panic(rec)
 				}
-				m.cPanics.With("http").Inc()
+				m.httpPanics.Add(1)
 				writeJSON(w, http.StatusInternalServerError,
 					errorBody(fmt.Errorf("internal error: %v", rec)))
 			}
@@ -191,7 +187,7 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 			// in "sessions", what stopped intake in "error".
 			status := statusFor(err)
 			if status == http.StatusTooManyRequests {
-				m.cShed.With("queue_full").Inc()
+				m.shedQueue.Add(1)
 				w.Header().Set("Retry-After", "1")
 			}
 			writeJSON(w, status, struct {
@@ -236,7 +232,7 @@ func handleScenario(m *Manager, w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := statusFor(err)
 		if status == http.StatusTooManyRequests {
-			m.cShed.With("queue_full").Inc()
+			m.shedQueue.Add(1)
 			w.Header().Set("Retry-After", "1")
 		}
 		writeJSON(w, status, struct {
@@ -264,7 +260,7 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 	case m.streamSem <- struct{}{}:
 		defer func() { <-m.streamSem }()
 	default:
-		m.cShed.With("max_streams").Inc()
+		m.shedStreams.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests,
 			errorBody(fmt.Errorf("too many concurrent streams (max %d)", m.opts.maxStreams())))
@@ -343,7 +339,7 @@ func handleTelemetry(m *Manager, w http.ResponseWriter, r *http.Request) {
 	case m.streamSem <- struct{}{}:
 		defer func() { <-m.streamSem }()
 	default:
-		m.cShed.With("max_streams").Inc()
+		m.shedStreams.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests,
 			errorBody(fmt.Errorf("too many concurrent streams (max %d)", m.opts.maxStreams())))

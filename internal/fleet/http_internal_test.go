@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"aspeo/internal/report"
 )
 
 // TestRecoveryBoundary: a panicking handler answers 500 and is counted;
@@ -22,8 +24,13 @@ func TestRecoveryBoundary(t *testing.T) {
 	if !strings.Contains(rr.Body.String(), "internal error: boom") {
 		t.Fatalf("body %q does not report the panic", rr.Body.String())
 	}
+	r := m.Rollup()
+	if r.HTTPPanicsRecovered != 1 || r.PanicsRecovered != 0 {
+		t.Fatalf("rollup http_panics_recovered=%d panics_recovered=%d, want 1 and 0",
+			r.HTTPPanicsRecovered, r.PanicsRecovered)
+	}
 	var buf strings.Builder
-	if err := m.Registry().WriteText(&buf); err != nil {
+	if err := report.WriteMetrics(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	if want := `aspeo_fleet_panics_recovered_total{boundary="http"} 1`; !strings.Contains(buf.String(), want) {

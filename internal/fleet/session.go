@@ -220,7 +220,6 @@ func (m *Manager) runAttempt(worker int, s *session, attempt int) (failure strin
 		if r := recover(); r != nil {
 			failure = fmt.Sprintf("panic: %v", r)
 			m.panics.Add(1)
-			m.cPanics.With("worker").Inc()
 			if rec != nil {
 				// The flight recorder holds the decision spans leading up
 				// to the panic — exactly the postmortem record FlightDir
@@ -278,11 +277,10 @@ func (m *Manager) runAttempt(worker int, s *session, attempt int) (failure strin
 		spec.CheckpointEvery = m.opts.checkpointEvery()
 		spec.OnCheckpoint = func(cs *experiment.CellState) error {
 			if err := ckpt.Save(m.ckptFS, path, checkpointKind, meta, cs); err != nil {
-				m.cCkptFail.Inc()
+				m.ckptFailed.Add(1)
 				return err
 			}
 			m.ckptDone.Add(1)
-			m.cCkpt.Inc()
 			return nil
 		}
 	}

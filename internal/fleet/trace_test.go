@@ -112,8 +112,8 @@ func TestFleetFlightRecordingDisabled(t *testing.T) {
 }
 
 // The trace endpoint serves the flight recorder as NDJSON; the metrics
-// endpoint exposes the manager's live histogram through the registry
-// encoder with the exposition content type.
+// endpoint renders the rollup's measured-GIPS histogram with the
+// exposition content type.
 func TestFleetTraceAndMetricsEndpoints(t *testing.T) {
 	prof, target := goldenProfile(t)
 	m := fleet.NewManager(fleet.Options{Workers: 2})
@@ -159,8 +159,8 @@ func TestFleetTraceAndMetricsEndpoints(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if got := mresp.Header.Get("Content-Type"); got != obs.ContentType {
-		t.Fatalf("metrics content type %q, want %q", got, obs.ContentType)
+	if got := mresp.Header.Get("Content-Type"); got != report.ContentType {
+		t.Fatalf("metrics content type %q, want %q", got, report.ContentType)
 	}
 	metrics := string(mbody)
 	for _, want := range []string{

@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -10,15 +11,10 @@ func TestDistBucketing(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 3, 9} {
 		d.Observe(v)
 	}
-	// Boundary values land in their own bucket (v <= bound).
-	wantCum := []uint64{2, 3, 4}
-	for i, want := range wantCum {
-		if got := d.Cumulative(i); got != want {
-			t.Fatalf("Cumulative(%d) = %d, want %d", i, got, want)
-		}
-	}
-	if d.Cumulative(len(wantCum)) != 5 {
-		t.Fatalf("+Inf cumulative = %d, want 5", d.Cumulative(len(wantCum)))
+	// Boundary values land in their own bucket (v <= bound); the +Inf
+	// overflow bucket is last.
+	if got, want := d.Counts(), []uint64{2, 1, 1, 1}; !slices.Equal(got, want) {
+		t.Fatalf("Counts() = %v, want %v", got, want)
 	}
 	if d.Total() != 5 || d.Sum() != 15 {
 		t.Fatalf("Total=%d Sum=%v, want 5/15", d.Total(), d.Sum())

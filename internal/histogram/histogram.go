@@ -146,16 +146,6 @@ func (d *Dist) Bounds() []float64 {
 	return out
 }
 
-// Cumulative returns the count of observations <= bounds[i]; i ==
-// len(bounds) returns the total (the +Inf bucket).
-func (d *Dist) Cumulative(i int) uint64 {
-	var c uint64
-	for j := 0; j <= i && j < len(d.counts); j++ {
-		c += d.counts[j]
-	}
-	return c
-}
-
 // Quantile returns an upper estimate of the q-quantile: the upper bound
 // of the first bucket at which the cumulative count reaches q·Total().
 // q is clamped to [0, 1], and a distribution with no observations
@@ -225,9 +215,8 @@ func (d *Dist) Merge(o *Dist) error {
 
 // SetCounts overwrites the distribution's state from a snapshot: raw
 // per-bucket counts (length len(Bounds())+1, overflow last) and the
-// value sum. The observation count is the counts' total. It is the
-// scrape-time refresh primitive — an obs.Histogram loads an externally
-// aggregated pipeline distribution the way Counter.Set loads a total.
+// value sum. The observation count is the counts' total. It rebuilds a
+// Dist from a serialized snapshot (pipeline.DistSnapshot.Dist).
 func (d *Dist) SetCounts(counts []uint64, sum float64) error {
 	if len(counts) != len(d.counts) {
 		return fmt.Errorf("histogram: SetCounts with %d buckets, want %d", len(counts), len(d.counts))

@@ -211,37 +211,6 @@ func (t *tableau) iterate(cost []float64, allowed func(j int) bool) error {
 
 // Solve solves the problem with the two-phase simplex method.
 func Solve(p *Problem) (*Solution, error) {
-	var ws Workspace
-	return ws.Solve(p)
-}
-
-// Workspace holds the solver's tableau buffers for reuse across solves.
-// A controller solving the same-shaped LP every cycle allocates the
-// tableau once and reuses it; the zero value is ready to use. Not safe
-// for concurrent use; Solution.X is freshly allocated per solve and
-// remains valid after the next Solve.
-type Workspace struct {
-	t     tableau
-	cells []float64 // backing storage for the tableau rows
-	cost  []float64 // phase-1/phase-2 objective row
-}
-
-// growF returns buf resized to n and zeroed, reallocating only when the
-// capacity is short.
-func growF(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// Solve solves the problem with the two-phase simplex method, reusing
-// the workspace's buffers.
-func (ws *Workspace) Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -256,23 +225,13 @@ func (ws *Workspace) Solve(p *Problem) (*Solution, error) {
 	}
 	// Normalize rows to b >= 0 while building.
 	w := n + nSlack + m + 1
-	ws.cells = growF(ws.cells, m*w)
-	rows := ws.t.rows
-	if cap(rows) < m {
-		rows = make([][]float64, m)
-	}
-	rows = rows[:m]
-	basis := ws.t.basis
-	if cap(basis) < m {
-		basis = make([]int, m)
-	}
-	zbuf := growF(ws.t.zbuf, w)
-	ws.t = tableau{m: m, n: n, nSlack: nSlack, nArt: m, rows: rows, basis: basis[:m], zbuf: zbuf}
-	t := &ws.t
+	cells := make([]float64, m*w)
+	t := &tableau{m: m, n: n, nSlack: nSlack, nArt: m,
+		rows: make([][]float64, m), basis: make([]int, m), zbuf: make([]float64, w)}
 
 	slackIdx := 0
 	for i := 0; i < m; i++ {
-		row := ws.cells[i*w : (i+1)*w]
+		row := cells[i*w : (i+1)*w]
 		t.rows[i] = row
 		sign := 1.0
 		if p.B[i] < 0 {
@@ -302,8 +261,7 @@ func (ws *Workspace) Solve(p *Problem) (*Solution, error) {
 	}
 
 	// Phase 1: minimize sum of artificials.
-	ws.cost = growF(ws.cost, w)
-	phase1 := ws.cost
+	phase1 := make([]float64, w)
 	for j := n + nSlack; j < w-1; j++ {
 		phase1[j] = 1
 	}
@@ -331,10 +289,8 @@ func (ws *Workspace) Solve(p *Problem) (*Solution, error) {
 		}
 	}
 
-	// Phase 2: minimize the real objective, artificials barred. Phase 1's
-	// cost row is dead after the feasibility check, so its buffer is
-	// rewritten in place.
-	phase2 := growF(ws.cost, w)
+	// Phase 2: minimize the real objective, artificials barred.
+	phase2 := make([]float64, w)
 	copy(phase2, p.C)
 	barArt := func(j int) bool { return j < n+nSlack }
 	if err := t.iterate(phase2, barArt); err != nil {

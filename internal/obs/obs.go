@@ -1,6 +1,7 @@
-// Package obs is the runtime's observability layer: a structured
-// decision-trace model (spans), a deterministic bounded flight recorder,
-// and a metrics registry with a Prometheus text encoder.
+// Package obs is the runtime's decision-trace layer: a structured
+// span model, a deterministic bounded flight recorder, NDJSON encoding
+// and trace diffing. (The fleet's Prometheus exposition is
+// report.WriteMetrics.)
 //
 // The controller's four-stage decision every control cycle — perf
 // measurement, Kalman base-speed update, LP/frontier solve, dwell

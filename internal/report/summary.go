@@ -7,7 +7,6 @@ import (
 
 	"aspeo/internal/experiment"
 	"aspeo/internal/fault"
-	"aspeo/internal/obs"
 	"aspeo/internal/obs/pipeline"
 	"aspeo/internal/platform"
 	"aspeo/internal/sim"
@@ -109,9 +108,9 @@ func (r RunSummary) WriteJSON(w io.Writer) error {
 // sessions into: population by state and throughput, which only the
 // manager knows, next to the telemetry pipeline's epoch rollup, which
 // carries the summed energy, performance and health figures. Like
-// RunSummary it is a shared schema — the fleet API returns it as JSON,
-// Fleet renders it as text, and RollupMetrics publishes it on a metrics
-// registry for the Prometheus exposition.
+// RunSummary it is a shared schema and the single source of the fleet's
+// outputs: the fleet API returns it as JSON, Fleet renders it as text,
+// and WriteMetrics renders it as the Prometheus exposition.
 type FleetRollup struct {
 	// Sessions by lifecycle state.
 	Pending   int `json:"pending"`
@@ -123,12 +122,21 @@ type FleetRollup struct {
 	// restart attempt consumed.
 	Submitted int `json:"submitted"`
 	Restarts  int `json:"restarts"`
-	// PanicsRecovered counts worker panics the manager contained (each
-	// fed the restart ladder); CheckpointsWritten counts session
-	// snapshots written durably. Both are zero — and omitted — on
-	// fleets without chaos or checkpointing.
-	PanicsRecovered    int `json:"panics_recovered,omitempty"`
-	CheckpointsWritten int `json:"checkpoints_written,omitempty"`
+	// The manager's live counters. PanicsRecovered counts worker panics
+	// the manager contained (each fed the restart ladder),
+	// HTTPPanicsRecovered control-plane handler panics answered 500.
+	// CheckpointsWritten counts session snapshots written durably,
+	// CheckpointFailures snapshot writes that failed (the session
+	// continued). ShedQueueFull and ShedMaxStreams count control-plane
+	// requests shed with 429: submissions refused by a full queue, and
+	// streams refused at the concurrent-stream bound. Each is zero — and
+	// omitted — on fleets without chaos, checkpointing or overload.
+	PanicsRecovered     int `json:"panics_recovered,omitempty"`
+	HTTPPanicsRecovered int `json:"http_panics_recovered,omitempty"`
+	CheckpointsWritten  int `json:"checkpoints_written,omitempty"`
+	CheckpointFailures  int `json:"checkpoint_failures,omitempty"`
+	ShedQueueFull       int `json:"shed_queue_full,omitempty"`
+	ShedMaxStreams      int `json:"shed_max_streams,omitempty"`
 
 	// CyclesTotal counts control cycles observed across all controller
 	// sessions, live ones included; CyclesPerSec is the recent fleet
@@ -162,106 +170,4 @@ func Fleet(w io.Writer, r FleetRollup) {
 		fmt.Fprintf(w, "  last-transition: %s\n", h.LastTransition)
 	}
 	pipeline.WriteTable(w, r.Telemetry)
-}
-
-// RollupMetrics publishes the rollup onto an obs.Registry, creating the
-// fleet metric families on first call and refreshing their values on
-// every call after that. The fleet control plane keeps one long-lived
-// registry (so process-level instruments like scrape histograms coexist
-// with the rollup) and refreshes it from the current Rollup() at scrape
-// time. Metric names follow the Prometheus conventions: a unit suffix,
-// _total on monotonic counters.
-func RollupMetrics(reg *obs.Registry, r FleetRollup) {
-	states := reg.GaugeVec("aspeo_fleet_sessions",
-		"Sessions currently in each lifecycle state.", "state")
-	for _, s := range []struct {
-		state string
-		n     int
-	}{
-		{"pending", r.Pending}, {"running", r.Running},
-		{"completed", r.Completed}, {"failed", r.Failed}, {"stopped", r.Stopped},
-	} {
-		states.With(s.state).Set(float64(s.n))
-	}
-
-	counter := func(name, help string, v float64) {
-		reg.Counter(name, help).Set(v)
-	}
-	gauge := func(name, help string, v float64) {
-		reg.Gauge(name, help).Set(v)
-	}
-	counter("aspeo_fleet_sessions_submitted_total", "Sessions accepted since start.", float64(r.Submitted))
-	counter("aspeo_fleet_session_restarts_total", "Session restart attempts consumed.", float64(r.Restarts))
-	counter("aspeo_fleet_cycles_total", "Control cycles observed across all controller sessions.", float64(r.CyclesTotal))
-	gauge("aspeo_fleet_cycles_per_second", "Recent fleet control-cycle throughput.", r.CyclesPerSec)
-	tot, h := r.Telemetry.Totals, r.Telemetry.Health
-	counter("aspeo_fleet_sim_seconds_total", "Simulated seconds completed by finished sessions.", tot.SimSeconds)
-	counter("aspeo_fleet_energy_joules_total", "Energy consumed by finished sessions.", tot.EnergyJ)
-	counter("aspeo_fleet_dropped_instructions_total", "Foreground instructions dropped by finished sessions.", tot.DroppedInstr)
-	gauge("aspeo_fleet_mean_gips", "Mean GIPS over finished sessions.", tot.MeanGIPS)
-	gauge("aspeo_fleet_mean_abs_error_gips", "Mean |target-measured| GIPS over finished controller sessions.", tot.MeanAbsErrGIPS)
-
-	for _, m := range []struct {
-		name, help string
-		v          int
-	}{
-		{"aspeo_fleet_health_actuation_failures_total", "Failed sysfs actuation writes.", h.ActuationFailures},
-		{"aspeo_fleet_health_actuation_retries_total", "Retry attempts spent on failed writes.", h.ActuationRetries},
-		{"aspeo_fleet_health_governor_reinstalls_total", "Governor hijacks repaired.", h.GovernorReinstalls},
-		{"aspeo_fleet_health_maxfreq_restores_total", "scaling_max_freq clamps undone.", h.MaxFreqRestores},
-		{"aspeo_fleet_health_rejected_samples_total", "Measurements rejected by the validation gate.", h.RejectedSamples},
-		{"aspeo_fleet_health_watchdog_trips_total", "Watchdog degrade and relinquish transitions.", h.WatchdogTrips},
-		{"aspeo_fleet_health_degraded_cycles_total", "Control cycles spent at the safe configuration.", h.DegradedCycles},
-	} {
-		counter(m.name, m.help, float64(m.v))
-	}
-	gauge("aspeo_fleet_relinquished_sessions", "Sessions whose controller relinquished the device.", float64(h.Relinquished))
-
-	telemetryMetrics(reg, r.Telemetry)
-}
-
-// telemetryMetrics publishes the pipeline rollup's distribution and
-// analyzer families: the population measured-GIPS histogram (loaded
-// into the same family the fleet registers at construction), per-cohort
-// labeled histograms, and the saturation/interference figures.
-func telemetryMetrics(reg *obs.Registry, t *pipeline.Rollup) {
-	reg.Histogram("aspeo_fleet_measured_gips",
-		"Per-cycle measured performance across all controller sessions.",
-		pipeline.GIPSBounds).Load(t.GIPS.Counts, t.GIPS.Sum)
-
-	slackVec := reg.HistogramVec("aspeo_fleet_cohort_slack_pct",
-		"Per-cycle slack (100·(measured−target)/target) by cohort.",
-		pipeline.SlackBounds, "cohort")
-	powVec := reg.HistogramVec("aspeo_fleet_cohort_power_watts",
-		"Per-cycle device power by cohort.",
-		pipeline.PowerBounds, "cohort")
-	gipsVec := reg.HistogramVec("aspeo_fleet_cohort_measured_gips",
-		"Per-cycle measured performance by cohort.",
-		pipeline.GIPSBounds, "cohort")
-	for i := range t.Cohorts {
-		c := &t.Cohorts[i]
-		slackVec.With(c.Name).Load(c.Slack.Counts, c.Slack.Sum)
-		powVec.With(c.Name).Load(c.Power.Counts, c.Power.Sum)
-		gipsVec.With(c.Name).Load(c.GIPS.Counts, c.GIPS.Sum)
-	}
-
-	brownouts, depth, cycles := 0, 0.0, uint64(0)
-	if s := t.Saturation; s != nil {
-		brownouts, depth, cycles = len(s.Brownouts), s.WorstDepth, s.BrownoutCycles
-	}
-	reg.Gauge("aspeo_fleet_brownouts",
-		"Brownout events detected by the saturation analyzer.").Set(float64(brownouts))
-	reg.Gauge("aspeo_fleet_brownout_worst_depth",
-		"Deepest per-window GIPS deficit (1 − measured/target).").Set(depth)
-	reg.Counter("aspeo_fleet_brownout_cycles_total",
-		"Control cycles that ran inside brownout windows.").Set(float64(cycles))
-
-	collapse := reg.GaugeVec("aspeo_fleet_slack_collapse_pct",
-		"Calm-minus-storm mean slack by cohort (interference analyzer).", "cohort")
-	corr := reg.GaugeVec("aspeo_fleet_arrival_slack_corr",
-		"Correlation of population arrivals with cohort slack.", "cohort")
-	for _, inf := range t.Interference {
-		collapse.With(inf.Cohort).Set(inf.SlackCollapsePct)
-		corr.With(inf.Cohort).Set(inf.ArrivalSlackCorr)
-	}
 }

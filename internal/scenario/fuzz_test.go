@@ -1,8 +1,14 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
+	"time"
+
+	"aspeo/internal/experiment"
+	"aspeo/internal/trace"
 )
 
 // FuzzScenarioSpec fuzzes the spec parser and, when a fuzzed spec
@@ -53,6 +59,49 @@ func FuzzScenarioSpec(f *testing.F) {
 		for i := range g.Sessions {
 			if err := g.Sessions[i].SessionSpec().Validate(); err != nil {
 				t.Fatalf("compiled session %d invalid: %v", i, err)
+			}
+		}
+	})
+}
+
+// FuzzImportTrace fuzzes the last decoder of outside bytes on the
+// scenario path — a trace file named by a spec — and the import behind
+// it: whatever bytes arrive, trace.ReadJSON then ImportTrace must return
+// an error or a workload that validates, never panic or exhaust memory.
+func FuzzImportTrace(f *testing.F) {
+	sess, err := experiment.NewSession(experiment.SessionSpec{
+		App: "spotify", Load: "BL", Governor: "interactive",
+		Seed: 7, RunFor: 3 * time.Second, TraceEvery: 250 * time.Millisecond,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sess.Run(nil)
+	var recorded bytes.Buffer
+	if err := sess.Harness.Phone.Recorder().WriteJSON(&recorded); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recorded.Bytes())
+	f.Add([]byte(`[{"t":0,"gips":1},{"t":4611686018427387904,"gips":1}]`))
+	f.Add([]byte(`[{"t":0,"gips":1,"cum_instr":-1e308},{"t":2000000000,"gips":1,"cum_instr":1e308}]`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`not json`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts, err := trace.ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		w, err := ImportTrace("fuzz", pts)
+		if err != nil {
+			return
+		}
+		if err := w.Validate(); err != nil {
+			t.Fatalf("imported workload invalid: %v", err)
+		}
+		for _, p := range w.Phases {
+			if math.IsInf(p.DemandGIPS, 0) {
+				t.Fatalf("phase %s: infinite demand", p.Name)
 			}
 		}
 	})

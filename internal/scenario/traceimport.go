@@ -25,6 +25,13 @@ const (
 	importMinGIPS = 1e-3
 )
 
+// MaxTraceSpan is the longest time span ImportTrace accepts: a day, far
+// above the longest library session (an hour). Import works in
+// one-second windows, so the span sizes its work and memory; without a
+// bound two points 2⁶² ns apart would ask for 4.6e9 windows and kill
+// the process.
+const MaxTraceSpan = 24 * time.Hour
+
 // importTraits is the neutral architectural profile assigned to
 // trace-imported phases. A trace records what the app achieved, not why
 // — the CPI/BPI decomposition is unobservable from (t, GIPS) pairs — so
@@ -59,14 +66,22 @@ func ImportTrace(name string, pts []trace.Point) (*workload.Spec, error) {
 			return nil, fmt.Errorf("scenario: trace %q: non-monotonic time at point %d", name, i)
 		}
 	}
+	// Times are monotonic, so a negative span overflowed a Duration.
 	total := pts[len(pts)-1].T - pts[0].T
+	if total < 0 || total > MaxTraceSpan {
+		return nil, fmt.Errorf("scenario: trace %q: spans more than %v, the import limit", name, MaxTraceSpan)
+	}
 	if total < importWindow {
 		return nil, fmt.Errorf("scenario: trace %q: %v of data, want >= %v", name, total, importWindow)
 	}
 
 	demands := windowDemands(pts)
 	phases := make([]workload.Phase, 0, len(demands))
-	for _, g := range demands {
+	for i, g := range demands {
+		if math.IsInf(g, 0) || math.IsNaN(g) {
+			// Finite samples can still overflow a window's sum.
+			return nil, fmt.Errorf("scenario: trace %q: window %d has non-finite demand", name, i)
+		}
 		if g < importMinGIPS {
 			g = importMinGIPS
 		}

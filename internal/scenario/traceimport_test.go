@@ -86,6 +86,25 @@ func TestImportTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestImportTraceRejectsHugeSpan: the span sizes the import's work, so
+// a trace longer than MaxTraceSpan — or whose span overflows a Duration
+// — is an error naming the trace, not an out-of-memory crash.
+func TestImportTraceRejectsHugeSpan(t *testing.T) {
+	for _, pts := range [][]trace.Point{
+		{{T: 0, GIPS: 1}, {T: 1 << 62, GIPS: 1}},
+		{{T: -1 << 62, GIPS: 1}, {T: 1 << 62, GIPS: 1}},
+		{{T: 0, GIPS: 1}, {T: MaxTraceSpan + 1, GIPS: 1}},
+	} {
+		_, err := ImportTrace("huge", pts)
+		if err == nil || !strings.Contains(err.Error(), `"huge"`) || !strings.Contains(err.Error(), "import limit") {
+			t.Errorf("span %v: got %v, want an import-limit error naming the trace", pts[1].T-pts[0].T, err)
+		}
+	}
+	if _, err := ImportTrace("day", []trace.Point{{T: 0, GIPS: 1}, {T: MaxTraceSpan, GIPS: 1}}); err != nil {
+		t.Errorf("a trace spanning exactly MaxTraceSpan: %v", err)
+	}
+}
+
 // TestRecordRoundTrip is the end-to-end golden: run a real session with
 // full-rate recording (the aspeo-run -record path), import the trace as
 // a workload, and run a scenario session generated from it. The
