@@ -80,9 +80,14 @@ smoke-chaos:
 # controller, governor, fault-injected and full-rate-traced sessions
 # (summary JSON, allocation logs, traces — all byte-identical), every
 # evaluated app under BL/HL plus configuration churn, randomized actor
-# storms, interrupt boundaries, and the event-queue ordering properties.
+# storms, interrupt boundaries, and the event-queue ordering properties;
+# then the workload's span contract at the package level: SpanBound and
+# AdvanceSpan against the literal Demand → clamp → Advance → Touches
+# loop in every task regime (served, starved to the backlog cap,
+# draining, batch, touch phases).
 smoke-event:
 	$(GO) test -count=1 -race -run='TestEngineEquivalence|TestStepFusion|TestCrossBackendStormBitIdentity|TestEventQueue|TestInterruptBoundaryParity' ./internal/sim/
+	$(GO) test -count=1 -race -run='TestAdvanceSpan|TestSpanBound' ./internal/workload/
 
 # The scenario subsystem end to end, under the race detector: the
 # shipped example spec compiles to a byte-identical golden session

@@ -18,6 +18,7 @@ import (
 	"aspeo/internal/fleet"
 	"aspeo/internal/profile"
 	"aspeo/internal/report"
+	"aspeo/internal/workload"
 )
 
 // goldenProfile writes a synthetic coordinated profile with a strictly
@@ -195,6 +196,8 @@ func TestFleetRestartOnFailure(t *testing.T) {
 
 func TestFleetSubmitValidates(t *testing.T) {
 	m := fleet.NewManager(fleet.Options{Workers: 1})
+	touchy := workload.Spotify()
+	touchy.Phases[0].TouchRate = 1e6 // above workload.MaxTouchRate
 	for _, cfg := range []fleet.Config{
 		{App: "no-such-app"},
 		{App: "spotify", Load: "XX"},
@@ -205,6 +208,7 @@ func TestFleetSubmitValidates(t *testing.T) {
 		{App: "spotify", ArrivalS: -1},
 		{App: "spotify", ArrivalS: math.NaN()},
 		{App: "spotify", ArrivalS: math.Inf(1)},
+		{Workload: touchy},
 	} {
 		if _, err := m.Submit(cfg); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid config", cfg)

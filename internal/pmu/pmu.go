@@ -5,13 +5,16 @@
 // The simulator advances the counters; readers (the perf tool emulation)
 // take snapshots and compute deltas, exactly like `perf stat` does with
 // the ARM PMU cycle and instruction counters.
+//
+// A PMU has a single owner: like the sim.Engine and Phone it belongs to,
+// it is part of one single-threaded simulation cell and is not safe for
+// concurrent use. Every access — the phone's steps and spans, the
+// engine's run baselines, checkpoint capture and restore, and the perf
+// tool's reads through the device's PMUSnapshot — runs on the goroutine
+// that drives the cell.
 package pmu
 
-import (
-	"sync"
-
-	"aspeo/internal/fpacc"
-)
+import "aspeo/internal/fpacc"
 
 // Counter identifies one hardware event counter.
 type Counter int
@@ -37,10 +40,10 @@ func (c Counter) String() string {
 	return "unknown"
 }
 
-// PMU is the set of counters. Safe for concurrent use: the simulator
-// writes, tool emulations read.
+// PMU is the set of counters. It is single-owner (see the package
+// comment): the simulator writes and tool emulations read on the same
+// goroutine.
 type PMU struct {
-	mu     sync.RWMutex
 	counts [numCounters]float64
 }
 
@@ -53,9 +56,7 @@ func (p *PMU) Add(c Counter, delta float64) {
 	if delta <= 0 || c < 0 || c >= numCounters {
 		return
 	}
-	p.mu.Lock()
 	p.counts[c] += delta
-	p.mu.Unlock()
 }
 
 // AddSpan advances a counter by delta, n times in sequence —
@@ -66,9 +67,7 @@ func (p *PMU) AddSpan(c Counter, delta float64, n int) {
 	if delta <= 0 || n <= 0 || c < 0 || c >= numCounters {
 		return
 	}
-	p.mu.Lock()
 	p.counts[c] = fpacc.AddK(p.counts[c], delta, n)
-	p.mu.Unlock()
 }
 
 // Read returns the current value of a counter.
@@ -76,8 +75,6 @@ func (p *PMU) Read(c Counter) float64 {
 	if c < 0 || c >= numCounters {
 		return 0
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.counts[c]
 }
 
@@ -88,11 +85,7 @@ type Snapshot struct {
 }
 
 // Snapshot returns a consistent snapshot of all counters.
-func (p *PMU) Snapshot() Snapshot {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return Snapshot{values: p.counts}
-}
+func (p *PMU) Snapshot() Snapshot { return Snapshot{values: p.counts} }
 
 // SnapshotAt reconstructs a snapshot from recorded absolute counter
 // values. Replay backends use it to hand readers the exact counter
@@ -119,9 +112,7 @@ func (cur Snapshot) Values() (instructions, cycles, busAccessBytes float64) {
 // counter state the original run had, so every downstream delta (perf
 // windows, run summaries) reproduces bit-for-bit.
 func (p *PMU) Restore(s Snapshot) {
-	p.mu.Lock()
 	p.counts = s.values
-	p.mu.Unlock()
 }
 
 // Delta returns the counter movement between two snapshots (cur - prev).

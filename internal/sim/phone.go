@@ -492,7 +492,6 @@ func (p *Phone) Step(dt time.Duration) {
 					Served:   exec == d.WantedInstr,
 					PhaseIdx: task.PhaseIndex(),
 				},
-				touch: task.TouchActive(),
 			})
 		}
 		task.Advance(exec, dt)
@@ -584,9 +583,8 @@ func (p *Phone) Step(dt time.Duration) {
 
 // fusedTask is one task's slice of the cached step plan.
 type fusedTask struct {
-	task  *workload.Task
-	sp    workload.StepPlan
-	touch bool // captured phase generates touch events (consumes rng)
+	task *workload.Task
+	sp   workload.StepPlan
 }
 
 // stepPlan caches what the last slow Step computed, so fastForwardSpan
@@ -624,8 +622,9 @@ func (p *Phone) planReady(dt time.Duration) bool {
 }
 
 // spanBudget returns how many steps (≤ limit) the cached plan can be
-// replayed before any task's demand could change, by the workload's
-// SpanBound contract; 0 sends the next step down the slow path.
+// replayed before what any task executes could change, by the
+// workload's SpanBound contract; 0 sends the next step down the slow
+// path.
 func (p *Phone) spanBudget(dt time.Duration, limit int) int {
 	k := limit
 	for i := range p.plan.tasks {
@@ -636,44 +635,25 @@ func (p *Phone) spanBudget(dt time.Duration, limit int) int {
 			}
 			continue
 		}
-		b := ft.task.SpanBound(ft.sp, dt)
-		if b <= 0 {
+		if k = ft.task.SpanBound(ft.sp, dt, k); k <= 0 {
 			return 0
-		}
-		if b < k {
-			k = b
 		}
 	}
 	return k
 }
 
 // fastForwardSpan replays the cached plan for k steps, integrating the
-// per-step accumulations in closed form: task state through
-// workload.AdvanceSpan, PMU counters through pmu.AddSpan, the power
-// monitor through monsoon.ObserveSpan, and the phone's cumulative
+// per-step accumulations in closed form: task state and touch draws
+// through workload.AdvanceSpan, PMU counters through pmu.AddSpan, the
+// power monitor through monsoon.ObserveSpan, and the phone's cumulative
 // telemetry through fpacc.AddK — each bit-identical to its sequential
-// loop. Tasks whose phase draws touch randomness still advance step by
-// step (the rng interleaving is part of the contract), and a phase
-// transition can only occur on the span's final step (SpanBound bounds
-// the span to end there).
+// loop. A phase transition can only occur on the span's final step
+// (SpanBound bounds the span to end there).
 func (p *Phone) fastForwardSpan(dt time.Duration, k int) {
 	pl := &p.plan
 	for i := range pl.tasks {
-		ft := &pl.tasks[i]
-		if ft.sp.Done {
-			continue
-		}
-		t := ft.task
-		if ft.touch {
-			for j := 0; j < k; j++ {
-				t.Advance(ft.sp.Exec, dt)
-				p.pendingTouches += t.Touches(dt)
-			}
-		} else {
-			t.AdvanceSpan(ft.sp.Exec, dt, k)
-			if t.TouchActive() {
-				p.pendingTouches += t.Touches(dt)
-			}
+		if ft := &pl.tasks[i]; !ft.sp.Done {
+			p.pendingTouches += ft.task.AdvanceSpan(ft.sp.Exec, dt, k)
 		}
 	}
 	p.cumMachineBusySec = fpacc.AddK(p.cumMachineBusySec, pl.machineUsed, k)

@@ -84,7 +84,7 @@ type Phase struct {
 	NetBps float64
 
 	// TouchRate is user input events per second (Poisson); these drive
-	// the interactive governor's input boost.
+	// the interactive governor's input boost. At most MaxTouchRate.
 	TouchRate float64
 
 	// BacklogSec bounds how much unmet paced demand is buffered, in
@@ -117,8 +117,18 @@ func (p Phase) Validate() error {
 	if p.DemandJitter < 0 || p.BacklogSec < 0 || p.AuxBaseW < 0 || p.AuxWPerGIPS < 0 || p.NetBps < 0 || p.TouchRate < 0 {
 		return fmt.Errorf("phase %q: negative parameter", p.Name)
 	}
+	if !(p.TouchRate <= MaxTouchRate) {
+		return fmt.Errorf("phase %q: TouchRate %v exceeds %d events/s", p.Name, p.TouchRate, MaxTouchRate)
+	}
 	return nil
 }
+
+// MaxTouchRate bounds Phase.TouchRate, in events per second: one event
+// per 1 ms simulator step on average. Touches draws by Poisson
+// inversion against exp(-rate), whose cost grows with the per-step rate
+// and whose count saturates once exp(-rate) underflows (about 745 per
+// step); library apps peak at 2.5 events/s.
+const MaxTouchRate = 1000
 
 // Spec describes an application.
 type Spec struct {
@@ -225,6 +235,13 @@ type Task struct {
 	jitterUntil time.Duration
 	backlog     float64 // unmet paced instructions carried over
 	dropped     float64 // paced instructions dropped at backlog overflow
+
+	// Touches' Poisson threshold exp(-rate), cached for one phase and
+	// step length (the Spec does not change while the task runs).
+	touchIdx int
+	touchDt  time.Duration
+	touchL   float64
+	touchOn  bool // phase touchIdx draws touch events at step touchDt
 }
 
 // NewTask instantiates a spec with a deterministic seed.
@@ -301,10 +318,41 @@ func (t *Task) Demand(dt time.Duration) Demand {
 			}
 			t.jitterUntil = t.now + jp
 		}
-		want := p.DemandGIPS * 1e9 * dt.Seconds() * t.jitterMul
-		d.WantedInstr = want + t.backlog
+		d.WantedInstr = pacedWant(p, dt, t.jitterMul) + t.backlog
 	}
 	return d
+}
+
+// pacedWant is a paced phase's demand for one step of dt at jitter
+// multiplier mul, before any backlog.
+func pacedWant(p *Phase, dt time.Duration, mul float64) float64 {
+	return p.DemandGIPS * 1e9 * dt.Seconds() * mul
+}
+
+// backlogCap is how much unmet work a paced phase may carry before it
+// drops the excess.
+func backlogCap(p *Phase) float64 {
+	backlogSec := p.BacklogSec
+	if backlogSec <= 0 {
+		backlogSec = defaultBacklogSec
+	}
+	return p.DemandGIPS * 1e9 * backlogSec
+}
+
+// backlogStep is one step of the paced unmet-work recurrence: a step
+// that wanted want on top of backlog and executed executed carries the
+// rest, up to cap, and drops the excess. Advance, SpanBound's drain walk
+// and AdvanceSpan's fold all take their steps through it, which is what
+// keeps the three bit-identical.
+func backlogStep(want, backlog, executed, cap float64) (next, drop float64) {
+	unmet := want + backlog - executed
+	if unmet < 0 {
+		return 0, 0
+	}
+	if unmet > cap {
+		return cap, unmet - cap
+	}
+	return unmet, 0
 }
 
 // sampleJitter draws a mean-one lognormal multiplier with σ = sigma.
@@ -328,21 +376,11 @@ func (t *Task) Advance(executed float64, dt time.Duration) {
 	t.totalExec += executed
 
 	if p.Kind == Paced {
-		want := p.DemandGIPS * 1e9 * dt.Seconds() * t.jitterMul
-		unmet := want + t.backlog - executed
-		if unmet < 0 {
-			unmet = 0
+		var drop float64
+		t.backlog, drop = backlogStep(pacedWant(p, dt, t.jitterMul), t.backlog, executed, backlogCap(p))
+		if drop > 0 {
+			t.dropped += drop
 		}
-		backlogSec := p.BacklogSec
-		if backlogSec <= 0 {
-			backlogSec = defaultBacklogSec
-		}
-		cap := p.DemandGIPS * 1e9 * backlogSec
-		if unmet > cap {
-			t.dropped += unmet - cap
-			unmet = cap
-		}
-		t.backlog = unmet
 	}
 
 	switch p.Kind {
@@ -400,8 +438,8 @@ type StepPlan struct {
 	Done     bool    // task was already done (step skipped it)
 }
 
-// unboundedSteps is SpanBound's "no task-side limit" answer; callers
-// min() it against engine-side bounds.
+// unboundedSteps stands for "no task-side limit" before SpanBound
+// applies its caller's.
 const unboundedSteps = math.MaxInt32
 
 // ceilSteps returns how many dt-steps fit strictly before deadline a,
@@ -413,12 +451,21 @@ func ceilSteps(a, dt time.Duration) int {
 	return int((a + dt - 1) / dt)
 }
 
-// SpanBound returns how many consecutive dt-steps the task can repeat
-// sp before its demand could change: during those steps Demand would
-// return the same WantedInstr with the same clamp decision and no rng
-// draw would occur. 0 means the next step must run the slow path. The
-// bound may include the step that ends a paced phase or a windowed
-// batch (Advance handles the transition), but never extends past it.
+// SpanBound returns how many consecutive dt-steps, at most limit, the
+// task can repeat sp before what it executes could change: during those
+// steps each step would execute exactly sp.Exec, with the same clamp
+// decision, and Demand would draw no randomness. 0 means the next step
+// must run the slow path. The bound may include the step that ends a
+// paced phase or a windowed batch (Advance handles the transition), but
+// never extends past it.
+//
+// A capacity-clamped paced phase covers two states. Starved, its demand
+// alone exceeds capacity, so the clamp holds whatever the backlog does.
+// Draining, the per-step demand fits but the backlog does not, so each
+// step executes sp.MaxInstr and only the backlog moves: SpanBound walks
+// that backlog through backlogStep, for at most limit steps, and ends
+// the span before the first step that would be served (want + backlog
+// <= sp.MaxInstr).
 //
 // A paced phase is normally capped at its next jitter resample. The one
 // exception is a steadily-served phase whose jitter is disabled (σ = 0)
@@ -427,7 +474,7 @@ func ceilSteps(a, dt time.Duration) int {
 // so the span may run all the way to the phase boundary. The resample
 // deadline then goes stale, which is harmless: Demand refreshes it
 // lazily on the next slow step, and no observable depends on it.
-func (t *Task) SpanBound(sp StepPlan, dt time.Duration) int {
+func (t *Task) SpanBound(sp StepPlan, dt time.Duration, limit int) int {
 	if t.done || sp.Done || t.phaseIdx != sp.PhaseIdx {
 		return 0
 	}
@@ -463,92 +510,104 @@ func (t *Task) SpanBound(sp StepPlan, dt time.Duration) int {
 				k = kw
 			}
 		}
-		return k
+		return min(k, limit)
 	case Paced:
 		// Never step past the jitter resample deadline: Demand draws
 		// from the rng there (even with σ = 0 the multiplier is
 		// re-evaluated), and past it the demand may change — except for
 		// σ = 0 with the multiplier already at its fixed point in a
 		// served phase.
-		k := unboundedSteps
+		k := min(limit, ceilSteps(p.Duration-t.phaseElapsed, dt))
 		if !(sp.Served && p.DemandJitter <= 0 && t.jitterMul == 1) {
-			k = ceilSteps(t.jitterUntil-t.now, dt)
-			if k <= 0 {
-				return 0
-			}
-		}
-		if kp := ceilSteps(p.Duration-t.phaseElapsed, dt); kp < k {
-			k = kp
+			k = min(k, ceilSteps(t.jitterUntil-t.now, dt))
 		}
 		if k <= 0 {
 			return 0
 		}
-		want := p.DemandGIPS * 1e9 * dt.Seconds() * t.jitterMul
-		if sp.Served {
+		want := pacedWant(p, dt, t.jitterMul)
+		switch {
+		case sp.Served:
 			// Steady served state: backlog empty and the step executes
 			// exactly the per-step demand.
 			if t.backlog != 0 || want != sp.Exec {
 				return 0
 			}
-		} else {
-			// Starved: the clamp persists only while demand alone
-			// exceeds capacity; a draining backlog (want < capacity)
-			// changes exec per step and must run slow.
-			if want < sp.MaxInstr {
-				return 0
+		case want < sp.MaxInstr:
+			// Draining: clamped only while the backlog keeps the demand
+			// above capacity.
+			cap := backlogCap(p)
+			b := t.backlog
+			for j := 0; j < k; j++ {
+				if want+b <= sp.MaxInstr {
+					return j
+				}
+				b, _ = backlogStep(want, b, sp.Exec, cap)
 			}
 		}
+		// Otherwise starved: demand alone exceeds capacity, so the clamp
+		// holds whatever the backlog does.
 		return k
 	}
 	return 0
 }
 
-// AdvanceSpan reports n identical steps — bit-identically to n
-// consecutive Advance calls — but folds the first n-1 steps in closed
-// form when the task state provably telescopes: batch phases
-// (instruction totals accumulate sequentially, fast-forwarded exactly
-// by fpacc.AddK) and steadily-served paced phases (an empty backlog
-// with executed == want keeps the unmet-work arithmetic at exactly
-// zero every step). Anything else falls back to the literal loop.
+// AdvanceSpan reports n identical steps and draws their touch events —
+// bit-identically to n consecutive Advance + Touches calls — and returns
+// the number of touches. The first n-1 steps fold in closed form in
+// every regime: the clocks add exactly, the instruction totals through
+// fpacc.AddK, and a paced phase's backlog walks backlogStep with want
+// and the cap computed once, until it reaches a fixed point (served and
+// empty, or starved at the cap and dropping the same work every step),
+// from where the drops fold through fpacc.AddK too. A touch draw depends
+// only on the phase and the rng, neither of which an Advance before the
+// last step can change, so drawing the first n-1 after the fold keeps
+// the rng order. The final step runs the literal Advance, which handles
+// the transition if the span ends the phase, and draws its touches in
+// whatever phase that leaves.
 //
 // Precondition: n must not exceed the task's SpanBound for the step
-// being replayed, so that no phase transition can occur before the
-// final step. The final step always runs the literal Advance, which
-// handles the transition if the span ends the phase.
-func (t *Task) AdvanceSpan(executed float64, dt time.Duration, n int) {
+// being replayed, so that no phase transition or jitter resample can
+// occur before the final step.
+func (t *Task) AdvanceSpan(executed float64, dt time.Duration, n int) int {
 	if n <= 0 || t.done {
-		return
+		return 0
 	}
 	p := &t.Spec.Phases[t.phaseIdx]
-	closed := false
-	switch p.Kind {
-	case Batch:
-		closed = true
-	case Paced:
-		want := p.DemandGIPS * 1e9 * dt.Seconds() * t.jitterMul
-		closed = t.backlog == 0 && executed == want
-	}
-	if !closed {
-		for i := 0; i < n; i++ {
-			t.Advance(executed, dt)
+	m := n - 1
+	t.now += time.Duration(m) * dt
+	t.phaseElapsed += time.Duration(m) * dt
+	t.phaseExec = fpacc.AddK(t.phaseExec, executed, m)
+	t.totalExec = fpacc.AddK(t.totalExec, executed, m)
+	if p.Kind == Paced {
+		want, cap := pacedWant(p, dt, t.jitterMul), backlogCap(p)
+		for j := 0; j < m; j++ {
+			prev := t.backlog
+			var drop float64
+			t.backlog, drop = backlogStep(want, prev, executed, cap)
+			if drop > 0 {
+				t.dropped += drop
+			}
+			if t.backlog == prev {
+				// Fixed point: each remaining step repeats this one.
+				if drop > 0 {
+					t.dropped = fpacc.AddK(t.dropped, drop, m-1-j)
+				}
+				break
+			}
 		}
-		return
 	}
-	t.now += time.Duration(n-1) * dt
-	t.phaseElapsed += time.Duration(n-1) * dt
-	t.phaseExec = fpacc.AddK(t.phaseExec, executed, n-1)
-	t.totalExec = fpacc.AddK(t.totalExec, executed, n-1)
+	touches := 0
+	if l, ok := t.touchThreshold(dt); ok {
+		for j := 0; j < m; j++ {
+			touches += t.drawTouches(l)
+		}
+	}
 	t.Advance(executed, dt)
+	return touches + t.Touches(dt)
 }
 
 // PhaseIndex returns the index of the currently executing phase.
 func (t *Task) PhaseIndex() int { return t.phaseIdx }
-
-// TouchActive reports whether the current phase generates touch events —
-// i.e. whether Touches would consume randomness.
-func (t *Task) TouchActive() bool {
-	return !t.done && t.Spec.Phases[t.phaseIdx].TouchRate > 0
-}
 
 // Touches returns the number of user-input events during dt (Poisson
 // with the phase's TouchRate).
@@ -556,13 +615,29 @@ func (t *Task) Touches(dt time.Duration) int {
 	if t.done {
 		return 0
 	}
-	rate := t.Spec.Phases[t.phaseIdx].TouchRate * dt.Seconds()
-	if rate <= 0 {
-		return 0
+	if l, ok := t.touchThreshold(dt); ok {
+		return t.drawTouches(l)
 	}
-	// Poisson via inversion; rates per step are ≪ 1.
+	return 0
+}
+
+// touchThreshold returns exp(-rate) for the current phase's per-step
+// touch rate over dt, computed once per phase and dt; ok is false when
+// the phase draws no touches.
+func (t *Task) touchThreshold(dt time.Duration) (l float64, ok bool) {
+	if t.touchIdx != t.phaseIdx || t.touchDt != dt {
+		rate := t.Spec.Phases[t.phaseIdx].TouchRate * dt.Seconds()
+		t.touchIdx, t.touchDt = t.phaseIdx, dt
+		t.touchOn, t.touchL = rate > 0, math.Exp(-rate)
+	}
+	return t.touchL, t.touchOn
+}
+
+// drawTouches draws one Poisson count by inversion against l =
+// exp(-rate); a validated phase's per-step rate is at most
+// MaxTouchRate·dt.
+func (t *Task) drawTouches(l float64) int {
 	n := 0
-	l := math.Exp(-rate)
 	p := t.rng.Float64()
 	for p > l {
 		n++

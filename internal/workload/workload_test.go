@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -367,11 +368,27 @@ func TestPhaseValidation(t *testing.T) {
 		{Name: "b", Kind: Batch, Traits: perfmodel.Traits{CPI: 1, Par: 1}},                        // no budget
 		{Name: "k", Kind: Kind(9), Traits: perfmodel.Traits{CPI: 1, Par: 1}},                      // bad kind
 		{Name: "n", Kind: Batch, Traits: perfmodel.Traits{CPI: 1, Par: 1}, InstrBudget: 1, NetBps: -1},
+		{Name: "t", Kind: Batch, Traits: perfmodel.Traits{CPI: 1, Par: 1}, InstrBudget: 1, TouchRate: 1e6},
+		{Name: "t", Kind: Batch, Traits: perfmodel.Traits{CPI: 1, Par: 1}, InstrBudget: 1, TouchRate: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, p)
 		}
+	}
+}
+
+// TestTouchRateBound: TouchRate is capped at MaxTouchRate, one event per
+// 1 ms step on average, and the error names the phase.
+func TestTouchRateBound(t *testing.T) {
+	p := Phase{Name: "tap-storm", Kind: Batch, Traits: perfmodel.Traits{CPI: 1, Par: 1}, InstrBudget: 1, TouchRate: MaxTouchRate}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("TouchRate at the bound rejected: %v", err)
+	}
+	p.TouchRate = 1e6
+	err := p.Validate()
+	if err == nil || !strings.Contains(err.Error(), `"tap-storm"`) {
+		t.Fatalf("TouchRate 1e6: err = %v, want an error naming the phase", err)
 	}
 }
 
