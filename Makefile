@@ -1,10 +1,10 @@
 # CI entry points. `make ci` is what .github/workflows/ci.yml runs:
 # the gofmt gate, vet, build, the full test suite under the race
-# detector, the benchmark module's tests, the fault-campaign,
-# record/replay, fleet control-plane, decision-trace, chaos/kill-restore,
-# event-core reference-equivalence, scenario-generator and
-# telemetry-pipeline smoke tests, and — when the tools are on PATH —
-# staticcheck and govulncheck.
+# detector, the benchmark module's tests, the fault-campaign (with the
+# paper-campaign golden), record/replay, fleet control-plane,
+# decision-trace, chaos/kill-restore, event-core reference-equivalence,
+# scenario-generator and telemetry-pipeline smoke tests, and — when the
+# tools are on PATH — staticcheck and govulncheck.
 
 GO ?= go
 
@@ -42,9 +42,12 @@ bench-test:
 	cd benchmark && $(GO) test -race ./...
 
 # One fault scenario end to end at Quick fidelity: faults delivered,
-# ledger populated, hardened slack bounded by the stock governors'.
+# ledger populated, hardened slack bounded by the stock governors'. Then
+# every Quick paper campaign (Fig. 1, Tables III-V, overhead, phase and
+# thermal studies, the fault campaign, the MobileBench re-profile) must
+# reproduce its committed full-precision JSON golden byte for byte.
 smoke-faults:
-	$(GO) test -run=TestFaultCampaignSmoke ./internal/experiment/
+	$(GO) test -count=1 -run='TestFaultCampaignSmoke|TestCampaignGolden' ./internal/experiment/
 
 # The platform layer's acceptance path end to end: record a live run at
 # full rate, round-trip the trace through the JSON wire format, replay
