@@ -10,25 +10,11 @@ import (
 
 	"aspeo/internal/core"
 	"aspeo/internal/experiment"
-	"aspeo/internal/governor"
-	"aspeo/internal/perftool"
 	"aspeo/internal/platform"
 	"aspeo/internal/profile"
 	"aspeo/internal/sim"
-	"aspeo/internal/sysfs"
 	"aspeo/internal/workload"
 )
-
-func run(spec *workload.Spec, install func(platform.Runner) error) (sim.Stats, error) {
-	h, err := experiment.NewHarness(experiment.HarnessConfig{
-		Foreground: spec, Load: workload.BaselineLoad, Seed: 101,
-		Install: install,
-	})
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	return h.RunSession(), nil
-}
 
 func main() {
 	spec := workload.WeChat()
@@ -38,19 +24,13 @@ func main() {
 
 	var defaultGIPS float64
 	for _, g := range govs {
-		g := g
-		st, err := run(spec, func(r platform.Runner) error {
-			if err := r.Device().WriteFile(sysfs.CPUScalingGovernor, g); err != nil {
-				return err
-			}
-			if err := governor.Defaults(r); err != nil {
-				return err
-			}
-			return r.Register(perftool.MustNew(time.Second, 101))
+		sess, err := experiment.NewSession(experiment.SessionSpec{
+			App: spec.Name, Load: workload.BaselineLoad.String(), Governor: g, Seed: 101,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := sess.Run(nil)
 		fmt.Printf("%-14s %10.1f %10.3f %10.4f %8.2g\n", g, st.EnergyJ, st.AvgPowerW, st.GIPS, st.DroppedInstr)
 		if g == sim.GovInteractive {
 			defaultGIPS = st.GIPS
@@ -66,18 +46,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := run(spec, func(r platform.Runner) error {
-		co := core.DefaultOptions(tab, defaultGIPS)
-		co.Seed = 101
-		ctl, err := core.New(co)
-		if err != nil {
-			return err
-		}
-		return ctl.Install(r)
+	h, err := experiment.NewHarness(experiment.HarnessConfig{
+		Foreground: spec, Load: workload.BaselineLoad, Seed: 101,
+		Install: func(r platform.Runner) error {
+			co := core.DefaultOptions(tab, defaultGIPS)
+			co.Seed = 101
+			ctl, err := core.New(co)
+			if err != nil {
+				return err
+			}
+			return ctl.Install(r)
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	st := h.RunSession()
 	fmt.Printf("%-14s %10.1f %10.3f %10.4f %8.2g\n", "aspeo", st.EnergyJ, st.AvgPowerW, st.GIPS, st.DroppedInstr)
 
 	fmt.Println("\nNote the motivation pattern (§II-C): `performance` burns the most")

@@ -99,9 +99,8 @@ func (r Resilience) withDefaults() Resilience {
 // Health is the controller's self-diagnostics: what the fault ladder
 // observed and did. The report layer prints it and the resilience tests
 // match it against the injector's delivered-fault counts. The definition
-// lives in platform (every backend records it through
-// Telemetry.RecordHealth); the alias keeps core's consumers reading
-// naturally.
+// lives in platform, beside the counters the fleet sums; the alias keeps
+// core's consumers reading naturally.
 type Health = platform.Health
 
 // Health returns a snapshot of the controller's fault diagnostics.

@@ -71,12 +71,11 @@ func (c *Controller) Snapshot() CycleSnapshot {
 	return s
 }
 
-// publishCycle pushes the cycle's telemetry outward: the health ledger
-// to the device (platform.Telemetry.RecordHealth, so any backend records
-// it uniformly) and the full snapshot to the OnCycle subscriber.
-// Publication is observation only — it must never feed back into the
-// control law, so a run with a subscriber is bit-identical to one
-// without.
+// publishCycle pushes the cycle's telemetry outward: the cycle span to
+// the decision trace and the full snapshot, health ledger included, to
+// the OnCycle subscriber. Publication is observation only — it must
+// never feed back into the control law, so a run with a subscriber is
+// bit-identical to one without.
 func (c *Controller) publishCycle(dev platform.Device) {
 	var snap CycleSnapshot
 	haveSnap := false
@@ -101,7 +100,6 @@ func (c *Controller) publishCycle(dev platform.Device) {
 		}
 		c.emitSpan(dev, obs.StageCycle, attrs)
 	}
-	dev.RecordHealth(c.health)
 	if c.opt.OnCycle != nil {
 		if !haveSnap {
 			snap = c.Snapshot()

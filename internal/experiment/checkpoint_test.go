@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"aspeo/internal/ckpt"
 	"aspeo/internal/experiment"
 	"aspeo/internal/profile"
 	"aspeo/internal/report"
@@ -150,7 +151,7 @@ func checkGolden(t *testing.T, spec experiment.SessionSpec, afterCkpts int,
 // controller session killed mid-run and restored from its last snapshot
 // finishes with byte-identical summary JSON and an identical allocation
 // log, cycle for cycle — also when the snapshot carries the keys older
-// controllers wrote.
+// controllers and phones wrote.
 func TestKillRestoreControllerGolden(t *testing.T) {
 	prof, target := storedProfile(t)
 	spec := experiment.SessionSpec{
@@ -161,6 +162,7 @@ func TestKillRestoreControllerGolden(t *testing.T) {
 	}
 	checkGolden(t, spec, 2, nil)
 	checkGolden(t, spec, 2, plantLegacyControllerKeys)
+	checkGolden(t, spec, 2, plantLegacyPhoneHealth)
 }
 
 // plantLegacyControllerKeys adds to the controller's snapshot the keys
@@ -199,6 +201,54 @@ func plantLegacyControllerKeys(t *testing.T, cs *experiment.CellState) {
 		return
 	}
 	t.Fatal("snapshot has no controller actor")
+}
+
+// plantLegacyPhoneHealth gives the snapshot's phone state the "health"
+// key phones wrote while the device kept a copy of the controller's
+// ledger — that ledger as of its last cycle — and round-trips the
+// snapshot through a checkpoint file, whose decoder must drop the key.
+func plantLegacyPhoneHealth(t *testing.T, cs *experiment.CellState) {
+	t.Helper()
+	var ledger json.RawMessage
+	for _, a := range cs.Actors {
+		if a.Name != "aspeo-controller" {
+			continue
+		}
+		var st map[string]json.RawMessage
+		if err := json.Unmarshal(a.State, &st); err != nil {
+			t.Fatal(err)
+		}
+		ledger = st["health"]
+	}
+	if ledger == nil {
+		t.Fatal("snapshot has no controller health ledger")
+	}
+	raw, err := json.Marshal(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cell, phone map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &cell); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(cell["phone"], &phone); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := phone["health"]; ok {
+		t.Fatal(`phone snapshot still writes "health"`)
+	}
+	phone["health"] = ledger
+	if cell["phone"], err = json.Marshal(phone); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "legacy.ckpt.json")
+	if err := ckpt.Save(ckpt.OS{}, path, "aspeo/session-cell", nil, cell); err != nil {
+		t.Fatal(err)
+	}
+	*cs = experiment.CellState{}
+	if err := ckpt.Load(ckpt.OS{}, path, "aspeo/session-cell", nil, cs); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestKillRestoreGovernorGolden covers the stock-governor path: the

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"aspeo/internal/core"
-	"aspeo/internal/governor"
-	"aspeo/internal/perftool"
 	"aspeo/internal/platform"
 	"aspeo/internal/profile"
 	"aspeo/internal/sim"
@@ -96,20 +94,6 @@ type RunResult struct {
 	BWChanges   int
 }
 
-// runOne executes one run of spec under the given installer and returns
-// stats plus the phone for residency extraction.
-func runOne(spec *workload.Spec, load workload.BGLoad, seed int64,
-	install func(platform.Runner) error) (sim.Stats, *sim.Phone, error) {
-
-	h, err := NewHarness(HarnessConfig{
-		Foreground: spec, Load: load, Seed: seed, Install: install,
-	})
-	if err != nil {
-		return sim.Stats{}, nil, err
-	}
-	return h.RunSession(), h.Phone, nil
-}
-
 // aggregate folds per-seed stats into a RunResult.
 func aggregate(stats_ []sim.Stats, lastPh *sim.Phone) RunResult {
 	var e, p, pk, g, t []float64
@@ -120,21 +104,18 @@ func aggregate(stats_ []sim.Stats, lastPh *sim.Phone) RunResult {
 		g = append(g, st.GIPS)
 		t = append(t, st.Duration.Seconds())
 	}
-	rr := RunResult{
-		EnergyJ:    stats.Mean(e),
-		AvgPowerW:  stats.Mean(p),
-		PeakPowerW: stats.Max(pk),
-		GIPS:       stats.Mean(g),
-		RuntimeSec: stats.Mean(t),
-		EnergyStd:  stats.StdDev(e),
+	return RunResult{
+		EnergyJ:     stats.Mean(e),
+		AvgPowerW:   stats.Mean(p),
+		PeakPowerW:  stats.Max(pk),
+		GIPS:        stats.Mean(g),
+		RuntimeSec:  stats.Mean(t),
+		EnergyStd:   stats.StdDev(e),
+		CPUResidPct: lastPh.CPUHistogram().Percents(),
+		BWResidPct:  lastPh.BWHistogram().Percents(),
+		FreqChanges: lastPh.FreqChanges(),
+		BWChanges:   lastPh.BWChanges(),
 	}
-	if lastPh != nil {
-		rr.CPUResidPct = lastPh.CPUHistogram().Percents()
-		rr.BWResidPct = lastPh.BWHistogram().Percents()
-		rr.FreqChanges = lastPh.FreqChanges()
-		rr.BWChanges = lastPh.BWChanges()
-	}
-	return rr
 }
 
 // MeasureDefault runs the app under the stock governors (interactive +
@@ -144,50 +125,26 @@ func (c Config) MeasureDefault(spec *workload.Spec, load workload.BGLoad) (RunRe
 	if err := c.validate(); err != nil {
 		return RunResult{}, err
 	}
-	all, last, err := c.runSeeds(spec, load, func(seed int64) func(platform.Runner) error {
-		return func(r platform.Runner) error {
-			if err := governor.Defaults(r); err != nil {
-				return err
-			}
-			return r.Register(perftool.MustNew(time.Second, seed))
-		}
+	rr, _, err := c.runSeeds(func(seed int64) (*Session, error) {
+		return newSession(SessionSpec{Governor: platform.GovInteractive, Seed: seed}, spec, load, nil, nil)
 	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return aggregate(all, last), nil
+	return rr, err
 }
 
 // RunController runs the app under the energy controller with the given
-// profile table and target.
+// profile table and target. A CPU-only controller leaves the bandwidth
+// to its default governor.
 func (c Config) RunController(spec *workload.Spec, tab *profile.Table,
 	targetGIPS float64, load workload.BGLoad, cpuOnly bool) (RunResult, error) {
 
 	if err := c.validate(); err != nil {
 		return RunResult{}, err
 	}
-	all, last, err := c.runSeeds(spec, load, func(seed int64) func(platform.Runner) error {
-		return func(r platform.Runner) error {
-			opts := core.DefaultOptions(tab, targetGIPS)
-			opts.Seed = seed
-			opts.CPUOnly = cpuOnly
-			ctl, err := core.New(opts)
-			if err != nil {
-				return err
-			}
-			if cpuOnly {
-				// The bandwidth stays under its default governor.
-				if err := r.Register(governor.NewDevFreq()); err != nil {
-					return err
-				}
-			}
-			return ctl.Install(r)
-		}
+	opts := core.DefaultOptions(tab, targetGIPS)
+	rr, _, err := c.runSeeds(func(seed int64) (*Session, error) {
+		return newSession(SessionSpec{Controller: true, CPUOnly: cpuOnly, Seed: seed}, spec, load, &opts, nil)
 	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return aggregate(all, last), nil
+	return rr, err
 }
 
 // Comparison is one row of Tables III/IV/V: controller vs default.

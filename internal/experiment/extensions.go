@@ -6,11 +6,8 @@ import (
 
 	"aspeo/internal/battery"
 	"aspeo/internal/core"
-	"aspeo/internal/governor"
 	"aspeo/internal/loadmodel"
-	"aspeo/internal/perftool"
 	"aspeo/internal/platform"
-	"aspeo/internal/sim"
 	"aspeo/internal/thermal"
 	"aspeo/internal/workload"
 )
@@ -140,41 +137,25 @@ func (c Config) PhaseStudy() (*PhaseResult, error) {
 	}
 
 	run := func(phaseAware bool) (Comparison, int, error) {
-		var all []sim.Stats
-		var last *sim.Phone
-		phases := 0
-		for _, seed := range c.Seeds {
-			var ctl *core.Controller
-			st, ph, err := runOne(spec, workload.BaselineLoad, seed, func(r platform.Runner) error {
-				opts := core.DefaultOptions(tab, def.GIPS)
-				opts.Seed = seed
-				opts.PhaseAware = phaseAware
-				var err error
-				ctl, err = core.New(opts)
-				if err != nil {
-					return err
-				}
-				return ctl.Install(r)
-			})
-			if err != nil {
-				return Comparison{}, 0, err
-			}
-			all = append(all, st)
-			last = ph
-			phases = ctl.PhasesDetected()
+		opts := core.DefaultOptions(tab, def.GIPS)
+		opts.PhaseAware = phaseAware
+		rr, last, err := c.runSeeds(func(seed int64) (*Session, error) {
+			return newSession(SessionSpec{Controller: true, Seed: seed}, spec, workload.BaselineLoad, &opts, nil)
+		})
+		if err != nil {
+			return Comparison{}, 0, err
 		}
-		return compare(spec, workload.BaselineLoad, def, aggregate(all, last)), phases, nil
+		return compare(spec, workload.BaselineLoad, def, rr), last.Controller.PhasesDetected(), nil
 	}
 
 	res := &PhaseResult{App: spec.Name}
-	var err2 error
-	res.Plain, _, err2 = run(false)
-	if err2 != nil {
-		return nil, err2
+	res.Plain, _, err = run(false)
+	if err != nil {
+		return nil, err
 	}
-	res.PhaseAware, res.PhasesDetected, err2 = run(true)
-	if err2 != nil {
-		return nil, err2
+	res.PhaseAware, res.PhasesDetected, err = run(true)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -208,35 +189,28 @@ func (c Config) ThermalStudy() (*ThermalResult, error) {
 	params.TripC = 36 // a tight envelope (hot day, case on) so gaming bites
 	params.ReleaseC = 33
 
-	run := func(install func(platform.Runner) error) (*thermal.Monitor, error) {
+	// Each policy runs the first seed with the monitor registered after
+	// its actors.
+	run := func(cell SessionSpec, opts *core.Options) (*thermal.Monitor, error) {
+		cell.Seed = c.Seeds[0]
+		s, err := newSession(cell, spec, workload.BaselineLoad, opts, nil)
+		if err != nil {
+			return nil, err
+		}
 		mon := thermal.MustNew(params)
-		_, _, err := runOne(spec, workload.BaselineLoad, c.Seeds[0], func(r platform.Runner) error {
-			if err := install(r); err != nil {
-				return err
-			}
-			return r.Register(mon)
-		})
-		return mon, err
+		if err := s.Harness.Engine.Register(mon); err != nil {
+			return nil, err
+		}
+		s.Run(nil)
+		return mon, nil
 	}
 
-	defMon, err := run(func(r platform.Runner) error {
-		if err := governor.Defaults(r); err != nil {
-			return err
-		}
-		return r.Register(perftool.MustNew(time.Second, c.Seeds[0]))
-	})
+	defMon, err := run(SessionSpec{Governor: platform.GovInteractive}, nil)
 	if err != nil {
 		return nil, err
 	}
-	ctlMon, err := run(func(r platform.Runner) error {
-		opts := core.DefaultOptions(tab, def.GIPS)
-		opts.Seed = c.Seeds[0]
-		ctl, err := core.New(opts)
-		if err != nil {
-			return err
-		}
-		return ctl.Install(r)
-	})
+	opts := core.DefaultOptions(tab, def.GIPS)
+	ctlMon, err := run(SessionSpec{Controller: true}, &opts)
 	if err != nil {
 		return nil, err
 	}

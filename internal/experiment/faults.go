@@ -7,11 +7,8 @@ import (
 
 	"aspeo/internal/core"
 	"aspeo/internal/fault"
-	"aspeo/internal/governor"
-	"aspeo/internal/perftool"
 	"aspeo/internal/platform"
 	"aspeo/internal/profile"
-	"aspeo/internal/sim"
 	"aspeo/internal/stats"
 	"aspeo/internal/workload"
 )
@@ -192,81 +189,43 @@ func (c Config) FaultCampaign(specs []*workload.Spec, scenarios []FaultScenario)
 	return &FaultCampaignResult{Scenarios: scenarios, Rows: rows}, nil
 }
 
-// faultRow runs the three conditions of one (app, scenario) cell.
+// faultRow runs the three conditions of one (app, scenario) cell. Each
+// seed's session gets its own injector built from (plan, seed), so fault
+// sequences are reproducible per seed and identical across the row's
+// conditions.
 func (c Config) faultRow(prep faultPrep, sc FaultScenario) (FaultRow, error) {
 	row := FaultRow{App: prep.spec.Name, Scenario: sc.Name, TargetGIPS: prep.target}
 
 	// Stock: the default governors under the scenario. Perf rides along
 	// (as in MeasureDefault) so the instrumentation overhead matches.
-	stock, _, err := c.faultSeeds(prep.spec, sc.Plan, func(seed int64, inj *fault.Injector) func(platform.Runner) error {
-		return func(r platform.Runner) error {
-			if err := r.Register(inj); err != nil {
-				return err
-			}
-			if err := governor.Defaults(r); err != nil {
-				return err
-			}
-			p := perftool.MustNew(time.Second, seed)
-			if err := r.Register(p); err != nil {
-				return err
-			}
-			fault.WrapPerf(p, inj)
-			return nil
-		}
+	var err error
+	row.Stock, _, err = c.runSeeds(func(seed int64) (*Session, error) {
+		return newSession(SessionSpec{Governor: platform.GovInteractive, Seed: seed},
+			prep.spec, workload.BaselineLoad, nil, &sc.Plan)
 	})
 	if err != nil {
 		return row, err
 	}
-	row.Stock = stock
 
-	// Unhardened and hardened controller conditions share the harness.
-	ctlCondition := func(res core.Resilience) (RunResult, core.Health, fault.Counts, error) {
-		var lastCtl *core.Controller
-		var lastInj *fault.Injector
-		rr, _, err := c.faultSeeds(prep.spec, sc.Plan, func(seed int64, inj *fault.Injector) func(platform.Runner) error {
-			return func(r platform.Runner) error {
-				if err := r.Register(inj); err != nil {
-					return err
-				}
-				opts := core.DefaultOptions(prep.tab, prep.target)
-				opts.Seed = seed
-				opts.Resilience = res
-				ctl, err := core.New(opts)
-				if err != nil {
-					return err
-				}
-				// The controller actuates through the fault-decorated
-				// device; everything else sees the clean surface.
-				if err := ctl.Install(fault.WrapRunner(r, inj)); err != nil {
-					return err
-				}
-				// Stock governors stand by: they idle while the sysfs
-				// governor files read "userspace" and take over after a
-				// hijack lands or the controller relinquishes.
-				if err := governor.Defaults(r); err != nil {
-					return err
-				}
-				fault.WrapPerf(ctl.Perf(), inj)
-				lastCtl, lastInj = ctl, inj
-				return nil
-			}
+	// The unhardened and hardened controllers differ only in their
+	// resilience ladder.
+	opts := core.DefaultOptions(prep.tab, prep.target)
+	ctlCondition := func(res core.Resilience) (RunResult, *Session, error) {
+		return c.runSeeds(func(seed int64) (*Session, error) {
+			return newSession(SessionSpec{Controller: true, Resilience: res, Seed: seed},
+				prep.spec, workload.BaselineLoad, &opts, &sc.Plan)
 		})
-		if err != nil {
-			return RunResult{}, core.Health{}, fault.Counts{}, err
-		}
-		return rr, lastCtl.Health(), lastInj.Counts(), nil
 	}
-
-	var unhHealth core.Health
-	row.Unhardened, unhHealth, _, err = ctlCondition(core.Resilience{Disabled: true})
+	rr, last, err := ctlCondition(core.Resilience{Disabled: true})
 	if err != nil {
 		return row, err
 	}
-	row.UnhardenedHealth = unhHealth
-	row.Hardened, row.Health, row.Injected, err = ctlCondition(core.DefaultResilience())
+	row.Unhardened, row.UnhardenedHealth = rr, last.Controller.Health()
+	rr, last, err = ctlCondition(core.DefaultResilience())
 	if err != nil {
 		return row, err
 	}
+	row.Hardened, row.Health, row.Injected = rr, last.Controller.Health(), last.Injector.Counts()
 
 	slack := func(rr RunResult) float64 { return stats.PctDelta(rr.GIPS, prep.target) }
 	row.StockSlackPct = slack(row.Stock)
@@ -274,28 +233,4 @@ func (c Config) faultRow(prep faultPrep, sc FaultScenario) (FaultRow, error) {
 	row.HardenedSlackPct = slack(row.Hardened)
 	row.HardenedVsStockEnergyPct = stats.Savings(row.Hardened.EnergyJ, row.Stock.EnergyJ)
 	return row, nil
-}
-
-// faultSeeds runs one fault condition once per seed, serially — the
-// campaign already fans (scenario, app) rows over the pool. Each seed
-// gets its own injector built from (plan, seed), so fault sequences are
-// reproducible per seed and identical across the row's conditions.
-func (c Config) faultSeeds(spec *workload.Spec, plan fault.Plan,
-	install func(seed int64, inj *fault.Injector) func(platform.Runner) error) (RunResult, *sim.Phone, error) {
-
-	all := make([]sim.Stats, len(c.Seeds))
-	var last *sim.Phone
-	for i, seed := range c.Seeds {
-		inj, err := fault.NewInjector(plan, seed)
-		if err != nil {
-			return RunResult{}, nil, err
-		}
-		st, ph, err := runOne(spec, workload.BaselineLoad, seed, install(seed, inj))
-		if err != nil {
-			return RunResult{}, nil, err
-		}
-		all[i] = st
-		last = ph
-	}
-	return aggregate(all, last), last, nil
 }

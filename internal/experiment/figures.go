@@ -1,10 +1,6 @@
 package experiment
 
 import (
-	"time"
-
-	"aspeo/internal/governor"
-	"aspeo/internal/perftool"
 	"aspeo/internal/platform"
 	"aspeo/internal/workload"
 )
@@ -22,17 +18,13 @@ func (c Config) Fig1() (*Fig1Result, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	spec := workload.EBook()
-	_, ph, err := runOne(spec, workload.BaselineLoad, c.Seeds[0], func(r platform.Runner) error {
-		if err := governor.Defaults(r); err != nil {
-			return err
-		}
-		return r.Register(perftool.MustNew(time.Second, c.Seeds[0]))
-	})
+	s, err := newSession(SessionSpec{Governor: platform.GovInteractive, Seed: c.Seeds[0]},
+		workload.EBook(), workload.BaselineLoad, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig1Result{ResidencyPct: ph.CPUHistogram().Percents()}, nil
+	s.Run(nil)
+	return &Fig1Result{ResidencyPct: s.Harness.Phone.CPUHistogram().Percents()}, nil
 }
 
 // HistPair is one app's residency distributions under the default

@@ -9,11 +9,12 @@ import (
 )
 
 // Harness is one fully constructed simulation cell: a phone, its engine,
-// and whatever actor set Install wired up. Every driver that used to
-// hand-build the Phone/Engine/controller stack — the campaign runner,
-// aspeo-run, aspeo-repro's artifacts — goes through NewHarness, so the
-// construction rules (screen on, WiFi on, session semantics) live in
-// exactly one place.
+// and whatever actor set Install wired up. NewHarness holds the device
+// rules (screen on, WiFi on, session semantics); the actor-wiring rules
+// live one level up, in the session builder that NewSession and every
+// paper campaign share. Drivers that wire their own actor set — the
+// benchmark's cells, aspeo-sweep's grid points, the governorstudy
+// example's custom-table controller — pass it as Install.
 type Harness struct {
 	Phone  *sim.Phone
 	Engine *sim.Engine
@@ -35,10 +36,10 @@ type HarnessConfig struct {
 	// decimation interval (sim.DefaultStep records every engine step —
 	// the full-rate recording platform/replay needs).
 	TraceEvery time.Duration
-	// Install wires the actor set (governors, perf, controller, fault
-	// injector) onto the cell. It receives the engine as a
-	// platform.Runner so installers are backend-agnostic; nil installs
-	// nothing.
+	// Install wires a custom actor set onto the cell. It receives the
+	// engine as a platform.Runner so installers are backend-agnostic;
+	// nil installs nothing (the session builder registers its actors on
+	// the returned engine instead).
 	Install func(platform.Runner) error
 }
 

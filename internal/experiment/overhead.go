@@ -6,7 +6,6 @@ import (
 
 	"aspeo/internal/core"
 	"aspeo/internal/perftool"
-	"aspeo/internal/platform"
 	"aspeo/internal/profile"
 	"aspeo/internal/workload"
 )
@@ -51,17 +50,12 @@ func (c Config) Overhead(tab *profile.Table, targetGIPS float64) (*OverheadResul
 	}
 
 	opts := core.DefaultOptions(tab, targetGIPS)
-	opts.Seed = c.Seeds[0]
-	ctl, err := core.New(opts)
+	s, err := newSession(SessionSpec{Controller: true, Seed: c.Seeds[0]}, spec, workload.BaselineLoad, &opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	st, ph, err := runOne(spec, workload.BaselineLoad, c.Seeds[0], func(r platform.Runner) error {
-		return ctl.Install(r)
-	})
-	if err != nil {
-		return nil, err
-	}
+	st := s.Run(nil)
+	ctl := s.Controller
 	if ctl.Cycles() == 0 {
 		return nil, fmt.Errorf("experiment: controller never cycled")
 	}
@@ -72,7 +66,6 @@ func (c Config) Overhead(tab *profile.Table, targetGIPS float64) (*OverheadResul
 	// cycle duration.
 	actW := perCycleFreqChanges * 5e-3 / opts.CycleT.Seconds()
 	perf := perftool.MustNew(opts.PerfPeriod, 0)
-	_ = ph
 	return &OverheadResult{
 		PerfCPUOverheadPct:        100 * perf.OverheadFrac(),
 		PerfPowerOverheadW:        0.015 / opts.PerfPeriod.Seconds(),

@@ -4,9 +4,7 @@ import (
 	"context"
 
 	"aspeo/internal/par"
-	"aspeo/internal/platform"
 	"aspeo/internal/sim"
-	"aspeo/internal/workload"
 )
 
 // This file is the campaign runner: every paper artifact is a set of
@@ -31,27 +29,27 @@ func (c Config) forEachCell(n int, fn func(i int) error) error {
 		func(_ context.Context, i int) error { return fn(i) })
 }
 
-// runSeeds executes one measurement condition once per Config.Seeds in
-// parallel. install(seed) builds the per-run actor installer, so each
-// run gets its own controller/governor/perf instances. Stats come back
-// in seed order; the returned phone is the last seed's device (the one
-// the serial campaign used for residency extraction).
-func (c Config) runSeeds(spec *workload.Spec, load workload.BGLoad,
-	install func(seed int64) func(platform.Runner) error) ([]sim.Stats, *sim.Phone, error) {
-
-	stats_ := make([]sim.Stats, len(c.Seeds))
-	phones := make([]*sim.Phone, len(c.Seeds))
+// runSeeds runs one measurement condition once per Config.Seeds on the
+// campaign pool. build(seed) constructs that seed's session, so each run
+// gets its own actors. Stats aggregate in seed order; the returned
+// session is the last seed's, whose phone supplies the residencies and
+// whose controller and injector supply the ledgers callers report.
+func (c Config) runSeeds(build func(seed int64) (*Session, error)) (RunResult, *Session, error) {
+	all := make([]sim.Stats, len(c.Seeds))
+	var last *Session
 	err := c.forEachCell(len(c.Seeds), func(i int) error {
-		st, ph, err := runOne(spec, load, c.Seeds[i], install(c.Seeds[i]))
+		s, err := build(c.Seeds[i])
 		if err != nil {
 			return err
 		}
-		stats_[i] = st
-		phones[i] = ph
+		all[i] = s.Run(nil)
+		if i == len(c.Seeds)-1 {
+			last = s
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return RunResult{}, nil, err
 	}
-	return stats_, phones[len(phones)-1], nil
+	return aggregate(all, last.Harness.Phone), last, nil
 }

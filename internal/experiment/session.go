@@ -200,7 +200,9 @@ type Session struct {
 // injector, governors or controller — the exact wiring aspeo-run
 // performs, exported so the fleet runtime reuses it. Construction can be
 // expensive in controller mode without a stored profile: the on-the-fly
-// profiling campaign runs here.
+// profiling campaign runs here. NewSession itself only resolves the spec
+// (app, load, fault plan, controller options); the wiring is
+// newSession's, which the paper campaigns share.
 func NewSession(spec SessionSpec) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -213,113 +215,133 @@ func NewSession(spec SessionSpec) (*Session, error) {
 	if app == nil {
 		app, _ = workload.ByName(spec.App)
 	}
-	if spec.App == "" {
-		spec.App = app.Name
-	}
 	bg, _ := workload.ParseBGLoad(spec.Load)
-	s := &Session{Spec: spec, App: app, Load: bg}
 
-	// The injector registers first so its clock leads the actors it
-	// torments; it decorates the controller's (or perf's) I/O surfaces.
+	var plan *fault.Plan
 	if spec.Faults != "" {
 		sc, err := FaultScenarioByName(spec.Faults)
 		if err != nil {
 			return nil, err
 		}
-		s.Injector, err = fault.NewInjector(sc.Plan, spec.Seed)
+		plan = &sc.Plan
+		logf("fault scenario %s: %s", sc.Name, sc.Desc)
+	}
+	var opts *core.Options
+	if spec.Controller {
+		tab, tgt, err := resolveTableAndTarget(app, bg, spec, logf)
 		if err != nil {
 			return nil, err
 		}
-		logf("fault scenario %s: %s", sc.Name, sc.Desc)
+		o := core.DefaultOptions(tab, tgt)
+		opts = &o
+		logf("controller: target %.4f GIPS, table %d entries (base %.4f GIPS)",
+			tgt, tab.Len(), tab.BaseGIPS)
 	}
+	return newSession(spec, app, bg, opts, plan)
+}
 
-	install := func(r platform.Runner) error {
-		if s.Injector != nil {
-			if err := r.Register(s.Injector); err != nil {
-				return err
-			}
-		}
-		if spec.Controller {
-			tab, tgt, err := resolveTableAndTarget(app, bg, spec, logf)
-			if err != nil {
-				return err
-			}
-			opts := core.DefaultOptions(tab, tgt)
-			opts.Seed = spec.Seed
-			opts.CPUOnly = spec.CPUOnly
-			opts.LogAllocations = spec.LogAllocations
-			opts.Resilience = spec.Resilience
-			opts.OnCycle = spec.OnCycle
-			opts.Trace = spec.Trace != nil
-			if spec.CheckpointEvery > 0 {
-				// The controller only signals; the engine hook captures at
-				// the next loop boundary, where the cell is quiescent.
-				opts.CheckpointEvery = spec.CheckpointEvery
-				opts.OnCheckpoint = func(cyclesRun int) { s.ckptPending = cyclesRun }
-			}
-			ctl, err := core.New(opts)
-			if err != nil {
-				return err
-			}
-			if spec.CPUOnly {
-				if err := r.Register(governor.NewDevFreq()); err != nil {
-					return err
-				}
-			}
-			ctlRunner := r
-			if s.Injector != nil {
-				ctlRunner = fault.WrapRunner(r, s.Injector)
-			}
-			if err := ctl.Install(ctlRunner); err != nil {
-				return err
-			}
-			if s.Injector != nil {
-				// Stock governors stand by to take over after a hijack
-				// or a relinquish; they idle while the governor files
-				// read "userspace".
-				if err := governor.Defaults(r); err != nil {
-					return err
-				}
-				fault.WrapPerf(ctl.Perf(), s.Injector)
-			}
-			s.Controller = ctl
-			s.TargetGIPS = tgt
-			s.TableEntries = tab.Len()
-			s.BaseGIPS = tab.BaseGIPS
-			logf("controller: target %.4f GIPS, table %d entries (base %.4f GIPS)",
-				tgt, tab.Len(), tab.BaseGIPS)
-			return nil
-		}
-		if err := r.Device().WriteFile(sysfs.CPUScalingGovernor, spec.Governor); err != nil {
-			return fmt.Errorf("setting governor: %w", err)
-		}
-		if err := governor.Defaults(r); err != nil {
-			return err
-		}
-		p := perftool.MustNew(time.Second, spec.Seed)
-		if err := r.Register(p); err != nil {
-			return err
-		}
-		if s.Injector != nil {
-			fault.WrapPerf(p, s.Injector)
-		}
-		return nil
+// newSession builds a resolved cell and is the one place the wiring
+// rules live. A non-nil plan gets its own injector, seeded with the
+// cell's seed and registered first, so its clock leads the actors it
+// torments. A non-nil opts selects controller mode: the controller runs
+// on *opts with the spec's per-session fields (seed, CPU-only,
+// resilience, logging, telemetry, tracing, checkpoint cadence) applied,
+// and
+//   - under faults it actuates through fault.WrapRunner, its perf tool
+//     reads through fault.WrapPerf, and the stock governors stand by;
+//   - CPU-only, cpubw_hwmon keeps the memory bandwidth.
+//
+// Otherwise spec.Governor drives the CPU beside cpubw_hwmon, with a 1 s
+// perf tool reading through fault.WrapPerf under faults.
+func newSession(spec SessionSpec, app *workload.Spec, load workload.BGLoad,
+	opts *core.Options, plan *fault.Plan) (*Session, error) {
+
+	if spec.App == "" {
+		spec.App = app.Name
 	}
-
+	s := &Session{Spec: spec, App: app, Load: load}
 	h, err := NewHarness(HarnessConfig{
-		Foreground: app, Load: bg, ExtraBackground: spec.ExtraBackground,
-		Seed: spec.Seed, TraceEvery: spec.TraceEvery, Install: install,
+		Foreground: app, Load: load, ExtraBackground: spec.ExtraBackground,
+		Seed: spec.Seed, TraceEvery: spec.TraceEvery,
 	})
 	if err != nil {
 		return nil, err
 	}
+	var r platform.Runner = h.Engine
+	if plan != nil {
+		if s.Injector, err = fault.NewInjector(*plan, spec.Seed); err != nil {
+			return nil, err
+		}
+		if err := r.Register(s.Injector); err != nil {
+			return nil, err
+		}
+	}
+	if opts != nil {
+		o := *opts
+		o.Seed = spec.Seed
+		o.CPUOnly = spec.CPUOnly
+		o.LogAllocations = spec.LogAllocations
+		o.Resilience = spec.Resilience
+		o.OnCycle = spec.OnCycle
+		o.Trace = spec.Trace != nil
+		if spec.CheckpointEvery > 0 {
+			// The controller only signals; the engine hook captures at
+			// the next loop boundary, where the cell is quiescent.
+			o.CheckpointEvery = spec.CheckpointEvery
+			o.OnCheckpoint = func(cyclesRun int) { s.ckptPending = cyclesRun }
+		}
+		ctl, err := core.New(o)
+		if err != nil {
+			return nil, err
+		}
+		if spec.CPUOnly {
+			if err := r.Register(governor.NewDevFreq()); err != nil {
+				return nil, err
+			}
+		}
+		ctlRunner := r
+		if s.Injector != nil {
+			ctlRunner = fault.WrapRunner(r, s.Injector)
+		}
+		if err := ctl.Install(ctlRunner); err != nil {
+			return nil, err
+		}
+		if s.Injector != nil {
+			// Stock governors stand by to take over after a hijack or a
+			// relinquish; they idle while the governor files read
+			// "userspace".
+			if err := governor.Defaults(r); err != nil {
+				return nil, err
+			}
+			fault.WrapPerf(ctl.Perf(), s.Injector)
+		}
+		s.Controller = ctl
+		s.TargetGIPS = o.TargetGIPS
+		s.TableEntries = o.Table.Len()
+		s.BaseGIPS = o.Table.BaseGIPS
+	} else {
+		if err := r.Device().WriteFile(sysfs.CPUScalingGovernor, spec.Governor); err != nil {
+			return nil, fmt.Errorf("setting governor: %w", err)
+		}
+		if err := governor.Defaults(r); err != nil {
+			return nil, err
+		}
+		p := perftool.MustNew(time.Second, spec.Seed)
+		if err := r.Register(p); err != nil {
+			return nil, err
+		}
+		if s.Injector != nil {
+			fault.WrapPerf(p, s.Injector)
+		}
+	}
+
 	if spec.Trace != nil {
 		h.Phone.AttachSpanSink(spec.Trace)
 	}
 	s.Harness = h
 	if spec.CheckpointEvery > 0 {
 		s.onCheckpoint = spec.OnCheckpoint
-		if !spec.Controller {
+		if opts == nil {
 			s.nextCkptAt = time.Duration(spec.CheckpointEvery) * time.Second
 		}
 		h.Engine.SetCheckpointHook(s.pollCheckpoint)

@@ -216,11 +216,11 @@ func (h *HealthCounts) Sub(o HealthCounts) {
 }
 
 // Health is a control actor's self-diagnostics ledger: what its fault
-// ladder observed and did. It lives in the platform contract (rather
-// than internal/core, whose controller populates it) so every backend
-// records the same shape through Telemetry.RecordHealth and every
-// consumer — the report layer, the fleet rollups, the resilience tests —
-// reads one definition.
+// ladder observed and did. The controller keeps the one copy and hands
+// it out (core's Controller.Health and CycleSnapshot.Health); the type
+// lives in the platform contract, beside HealthCounts, so every consumer
+// — the report layer, the fleet rollups, the resilience tests — reads
+// one definition. No device records it.
 type Health struct {
 	HealthCounts
 	// Relinquished is set once control is handed back to the stock
@@ -237,10 +237,9 @@ type Health struct {
 // Telemetry is the device's statistics surface. Downward, it is what the
 // stock governors sample: cumulative busy-time and traffic counters
 // (snapshot and diff, like /proc/stat) and the input-event queue.
-// Upward, it is where control software publishes its own health ledger,
-// so any backend (sim, replay, a real device shim) records controller
-// self-diagnostics uniformly and harnesses read them back without
-// holding a concrete controller pointer.
+// Upward, it is where control software publishes its decision-trace
+// spans, so any backend (sim, replay, a real device shim) forwards them
+// to one sink.
 type Telemetry interface {
 	// CumMachineBusySec returns cumulative aggregate machine-busy
 	// seconds. Monotonically non-decreasing.
@@ -252,20 +251,12 @@ type Telemetry interface {
 	// TakeTouches drains and returns pending input events; an immediate
 	// second call returns 0.
 	TakeTouches() int
-	// RecordHealth publishes a control actor's health ledger. Recording
-	// must not alter the device's trajectory: it is observation, not
-	// actuation, and replaying a recorded run with or without a recorder
-	// attached yields identical behavior.
-	RecordHealth(h Health)
-	// LastHealth returns the most recently recorded ledger, or the zero
-	// value when nothing has been recorded.
-	LastHealth() Health
 	// RecordSpan publishes one decision-trace span from a control actor.
-	// Like RecordHealth it is observation only: recording must not alter
-	// the device's trajectory, and a run traced through any backend —
-	// sim, replay, a real-device shim — produces the identical span
-	// stream. Backends forward spans to an attached obs.Sink and drop
-	// them when none is attached.
+	// It is observation only: recording must not alter the device's
+	// trajectory, and a run traced through any backend — sim, replay, a
+	// real-device shim — produces the identical span stream. Backends
+	// forward spans to an attached obs.Sink and drop them when none is
+	// attached.
 	RecordSpan(s obs.Span)
 }
 

@@ -256,26 +256,9 @@ func testTelemetry(t *testing.T, f Fixture) {
 		t.Fatalf("second TakeTouches = %d, want 0 (drain semantics)", n)
 	}
 
-	// Health recording: zero before any publication, read-back equal
-	// after, and recording must not perturb the device's trajectory
-	// (the clock keeps advancing identically either way — asserted
-	// implicitly by the determinism suites that run with controllers
-	// attached, which record every cycle).
-	if h := dev.LastHealth(); h != (platform.Health{}) {
-		t.Fatalf("LastHealth before any RecordHealth = %+v, want zero", h)
-	}
-	want := platform.Health{HealthCounts: platform.HealthCounts{
-		ActuationFailures: 3, RejectedSamples: 2, StuckSamples: 2, WatchdogTrips: 1,
-	}}
-	dev.RecordHealth(want)
-	if got := dev.LastHealth(); got != want {
-		t.Fatalf("LastHealth = %+v, want %+v", got, want)
-	}
-	dev.RecordHealth(platform.Health{})
-
 	// Span recording: with no sink attached, RecordSpan must be a safe
-	// no-op (dropped, not buffered), and like RecordHealth it must not
-	// perturb the device — same clock and counters before and after.
+	// no-op (dropped, not buffered), and it must not perturb the device —
+	// same clock and counters before and after.
 	now0, busy1 := dev.Now(), dev.CumMachineBusySec()
 	dev.RecordSpan(obs.Span{Cycle: 1, Stage: obs.StageCycle, At: now0,
 		Attrs: obs.Attrs{obs.Bool("probe", true)}})

@@ -48,8 +48,7 @@ type Device struct {
 	pendingTouches int
 	freqChanges    int
 	bwChanges      int
-	health         platform.Health // last RecordHealth publication
-	spanSink       obs.Sink        // decision-trace sink; nil drops spans
+	spanSink       obs.Sink // decision-trace sink; nil drops spans
 }
 
 var _ platform.Device = (*Device)(nil)
@@ -329,11 +328,6 @@ func (d *Device) TakeTouches() int {
 	return n
 }
 
-// RecordHealth stores the control software's latest health ledger.
-// Like all replay actuation surfaces it never alters the recorded
-// trajectory.
-func (d *Device) RecordHealth(h platform.Health) { d.health = h }
-
 // AttachSpanSink installs the decision-trace sink RecordSpan forwards
 // to; nil detaches it. A replayed run traced through the same sink type
 // emits the identical span stream as the live run it replays.
@@ -346,9 +340,6 @@ func (d *Device) RecordSpan(s obs.Span) {
 		d.spanSink.Emit(s)
 	}
 }
-
-// LastHealth returns the most recently recorded health ledger.
-func (d *Device) LastHealth() platform.Health { return d.health }
 
 // Engine drives actors over a replayed Device with the simulator's
 // scheduling semantics: actors tick at their period boundaries, in

@@ -140,13 +140,12 @@ type PhoneState struct {
 	// Tasks holds fg followed by bg, in the fixed construction order.
 	Tasks []workload.TaskState `json:"tasks"`
 
-	CumMachineBusySec float64         `json:"cum_machine_busy_sec"`
-	CumBusyCoreSec    float64         `json:"cum_busy_core_sec"`
-	CumTrafficBytes   float64         `json:"cum_traffic_bytes"`
-	PendingTouches    int             `json:"pending_touches"`
-	FreqChanges       int             `json:"freq_changes"`
-	BWChanges         int             `json:"bw_changes"`
-	Health            platform.Health `json:"health"`
+	CumMachineBusySec float64 `json:"cum_machine_busy_sec"`
+	CumBusyCoreSec    float64 `json:"cum_busy_core_sec"`
+	CumTrafficBytes   float64 `json:"cum_traffic_bytes"`
+	PendingTouches    int     `json:"pending_touches"`
+	FreqChanges       int     `json:"freq_changes"`
+	BWChanges         int     `json:"bw_changes"`
 
 	PendingOverlayJ float64 `json:"pending_overlay_j"`
 	StandingOverlay float64 `json:"standing_overlay_w"`
@@ -191,7 +190,6 @@ func (p *Phone) CheckpointState() (PhoneState, error) {
 		PendingTouches:    p.pendingTouches,
 		FreqChanges:       p.freqChanges,
 		BWChanges:         p.bwChanges,
-		Health:            p.health,
 
 		PendingOverlayJ: p.pendingOverlayJ,
 		StandingOverlay: p.standingOverlay,
@@ -260,7 +258,6 @@ func (p *Phone) RestoreState(s PhoneState) error {
 	p.pendingTouches = s.PendingTouches
 	p.freqChanges = s.FreqChanges
 	p.bwChanges = s.BWChanges
-	p.health = s.Health
 
 	p.pendingOverlayJ = s.PendingOverlayJ
 	p.standingOverlay = s.StandingOverlay

@@ -93,8 +93,7 @@ type Phone struct {
 	pendingTouches    int
 	freqChanges       int
 	bwChanges         int
-	health            platform.Health // last RecordHealth publication
-	spanSink          obs.Sink        // decision-trace sink; nil drops spans
+	spanSink          obs.Sink // decision-trace sink; nil drops spans
 
 	// Per-step transient state.
 	pendingOverlayJ float64 // one-shot overlay energy charged to the next step
@@ -383,13 +382,6 @@ func (p *Phone) CumBusyCoreSec() float64 { return p.cumBusyCoreSec }
 
 // CumTrafficBytes returns cumulative DRAM traffic.
 func (p *Phone) CumTrafficBytes() float64 { return p.cumTrafficBytes }
-
-// RecordHealth stores the control software's latest health ledger.
-// Observation only: it does not touch the simulation state.
-func (p *Phone) RecordHealth(h platform.Health) { p.health = h }
-
-// LastHealth returns the most recently recorded health ledger.
-func (p *Phone) LastHealth() platform.Health { return p.health }
 
 // AttachSpanSink installs the decision-trace sink RecordSpan forwards
 // to; nil detaches it. Observation only — attaching a sink never alters

@@ -91,40 +91,3 @@ func TestRejectedWriteKeepsOldValueUnderReaders(t *testing.T) {
 		t.Fatalf("value after rejected writes = %q", v)
 	}
 }
-
-// Same invariant for the tree-wide interceptor (the fault-injection
-// surface): a rejected write never mutates the file, concurrent writers
-// and readers included.
-func TestInterceptorRejectionConcurrent(t *testing.T) {
-	fs := New()
-	const path = "/x/flaky"
-	fs.Create(path, "0", true)
-	fs.SetInterceptor(func(p, value string) error {
-		if value == "bad" {
-			return ErrBusy
-		}
-		return nil
-	})
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if err := fs.Write(path, "bad"); !errors.Is(err, ErrBusy) {
-					t.Errorf("intercepted write passed: %v", err)
-					return
-				}
-				if err := fs.Write(path, "1"); err != nil {
-					t.Errorf("clean write failed: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if v, _ := fs.Read(path); v != "1" {
-		t.Fatalf("value = %q after concurrent writes, want %q", v, "1")
-	}
-}

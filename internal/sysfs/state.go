@@ -5,8 +5,8 @@ import "fmt"
 // Export returns the stored values of every static file in the tree,
 // for a session checkpoint. Dynamic files (read hooks) are excluded:
 // their content derives from simulator state at read time, so they have
-// nothing to store. Write hooks and the interceptor are wiring, not
-// state, and are likewise not captured.
+// nothing to store. Write hooks are wiring, not state, and are likewise
+// not captured.
 func (fs *FS) Export() map[string]string {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()

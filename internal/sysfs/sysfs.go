@@ -12,7 +12,9 @@
 // Re-creating that file protocol keeps the simulated stack honest: the
 // controller under test issues the same writes it would issue on the
 // device, and the simulated kernel reacts through write hooks exactly the
-// way cpufreq/devfreq drivers do.
+// way cpufreq/devfreq drivers do. Fault injection does not reach into the
+// tree: internal/fault decorates the device view the controller writes
+// through (fault.WrapActuator), so every backend shares one fault model.
 package sysfs
 
 import (
@@ -42,13 +44,6 @@ type WriteHook func(path, old, new string) error
 // overriding the stored value.
 type ReadHook func(path string) string
 
-// Interceptor observes every Write before the file's own write hook runs
-// and may reject it, leaving the old value in place — the way a kernel
-// store() callback returns -EBUSY or -EINVAL transiently regardless of
-// the value written. One interceptor serves the whole tree; the fault
-// injector installs it.
-type Interceptor func(path, value string) error
-
 // file is one sysfs node.
 type file struct {
 	value     string
@@ -59,9 +54,8 @@ type file struct {
 
 // FS is an in-memory sysfs tree. It is safe for concurrent use.
 type FS struct {
-	mu        sync.RWMutex
-	files     map[string]*file
-	intercept Interceptor
+	mu    sync.RWMutex
+	files map[string]*file
 }
 
 // New returns an empty tree.
@@ -125,15 +119,6 @@ func (fs *FS) OnWrite(path string, hook WriteHook) {
 	f.writeHook = hook
 }
 
-// SetInterceptor installs (or, with nil, removes) the tree-wide write
-// interceptor. An interceptor error aborts the write before the file's
-// own hook runs and the file keeps its old value.
-func (fs *FS) SetInterceptor(fn Interceptor) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.intercept = fn
-}
-
 // Exists reports whether path is registered.
 func (fs *FS) Exists(path string) bool {
 	fs.mu.RLock()
@@ -178,14 +163,8 @@ func (fs *FS) Write(path, value string) error {
 	}
 	old := f.value
 	hook := f.writeHook
-	icept := fs.intercept
 	fs.mu.Unlock()
 
-	if icept != nil {
-		if err := icept(p, value); err != nil {
-			return fmt.Errorf("sysfs: write %s=%q failed: %w", path, value, err)
-		}
-	}
 	if hook != nil {
 		if err := hook(p, old, value); err != nil {
 			return fmt.Errorf("sysfs: write %s=%q rejected: %w", path, value, err)
