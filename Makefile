@@ -78,18 +78,19 @@ smoke-trace:
 smoke-chaos:
 	$(GO) test -count=1 -race -run='TestKillRestore|TestFleetKillRestoreGolden|TestFleetChaosRecovery' ./internal/experiment/ ./internal/fleet/
 
-# Event-core golden equivalence, under the race detector: the
-# event-queue core against the literal per-step reference loop on
-# controller, governor, fault-injected and full-rate-traced sessions
-# (summary JSON, allocation logs, traces — all byte-identical), every
-# evaluated app under BL/HL plus configuration churn, randomized actor
-# storms, interrupt boundaries, and the event-queue ordering properties;
-# then the workload's span contract at the package level: SpanBound and
-# AdvanceSpan against the literal Demand → clamp → Advance → Touches
-# loop in every task regime (served, starved to the backlog cap,
-# draining, batch, touch phases).
+# Event-core golden equivalence, under the race detector: the event
+# core, which ticks actors at their deadlines and spans the intervals
+# between them in closed form, against the literal per-step reference
+# loop on controller, governor, fault-injected and full-rate-traced
+# sessions (summary JSON, allocation logs, traces — all byte-identical),
+# every evaluated app under BL/HL plus configuration churn, randomized
+# actor storms, interrupt boundaries and a run deadline that falls
+# between two steps; then the workload's span contract at the package
+# level: SpanBound and AdvanceSpan against the literal Demand → clamp →
+# Advance → Touches loop in every task regime (served, starved to the
+# backlog cap, draining, batch, touch phases).
 smoke-event:
-	$(GO) test -count=1 -race -run='TestEngineEquivalence|TestStepFusion|TestCrossBackendStormBitIdentity|TestEventQueue|TestInterruptBoundaryParity' ./internal/sim/
+	$(GO) test -count=1 -race -run='TestEngineEquivalence|TestStepFusion|TestCrossBackendStormBitIdentity|TestInterruptBoundaryParity|TestSubStepDeadlineParity' ./internal/sim/
 	$(GO) test -count=1 -race -run='TestAdvanceSpan|TestSpanBound' ./internal/workload/
 
 # The scenario subsystem end to end, under the race detector: the

@@ -44,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"aspeo/internal/ckpt"
 	"aspeo/internal/fleet"
 	"aspeo/internal/report"
 	"aspeo/internal/scenario"
@@ -86,7 +87,7 @@ func main() {
 		if d.path == "" {
 			continue
 		}
-		if err := ensureWritableDir(d.path); err != nil {
+		if err := ckpt.Probe(ckpt.OS{}, d.path); err != nil {
 			usageError("%s %s: %v", d.flag, d.path, err)
 		}
 	}
@@ -232,21 +233,4 @@ func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "aspeo-fleet: "+format+"\n", args...)
 	flag.Usage()
 	os.Exit(2)
-}
-
-// ensureWritableDir creates dir if needed and proves it accepts writes.
-func ensureWritableDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, ".aspeo-probe-*")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	if err := f.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Remove(name)
 }

@@ -219,7 +219,7 @@ func main() {
 	// directory at the first cadence point would silently cost the run
 	// its durability (sink failures are counted, not fatal — by design).
 	if *ckptOut != "" {
-		if err := probeWritable(filepath.Dir(*ckptOut)); err != nil {
+		if err := ckpt.Probe(ckpt.OS{}, filepath.Dir(*ckptOut)); err != nil {
 			fmt.Fprintf(os.Stderr, "aspeo-run: -checkpoint %s: %v\n", *ckptOut, err)
 			flag.Usage()
 			os.Exit(2)
@@ -333,27 +333,6 @@ func main() {
 // session cell; the spec identity lives in the command line that must
 // be repeated on -restore).
 const runCheckpointKind = "aspeo/session-cell"
-
-// probeWritable verifies dir exists (creating it if needed) and accepts
-// writes, so durability failures surface as usage errors up front.
-func probeWritable(dir string) error {
-	if dir == "" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, ".aspeo-probe-*")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	if err := f.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Remove(name)
-}
 
 // writeFile streams one recorder export to path.
 func writeFile(path string, write func(w io.Writer) error) {

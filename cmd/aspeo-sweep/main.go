@@ -22,10 +22,8 @@ import (
 	"strings"
 	"time"
 
-	"aspeo/internal/experiment"
 	"aspeo/internal/par"
-	"aspeo/internal/platform"
-	"aspeo/internal/sim"
+	"aspeo/internal/profile"
 	"aspeo/internal/soc"
 	"aspeo/internal/workload"
 )
@@ -55,11 +53,6 @@ func main() {
 		fatal("strides must be >= 1")
 	}
 
-	// Sweep a looped copy so finite workloads never run dry mid-window.
-	looped := *spec
-	looped.Loop = true
-	looped.LoopCount = 0
-
 	// Enumerate the grid up front, fan the cells out (one Phone per
 	// goroutine), and print rows in grid order.
 	chip := soc.Nexus6()
@@ -70,19 +63,15 @@ func main() {
 			cells = append(cells, cell{fi: fi, bi: bi})
 		}
 	}
+	// Each cell is measured exactly as the profiler measures its anchors,
+	// so a sweep row and a measured profile entry agree at equal seed,
+	// warm-up and window.
+	opt := profile.Options{Load: bg, Warmup: *warmup, Window: *window}
+	type row struct{ gips, powerW float64 }
 	rows, err := par.Map(context.Background(), par.Workers(*workers), len(cells),
-		func(_ context.Context, i int) (sim.Stats, error) {
-			h, err := experiment.NewHarness(experiment.HarnessConfig{
-				Foreground: &looped, Load: bg, Seed: *seed,
-				Install: func(r platform.Runner) error {
-					return r.Register(&sim.FixedConfigActor{FreqIdx: cells[i].fi, BWIdx: cells[i].bi})
-				},
-			})
-			if err != nil {
-				return sim.Stats{}, err
-			}
-			h.Engine.Run(*warmup, false)
-			return h.Engine.Run(*window, false), nil
+		func(_ context.Context, i int) (row, error) {
+			g, p, err := profile.Measure(spec, opt, cells[i].fi, cells[i].bi, *seed)
+			return row{gips: g, powerW: p}, err
 		})
 	if err != nil {
 		fatal("%v", err)
@@ -92,7 +81,7 @@ func main() {
 	for i, c := range cells {
 		fmt.Printf("%d,%.4f,%d,%.0f,%.4f,%.4f\n",
 			c.fi+1, chip.Freq(c.fi).GHz(), c.bi+1, chip.BW(c.bi).MBps(),
-			rows[i].GIPS, rows[i].AvgPowerW)
+			rows[i].gips, rows[i].powerW)
 	}
 }
 

@@ -12,14 +12,13 @@ import (
 	"aspeo/internal/experiment"
 	"aspeo/internal/platform"
 	"aspeo/internal/profile"
-	"aspeo/internal/sim"
 	"aspeo/internal/workload"
 )
 
 func main() {
 	spec := workload.WeChat()
 
-	govs := []string{sim.GovInteractive, sim.GovOndemand, sim.GovPerformance, sim.GovPowersave}
+	govs := []string{platform.GovInteractive, platform.GovOndemand, platform.GovPerformance, platform.GovPowersave}
 	fmt.Printf("%-14s %10s %10s %10s %8s\n", "policy", "energy (J)", "power (W)", "GIPS", "dropped")
 
 	var defaultGIPS float64
@@ -32,7 +31,7 @@ func main() {
 		}
 		st := sess.Run(nil)
 		fmt.Printf("%-14s %10.1f %10.3f %10.4f %8.2g\n", g, st.EnergyJ, st.AvgPowerW, st.GIPS, st.DroppedInstr)
-		if g == sim.GovInteractive {
+		if g == platform.GovInteractive {
 			defaultGIPS = st.GIPS
 		}
 	}

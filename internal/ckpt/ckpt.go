@@ -94,6 +94,26 @@ func (OS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
+// Probe creates dir if needed and proves it accepts writes by creating,
+// closing and removing a temporary file in it — the check that turns an
+// unwritable checkpoint or dump directory into an up-front error
+// instead of a run that silently loses its durability.
+func Probe(fsys FS, dir string) error {
+	if err := fsys.MkdirAll(dir); err != nil {
+		return err
+	}
+	f, err := fsys.CreateTemp(dir, ".probe-*")
+	if err != nil {
+		return err
+	}
+	name := f.Name()
+	if err := f.Close(); err != nil {
+		_ = fsys.Remove(name)
+		return err
+	}
+	return fsys.Remove(name)
+}
+
 // Save atomically writes a checkpoint: marshal the envelope, write it
 // to a temp file in the target directory, fsync, close, rename over
 // path. On any failure the temp file is removed and the previous

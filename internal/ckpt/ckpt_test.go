@@ -128,3 +128,26 @@ func TestFailedSaveLeavesPreviousCheckpoint(t *testing.T) {
 		t.Fatalf("temp droppings after failed save: %d entries", len(ents))
 	}
 }
+
+// TestProbe: a writable directory is created on demand and left empty;
+// one that cannot exist (nested under a regular file) is an error.
+func TestProbe(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a", "b")
+	if err := Probe(OS{}, dir); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("probe left %d entries behind", len(ents))
+	}
+	file := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Probe(OS{}, filepath.Join(file, "sub")); err == nil {
+		t.Fatal("probe under a regular file succeeded")
+	}
+}

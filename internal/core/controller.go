@@ -45,8 +45,6 @@ type Options struct {
 	// keeps independent state per phase, so re-entering a known phase
 	// resumes from its converged speedup.
 	PhaseAware bool
-	// MaxPhases bounds the tracker's cluster count (default 4).
-	MaxPhases int
 	// EpsilonDominance prunes profile entries that deliver no more than
 	// (1+ε)× the speedup of a strictly cheaper entry before optimizing.
 	// Demand-paced applications saturate, so the top of their profile
@@ -115,6 +113,14 @@ const cycleOverheadJ = 0.050
 // measurement noise) before the solve, so a converged regulator whose
 // demand jitters below that resolution keeps the identical allocation.
 const targetScale = 4096
+
+// The phase tracker (§V-B, Options.PhaseAware) keeps at most
+// trackerMaxPhases clusters, and a cycle whose measurement lies within
+// trackerJoinTol (relative) of a centroid joins that cluster.
+const (
+	trackerMaxPhases = 4
+	trackerJoinTol   = 0.25
+)
 
 // AllocationRecord is one entry of the controller's decision log: the
 // control-cycle ordinal, the clock when the cycle ran, the speedup the
@@ -248,11 +254,7 @@ func New(opt Options) (*Controller, error) {
 		c.spanAttrs = make([]obs.Attr, 0, 16) // the widest span, "cycle", has 12
 	}
 	if opt.PhaseAware {
-		maxPhases := opt.MaxPhases
-		if maxPhases == 0 {
-			maxPhases = 4
-		}
-		tracker, err := NewPhaseTracker(maxPhases, 0.25)
+		tracker, err := NewPhaseTracker(trackerMaxPhases, trackerJoinTol)
 		if err != nil {
 			return nil, err
 		}

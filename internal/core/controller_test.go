@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aspeo/internal/platform"
 	"aspeo/internal/profile"
 	"aspeo/internal/sim"
 	"aspeo/internal/sysfs"
@@ -92,10 +93,10 @@ func TestInstallSwitchesGovernors(t *testing.T) {
 	if err := ctl.Install(eng); err != nil {
 		t.Fatal(err)
 	}
-	if gov, _ := ph.FS().Read(sysfs.CPUScalingGovernor); gov != sim.GovUserspace {
+	if gov, _ := ph.FS().Read(sysfs.CPUScalingGovernor); gov != platform.GovUserspace {
 		t.Fatalf("cpu governor = %q", gov)
 	}
-	if gov, _ := ph.FS().Read(sysfs.DevFreqGovernor); gov != sim.GovUserspace {
+	if gov, _ := ph.FS().Read(sysfs.DevFreqGovernor); gov != platform.GovUserspace {
 		t.Fatalf("devfreq governor = %q", gov)
 	}
 }
@@ -122,7 +123,7 @@ func TestCPUOnlyLeavesDevfreqAlone(t *testing.T) {
 	if err := ctl.Install(eng); err != nil {
 		t.Fatal(err)
 	}
-	if gov, _ := ph.FS().Read(sysfs.DevFreqGovernor); gov != sim.GovCPUBWHwmon {
+	if gov, _ := ph.FS().Read(sysfs.DevFreqGovernor); gov != platform.GovCPUBWHwmon {
 		t.Fatalf("devfreq governor = %q, want untouched cpubw_hwmon", gov)
 	}
 }

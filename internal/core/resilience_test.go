@@ -7,6 +7,7 @@ import (
 
 	"aspeo/internal/fault"
 	"aspeo/internal/governor"
+	"aspeo/internal/platform"
 	"aspeo/internal/profile"
 	"aspeo/internal/sim"
 	"aspeo/internal/sysfs"
@@ -223,7 +224,7 @@ func TestGovernorReinstallAfterHijack(t *testing.T) {
 		t.Fatalf("reinstalls %d != hijacks %d", h.GovernorReinstalls, counts.Hijacks)
 	}
 	gov, _ := eng.Phone().FS().Read(sysfs.CPUScalingGovernor)
-	if gov != sim.GovUserspace {
+	if gov != platform.GovUserspace {
 		t.Fatalf("governor %q at end of run, want userspace reinstalled", gov)
 	}
 }
@@ -255,7 +256,7 @@ func TestDisabledControllerStaysHijacked(t *testing.T) {
 		t.Fatal("disabled resilience reinstalled the governor")
 	}
 	gov, _ := eng.Phone().FS().Read(sysfs.CPUScalingGovernor)
-	if gov == sim.GovUserspace {
+	if gov == platform.GovUserspace {
 		t.Fatal("governor still userspace; hijack never landed")
 	}
 }
@@ -286,7 +287,7 @@ func TestDegradationLadderEndToEnd(t *testing.T) {
 		t.Fatal("stuck file never rejected a write")
 	}
 	gov, _ := eng.Phone().FS().Read(sysfs.CPUScalingGovernor)
-	if gov != sim.GovInteractive {
+	if gov != platform.GovInteractive {
 		t.Fatalf("governor %q after relinquish, want stock interactive", gov)
 	}
 }

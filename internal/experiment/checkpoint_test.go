@@ -32,7 +32,14 @@ func storedProfile(t *testing.T) (path string, target float64) {
 			step += 0.0004
 		}
 	}
-	path = filepath.Join(t.TempDir(), "golden.json")
+	return writeProfile(t, tab), 0.5 * (tab.MinSpeedup() + tab.MaxSpeedup()) * tab.BaseGIPS
+}
+
+// writeProfile stores the table in the test's temporary directory and
+// returns its path.
+func writeProfile(t *testing.T, tab *profile.Table) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), tab.App+".json")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +50,46 @@ func storedProfile(t *testing.T) (path string, target float64) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path, 0.5 * (tab.MinSpeedup() + tab.MaxSpeedup()) * tab.BaseGIPS
+	return path
+}
+
+// TestCPUOnlySessionRunsOneDevfreq: a CPU-only controller leaves the
+// memory bus to exactly one cpubw_hwmon — its own without faults, the
+// standby pair's under faults — never two deciding the bus in turn.
+func TestCPUOnlySessionRunsOneDevfreq(t *testing.T) {
+	tab := &profile.Table{App: "governed", Load: "BL", Mode: profile.Governed, BaseGIPS: 0.8}
+	for f := 0; f < 9; f++ {
+		s := 1 + 0.1*float64(f)
+		tab.Entries = append(tab.Entries, profile.Entry{
+			FreqIdx: 2 * f, BWIdx: profile.GovernedBW,
+			Speedup: s, PowerW: 1.6 + 0.05*float64(f*f), GIPS: s * tab.BaseGIPS,
+		})
+	}
+	prof := writeProfile(t, tab)
+	for _, faults := range []string{"", "noisy-perf"} {
+		sess, err := experiment.NewSession(experiment.SessionSpec{
+			App: "ebook", Load: "BL", Controller: true, CPUOnly: true,
+			Profile: prof, TargetGIPS: 1, Seed: 101, Faults: faults,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		actors, err := sess.Harness.Engine.CheckpointActors()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		devfreqs := 0
+		for _, a := range actors {
+			names = append(names, a.Name)
+			if a.Name == "devfreq" {
+				devfreqs++
+			}
+		}
+		if devfreqs != 1 {
+			t.Errorf("faults %q: %d devfreq actors in %v, want 1", faults, devfreqs, names)
+		}
+	}
 }
 
 // runToEnd runs a fresh session from the spec (with checkpointing
@@ -203,10 +249,12 @@ func plantLegacyControllerKeys(t *testing.T, cs *experiment.CellState) {
 	t.Fatal("snapshot has no controller actor")
 }
 
-// plantLegacyPhoneHealth gives the snapshot's phone state the "health"
-// key phones wrote while the device kept a copy of the controller's
-// ledger — that ledger as of its last cycle — and round-trips the
-// snapshot through a checkpoint file, whose decoder must drop the key.
+// plantLegacyPhoneHealth gives the snapshot the keys older phones and
+// engines wrote — the phone's "health" copy of the controller's ledger
+// (as of its last cycle) and "cum_traffic_bytes" (the PMU's bus count),
+// and the run cursor's "start_cycles" and "start_bus" (zero at this
+// session's run entry) — and round-trips the snapshot through a
+// checkpoint file, whose decoder must drop them.
 func plantLegacyPhoneHealth(t *testing.T, cs *experiment.CellState) {
 	t.Helper()
 	var ledger json.RawMessage
@@ -227,18 +275,30 @@ func plantLegacyPhoneHealth(t *testing.T, cs *experiment.CellState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cell, phone map[string]json.RawMessage
+	var cell, phone, cursor map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &cell); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(cell["phone"], &phone); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := phone["health"]; ok {
-		t.Fatal(`phone snapshot still writes "health"`)
+	if err := json.Unmarshal(cell["cursor"], &cursor); err != nil {
+		t.Fatal(err)
 	}
-	phone["health"] = ledger
+	plant := func(obj map[string]json.RawMessage, what, key string, v json.RawMessage) {
+		if _, ok := obj[key]; ok {
+			t.Fatalf("%s snapshot still writes %q", what, key)
+		}
+		obj[key] = v
+	}
+	plant(phone, "phone", "health", ledger)
+	plant(phone, "phone", "cum_traffic_bytes", phone["pmu_bus"])
+	plant(cursor, "cursor", "start_cycles", json.RawMessage(`0`))
+	plant(cursor, "cursor", "start_bus", json.RawMessage(`0`))
 	if cell["phone"], err = json.Marshal(phone); err != nil {
+		t.Fatal(err)
+	}
+	if cell["cursor"], err = json.Marshal(cursor); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "legacy.ckpt.json")

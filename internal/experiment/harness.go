@@ -13,8 +13,8 @@ import (
 // rules (screen on, WiFi on, session semantics); the actor-wiring rules
 // live one level up, in the session builder that NewSession and every
 // paper campaign share. Drivers that wire their own actor set — the
-// benchmark's cells, aspeo-sweep's grid points, the governorstudy
-// example's custom-table controller — pass it as Install.
+// benchmark's cells, the governorstudy example's custom-table
+// controller — pass it as Install.
 type Harness struct {
 	Phone  *sim.Phone
 	Engine *sim.Engine

@@ -249,7 +249,8 @@ func NewSession(spec SessionSpec) (*Session, error) {
 // and
 //   - under faults it actuates through fault.WrapRunner, its perf tool
 //     reads through fault.WrapPerf, and the stock governors stand by;
-//   - CPU-only, cpubw_hwmon keeps the memory bandwidth.
+//   - CPU-only, cpubw_hwmon keeps the memory bandwidth: the standby
+//     pair's under faults, otherwise one registered for the purpose.
 //
 // Otherwise spec.Governor drives the CPU beside cpubw_hwmon, with a 1 s
 // perf tool reading through fault.WrapPerf under faults.
@@ -294,7 +295,9 @@ func newSession(spec SessionSpec, app *workload.Spec, load workload.BGLoad,
 		if err != nil {
 			return nil, err
 		}
-		if spec.CPUOnly {
+		if spec.CPUOnly && s.Injector == nil {
+			// Under faults the standby pair below brings its own
+			// cpubw_hwmon; a second one would act on the bus twice.
 			if err := r.Register(governor.NewDevFreq()); err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aspeo/internal/perftool"
+	"aspeo/internal/platform"
 	"aspeo/internal/sim"
 	"aspeo/internal/sysfs"
 	"aspeo/internal/workload"
@@ -82,7 +83,7 @@ func TestPlanActive(t *testing.T) {
 func TestHijackFiresOnSchedule(t *testing.T) {
 	ph := testPhone(t)
 	fs := ph.FS()
-	if err := fs.Write(sysfs.CPUScalingGovernor, sim.GovUserspace); err != nil {
+	if err := fs.Write(sysfs.CPUScalingGovernor, platform.GovUserspace); err != nil {
 		t.Fatal(err)
 	}
 	maxIdx := len(ph.SoC().CPUFreqs) - 1
@@ -94,11 +95,11 @@ func TestHijackFiresOnSchedule(t *testing.T) {
 	}}}, 1)
 
 	in.Tick(time.Second, ph)
-	if gov, _ := fs.Read(sysfs.CPUScalingGovernor); gov != sim.GovUserspace {
+	if gov, _ := fs.Read(sysfs.CPUScalingGovernor); gov != platform.GovUserspace {
 		t.Fatalf("hijack fired early: governor %q at t=1s", gov)
 	}
 	in.Tick(2*time.Second, ph)
-	if gov, _ := fs.Read(sysfs.CPUScalingGovernor); gov != sim.GovInteractive {
+	if gov, _ := fs.Read(sysfs.CPUScalingGovernor); gov != platform.GovInteractive {
 		t.Fatalf("governor %q after hijack, want default interactive", gov)
 	}
 	if mf, _ := fs.Read(sysfs.CPUScalingMaxFreq); mf != strconv.Itoa(capKHz) {
@@ -112,7 +113,7 @@ func TestHijackFiresOnSchedule(t *testing.T) {
 	}
 
 	// Repair, then the repeat must re-fire one period later.
-	fs.Set(sysfs.CPUScalingGovernor, sim.GovUserspace)
+	fs.Set(sysfs.CPUScalingGovernor, platform.GovUserspace)
 	in.Tick(4*time.Second, ph)
 	if in.Counts().Hijacks != 1 {
 		t.Fatal("repeat fired before its period elapsed")
@@ -121,7 +122,7 @@ func TestHijackFiresOnSchedule(t *testing.T) {
 	if in.Counts().Hijacks != 2 {
 		t.Fatalf("Hijacks = %d after repeat period, want 2", in.Counts().Hijacks)
 	}
-	if gov, _ := fs.Read(sysfs.CPUScalingGovernor); gov != sim.GovInteractive {
+	if gov, _ := fs.Read(sysfs.CPUScalingGovernor); gov != platform.GovInteractive {
 		t.Fatal("repeat hijack did not rewrite the governor")
 	}
 }
@@ -144,7 +145,7 @@ func TestHijackOneShot(t *testing.T) {
 func TestInterceptWrite(t *testing.T) {
 	ph := testPhone(t)
 	fs := ph.FS()
-	fs.Write(sysfs.CPUScalingGovernor, sim.GovUserspace)
+	fs.Write(sysfs.CPUScalingGovernor, platform.GovUserspace)
 
 	in := MustNewInjector(Plan{
 		WriteFailProb: 1, // deterministic: every faultable write fails
@@ -182,7 +183,7 @@ func TestInterceptWrite(t *testing.T) {
 	}
 
 	// Non-faultable paths pass through untouched.
-	if err := dev.WriteFile(sysfs.CPUScalingGovernor, sim.GovUserspace); err != nil {
+	if err := dev.WriteFile(sysfs.CPUScalingGovernor, platform.GovUserspace); err != nil {
 		t.Fatalf("non-faultable write failed: %v", err)
 	}
 }
@@ -191,7 +192,7 @@ func TestInterceptWrite(t *testing.T) {
 func TestWriteFailureWindow(t *testing.T) {
 	ph := testPhone(t)
 	fs := ph.FS()
-	fs.Write(sysfs.CPUScalingGovernor, sim.GovUserspace)
+	fs.Write(sysfs.CPUScalingGovernor, platform.GovUserspace)
 	in := MustNewInjector(Plan{
 		WriteFailProb: 1,
 		WriteFailFrom: 2 * time.Second, WriteFailUntil: 4 * time.Second,
@@ -269,7 +270,7 @@ func TestInjectorDeterminism(t *testing.T) {
 	runOnce := func(seed int64) string {
 		ph := testPhone(t)
 		fs := ph.FS()
-		fs.Write(sysfs.CPUScalingGovernor, sim.GovUserspace)
+		fs.Write(sysfs.CPUScalingGovernor, platform.GovUserspace)
 		in := MustNewInjector(plan, seed)
 		dev := WrapActuator(ph, in)
 		var sig string

@@ -150,26 +150,9 @@ func (m *Manager) ReadyProblems() []string {
 		probs = append(probs, "draining")
 	}
 	if m.opts.CheckpointDir != "" {
-		if err := m.probeCheckpointDir(); err != nil {
+		if err := ckpt.Probe(m.ckptFS, m.opts.CheckpointDir); err != nil {
 			probs = append(probs, fmt.Sprintf("checkpoint dir not writable: %v", err))
 		}
 	}
 	return probs
-}
-
-// probeCheckpointDir verifies the checkpoint directory accepts writes.
-func (m *Manager) probeCheckpointDir() error {
-	if err := m.ckptFS.MkdirAll(m.opts.CheckpointDir); err != nil {
-		return err
-	}
-	f, err := m.ckptFS.CreateTemp(m.opts.CheckpointDir, ".readyz-*")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	if err := f.Close(); err != nil {
-		_ = m.ckptFS.Remove(name)
-		return err
-	}
-	return m.ckptFS.Remove(name)
 }

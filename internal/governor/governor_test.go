@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aspeo/internal/perfmodel"
+	"aspeo/internal/platform"
 	"aspeo/internal/sim"
 	"aspeo/internal/sysfs"
 	"aspeo/internal/workload"
@@ -79,7 +80,7 @@ func setGov(t *testing.T, ph *sim.Phone, cpuGov, bwGov string) {
 
 func TestPerformanceGovernorPinsMax(t *testing.T) {
 	ph, eng := newPhone(t, idleSpec())
-	setGov(t, ph, sim.GovPerformance, sim.GovPerformance)
+	setGov(t, ph, platform.GovPerformance, platform.GovPerformance)
 	Defaults(eng)
 	eng.Run(time.Second, false)
 	if got := ph.CurFreqIdx(); got != 17 {
@@ -92,7 +93,7 @@ func TestPerformanceGovernorPinsMax(t *testing.T) {
 
 func TestPowersaveGovernorPinsMin(t *testing.T) {
 	ph, eng := newPhone(t, heavySpec())
-	setGov(t, ph, sim.GovPowersave, sim.GovPowersave)
+	setGov(t, ph, platform.GovPowersave, platform.GovPowersave)
 	Defaults(eng)
 	// Start high to prove it comes down.
 	ph.SetFreqIdx(17)
@@ -108,7 +109,7 @@ func TestPowersaveGovernorPinsMin(t *testing.T) {
 
 func TestUserspaceGovernorHoldsStill(t *testing.T) {
 	ph, eng := newPhone(t, heavySpec())
-	setGov(t, ph, sim.GovUserspace, sim.GovUserspace)
+	setGov(t, ph, platform.GovUserspace, platform.GovUserspace)
 	Defaults(eng)
 	ph.SetFreqIdx(7)
 	ph.SetBWIdx(3)
@@ -167,7 +168,7 @@ func TestInteractiveClimbsPastHispeedStepwise(t *testing.T) {
 
 func TestOndemandJumpsToMaxAboveThreshold(t *testing.T) {
 	ph, eng := newPhone(t, heavySpec())
-	setGov(t, ph, sim.GovOndemand, sim.GovCPUBWHwmon)
+	setGov(t, ph, platform.GovOndemand, platform.GovCPUBWHwmon)
 	Defaults(eng)
 	eng.Run(time.Second, false)
 	if got := ph.CurFreqIdx(); got != 17 {
@@ -177,7 +178,7 @@ func TestOndemandJumpsToMaxAboveThreshold(t *testing.T) {
 
 func TestOndemandScalesDownGradually(t *testing.T) {
 	ph, eng := newPhone(t, idleSpec())
-	setGov(t, ph, sim.GovOndemand, sim.GovCPUBWHwmon)
+	setGov(t, ph, platform.GovOndemand, platform.GovCPUBWHwmon)
 	Defaults(eng)
 	ph.SetFreqIdx(17)
 	eng.Run(2*time.Second, false)
@@ -189,7 +190,7 @@ func TestOndemandScalesDownGradually(t *testing.T) {
 func TestHwmonRampsWithTraffic(t *testing.T) {
 	ph, eng := newPhone(t, heavySpec())
 	// Pin CPU high so the batch generates sustained traffic.
-	setGov(t, ph, sim.GovPerformance, sim.GovCPUBWHwmon)
+	setGov(t, ph, platform.GovPerformance, platform.GovCPUBWHwmon)
 	Defaults(eng)
 	eng.Run(2*time.Second, false)
 	if got := ph.CurBWIdx(); got == 0 {
@@ -199,7 +200,7 @@ func TestHwmonRampsWithTraffic(t *testing.T) {
 
 func TestHwmonBacksOffExponentially(t *testing.T) {
 	ph, eng := newPhone(t, idleSpec())
-	setGov(t, ph, sim.GovPerformance, sim.GovCPUBWHwmon)
+	setGov(t, ph, platform.GovPerformance, platform.GovCPUBWHwmon)
 	Defaults(eng)
 	ph.SetBWIdx(12)
 	// With near-zero traffic the vote must decay, but through
@@ -232,7 +233,7 @@ func TestGovernorSwitchingViaSysfs(t *testing.T) {
 	if high < 15 {
 		t.Fatalf("setup: interactive should be high, at %d", high)
 	}
-	setGov(t, ph, sim.GovPowersave, sim.GovPowersave)
+	setGov(t, ph, platform.GovPowersave, platform.GovPowersave)
 	eng.Run(500*time.Millisecond, false)
 	if got := ph.CurFreqIdx(); got != 0 {
 		t.Fatalf("after switching to powersave freq idx = %d", got)
@@ -271,7 +272,7 @@ func TestDefaultTunablesMatchNexus6(t *testing.T) {
 
 func TestConservativeStepsGradually(t *testing.T) {
 	ph, eng := newPhone(t, heavySpec())
-	setGov(t, ph, sim.GovConservative, sim.GovCPUBWHwmon)
+	setGov(t, ph, platform.GovConservative, platform.GovCPUBWHwmon)
 	Defaults(eng)
 	// Under sustained full load the conservative governor must climb,
 	// but through every intermediate rung.
@@ -295,7 +296,7 @@ func TestConservativeStepsGradually(t *testing.T) {
 
 func TestConservativeStepsDownWhenIdle(t *testing.T) {
 	ph, eng := newPhone(t, idleSpec())
-	setGov(t, ph, sim.GovConservative, sim.GovCPUBWHwmon)
+	setGov(t, ph, platform.GovConservative, platform.GovCPUBWHwmon)
 	Defaults(eng)
 	ph.SetFreqIdx(17)
 	eng.Run(3*time.Second, false)

@@ -188,11 +188,13 @@ func DefaultOptions() Options {
 	}
 }
 
-// measureOne runs the app for one seed pinned at (freqIdx, bwIdx) and
-// returns its GIPS and power. bwIdx = GovernedBW leaves the bandwidth to
-// the hwmon governor. Each call builds its own sim.Phone, so calls are
-// safe to fan out across goroutines.
-func measureOne(spec *workload.Spec, opt Options, freqIdx, bwIdx int, seed int64) (gips, powerW float64, err error) {
+// Measure runs the app for one seed pinned at (freqIdx, bwIdx), with the
+// 1 s perf tool every profiled cell carries, and returns its GIPS and
+// power over opt.Window after opt.Warmup. Of opt it reads SoC, Load,
+// Warmup and Window. bwIdx = GovernedBW leaves the bandwidth to the
+// hwmon governor. Each call builds its own sim.Phone, so calls are safe
+// to fan out across goroutines.
+func Measure(spec *workload.Spec, opt Options, freqIdx, bwIdx int, seed int64) (gips, powerW float64, err error) {
 	// Profile a looped copy of the app: a finite workload (a 12-site
 	// browsing session, a 137 s video) must not run dry inside the
 	// measurement window at fast configurations, or the idle tail would
@@ -239,7 +241,7 @@ func measureAll(spec *workload.Spec, opt Options, pts []measurePoint) ([]measure
 	cells, err := par.Map(context.Background(), par.Workers(opt.Workers), len(pts)*nSeeds,
 		func(_ context.Context, i int) (cellRes, error) {
 			pt := pts[i/nSeeds]
-			g, p, err := measureOne(spec, opt, pt.fi, pt.bi, opt.Seeds[i%nSeeds])
+			g, p, err := Measure(spec, opt, pt.fi, pt.bi, opt.Seeds[i%nSeeds])
 			if err != nil {
 				return cellRes{}, err
 			}

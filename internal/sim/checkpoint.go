@@ -30,9 +30,7 @@ type RunCursor struct {
 	Deadline       time.Duration `json:"deadline_ns"`
 	StopWhenFGDone bool          `json:"stop_when_fg_done"`
 
-	StartInstr  float64 `json:"start_instr"`
-	StartCycles float64 `json:"start_cycles"`
-	StartBus    float64 `json:"start_bus"`
+	StartInstr float64 `json:"start_instr"`
 
 	DropsAtStart       float64 `json:"drops_at_start"`
 	FreqChangesAtStart int     `json:"freq_changes_at_start"`
@@ -40,21 +38,15 @@ type RunCursor struct {
 }
 
 // Cursor returns the cursor of the run in progress (or most recently
-// finished). Valid inside a checkpoint hook, where it describes the
-// active run.
-func (e *Engine) Cursor() RunCursor { return e.cursor }
-
-// Suspend captures the active run's cursor for a later Resume — the
-// engine half of a session checkpoint. It must be called from inside
-// the checkpoint hook (the engine's quiescent point): there, and only
-// there, the cursor, the actor schedule (CheckpointActors) and the
-// device snapshot (Phone.CheckpointState) are mutually consistent, so
-// a cell rebuilt from the same Config, restored via RestoreActors →
+// finished) — the engine half of a session checkpoint. Captured inside
+// the checkpoint hook (the engine's quiescent point), and only there,
+// the cursor, the actor schedule (CheckpointActors) and the device
+// snapshot (Phone.CheckpointState) are mutually consistent, so a cell
+// rebuilt from the same Config, restored via RestoreActors →
 // Phone.RestoreState, and continued with Resume(cursor) reproduces the
-// uninterrupted run byte for byte. Outside the hook it returns the same
-// value as Cursor, which describes the most recent run entry rather
-// than a resumable point.
-func (e *Engine) Suspend() RunCursor { return e.cursor }
+// uninterrupted run byte for byte. Outside the hook it describes the
+// most recent run entry rather than a resumable point.
+func (e *Engine) Cursor() RunCursor { return e.cursor }
 
 // SetCheckpointHook installs a callback polled once per engine-loop
 // iteration, after the interrupt poll and before any actor ticks. At
@@ -142,7 +134,6 @@ type PhoneState struct {
 
 	CumMachineBusySec float64 `json:"cum_machine_busy_sec"`
 	CumBusyCoreSec    float64 `json:"cum_busy_core_sec"`
-	CumTrafficBytes   float64 `json:"cum_traffic_bytes"`
 	PendingTouches    int     `json:"pending_touches"`
 	FreqChanges       int     `json:"freq_changes"`
 	BWChanges         int     `json:"bw_changes"`
@@ -186,7 +177,6 @@ func (p *Phone) CheckpointState() (PhoneState, error) {
 
 		CumMachineBusySec: p.cumMachineBusySec,
 		CumBusyCoreSec:    p.cumBusyCoreSec,
-		CumTrafficBytes:   p.cumTrafficBytes,
 		PendingTouches:    p.pendingTouches,
 		FreqChanges:       p.freqChanges,
 		BWChanges:         p.bwChanges,
@@ -254,7 +244,6 @@ func (p *Phone) RestoreState(s PhoneState) error {
 
 	p.cumMachineBusySec = s.CumMachineBusySec
 	p.cumBusyCoreSec = s.CumBusyCoreSec
-	p.cumTrafficBytes = s.CumTrafficBytes
 	p.pendingTouches = s.PendingTouches
 	p.freqChanges = s.FreqChanges
 	p.bwChanges = s.BWChanges

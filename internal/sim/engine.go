@@ -18,17 +18,6 @@ type Actor = platform.Actor
 // governor's 20 ms timer).
 const DefaultStep = time.Millisecond
 
-// Options configures engine construction.
-type Options struct {
-	// Step is the integration step; 0 means DefaultStep.
-	Step time.Duration
-	// DebugInvariants enables the event core's invariant enforcement:
-	// clock monotonicity of the event stream and the work-conserving
-	// property of every span. Violations panic — they are engine bugs,
-	// never data errors. Cheap enough for tests; off in production runs.
-	DebugInvariants bool
-}
-
 // Engine advances a Phone and its actors in lockstep.
 //
 // Concurrency contract: an Engine, its Phone, its workload and every
@@ -39,39 +28,26 @@ type Options struct {
 // Phone per goroutine") and cells share nothing but read-only inputs
 // such as workload specs and profile tables.
 type Engine struct {
-	phone     *Phone
-	step      time.Duration
+	phone *Phone
+	// debug enables the run loop's invariant enforcement (event.go);
+	// violations panic — they are engine bugs, never data errors. Tests
+	// turn it on; production runs leave it off.
 	debug     bool
 	actors    []scheduled
 	interrupt func() bool
 	ckptHook  func()
 	cursor    RunCursor
-
-	// Event-queue scratch state, rebuilt from actors[i].next at every
-	// Run/Resume entry so the checkpoint machinery (CheckpointActors/
-	// RestoreActors) works on the actor schedule alone.
-	queue eventQueue
-	due   []int
 }
 
+// scheduled is one registered actor and its next deadline — the
+// engine's one schedule, which checkpoints capture and restore.
 type scheduled struct {
 	actor Actor
 	next  time.Duration
-	kind  EventKind
 }
 
-// NewEngine creates an engine over the phone with the default step.
-func NewEngine(ph *Phone) *Engine {
-	return NewEngineOpts(ph, Options{})
-}
-
-// NewEngineOpts creates an engine with explicit options.
-func NewEngineOpts(ph *Phone, opt Options) *Engine {
-	if opt.Step <= 0 {
-		opt.Step = DefaultStep
-	}
-	return &Engine{phone: ph, step: opt.Step, debug: opt.DebugInvariants}
-}
+// NewEngine creates an engine over the phone, stepping DefaultStep.
+func NewEngine(ph *Phone) *Engine { return &Engine{phone: ph} }
 
 // Phone returns the concrete device under simulation — for harnesses
 // extracting simulator-only state (histograms, trace recorder).
@@ -85,11 +61,11 @@ func (e *Engine) Device() platform.Device { return e.phone }
 // not a positive multiple of the engine step.
 func (e *Engine) Register(a Actor) error {
 	p := a.Period()
-	if p <= 0 || p%e.step != 0 {
+	if p <= 0 || p%DefaultStep != 0 {
 		return fmt.Errorf("sim: actor %q period %v is not a positive multiple of step %v",
-			a.Name(), p, e.step)
+			a.Name(), p, DefaultStep)
 	}
-	e.actors = append(e.actors, scheduled{actor: a, next: e.phone.Now(), kind: classifyActor(a.Name())})
+	e.actors = append(e.actors, scheduled{actor: a, next: e.phone.Now()})
 	return nil
 }
 
@@ -132,14 +108,11 @@ func (e *Engine) Run(until time.Duration, stopWhenFGDone bool) Stats {
 func (e *Engine) startRun(until time.Duration, stopWhenFGDone bool) RunCursor {
 	ph := e.phone
 	ph.Monitor().Start()
-	instr, cycles, bus := ph.PMU().Snapshot().Values()
 	return RunCursor{
 		Start:              ph.Now(),
 		Deadline:           ph.Now() + until,
 		StopWhenFGDone:     stopWhenFGDone,
-		StartInstr:         instr,
-		StartCycles:        cycles,
-		StartBus:           bus,
+		StartInstr:         ph.PMU().Read(pmu.Instructions),
 		DropsAtStart:       ph.Foreground().DroppedInstr(),
 		FreqChangesAtStart: ph.FreqChanges(),
 		BWChangesAtStart:   ph.BWChanges(),
@@ -153,7 +126,7 @@ func (e *Engine) startRun(until time.Duration, stopWhenFGDone bool) RunCursor {
 // identical Stats an uninterrupted one would.
 func (e *Engine) Resume(cur RunCursor) Stats { return e.run(cur) }
 
-// run drives the event core over the cursor's window and computes the
+// run drives the run loop over the cursor's window and computes the
 // run's Stats.
 func (e *Engine) run(cur RunCursor) Stats {
 	e.cursor = cur
@@ -166,9 +139,8 @@ func (e *Engine) run(cur RunCursor) Stats {
 func (e *Engine) finishRun(cur RunCursor) Stats {
 	ph := e.phone
 	ph.Monitor().Stop()
-	endSnap := ph.PMU().Snapshot()
 	dur := ph.Now() - cur.Start
-	instr := endSnap.Delta(pmu.SnapshotAt(cur.StartInstr, cur.StartCycles, cur.StartBus), pmu.Instructions)
+	instr := ph.PMU().Read(pmu.Instructions) - cur.StartInstr
 	st := Stats{
 		Duration:     dur,
 		EnergyJ:      ph.Monitor().EnergyJ(),

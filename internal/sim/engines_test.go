@@ -1,6 +1,6 @@
 package sim_test
 
-// Session-level golden equivalence: the event-queue core must reproduce
+// Session-level golden equivalence: the event core must reproduce
 // the literal reference loop (Engine.RunReference) bit for bit on every
 // observable surface of a full experiment session — summary JSON, the
 // controller's allocation log, and full-rate trace recordings. Like the
@@ -126,7 +126,8 @@ func TestEngineEquivalenceController(t *testing.T) {
 }
 
 // TestEngineEquivalenceGovernor: stock kernel governors, the fastest
-// actor cadence (20 ms sampling) — maximal event-queue churn.
+// actor cadence (20 ms sampling) — the most boundaries per simulated
+// second.
 func TestEngineEquivalenceGovernor(t *testing.T) {
 	checkEngineEquivalence(t, experiment.SessionSpec{
 		App: "wechat", Load: "HL", Governor: "interactive", Seed: 7,

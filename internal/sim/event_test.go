@@ -11,88 +11,6 @@ import (
 	"aspeo/internal/workload"
 )
 
-// --- eventQueue properties -------------------------------------------------
-
-// TestEventQueueStableFIFO: events pushed at the same timestamp pop in
-// push order, regardless of what else is in the heap.
-func TestEventQueueStableFIFO(t *testing.T) {
-	var q eventQueue
-	// Interleave two timestamps; within each, push order must survive.
-	for i := 0; i < 64; i++ {
-		q.Push(Event{At: time.Duration(i % 2), Actor: i})
-	}
-	var got [2][]int
-	for q.Len() > 0 {
-		ev := q.Pop()
-		got[ev.At] = append(got[ev.At], ev.Actor)
-	}
-	for at := 0; at < 2; at++ {
-		for j := 1; j < len(got[at]); j++ {
-			if got[at][j] <= got[at][j-1] {
-				t.Fatalf("t=%d: pop order %v not push order", at, got[at])
-			}
-		}
-		if len(got[at]) != 32 {
-			t.Fatalf("t=%d: popped %d events, want 32", at, len(got[at]))
-		}
-	}
-}
-
-// TestEventQueueOrderingRandomized: under seeded storms of interleaved
-// pushes and pops, every popped event is ordered by (At, Seq) — i.e.
-// non-decreasing in time, FIFO among equal timestamps — and nothing is
-// lost or invented.
-func TestEventQueueOrderingRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x57047))
-	for trial := 0; trial < 200; trial++ {
-		var q eventQueue
-		pushed, popped := 0, 0
-		var last Event
-		haveLast := false
-		// A small timestamp alphabet forces heavy collision; pops are
-		// interleaved with pushes so the heap shape is exercised at every
-		// size.
-		for op := 0; op < 500; op++ {
-			if q.Len() == 0 || rng.Intn(3) != 0 {
-				q.Push(Event{At: time.Duration(rng.Intn(8)) * time.Millisecond, Actor: pushed})
-				pushed++
-				continue
-			}
-			ev := q.Pop()
-			popped++
-			// Seq must be the unique global push index ordering; among
-			// still-queued events with equal At, the earliest Seq pops
-			// first, so consecutive pops with equal At have increasing Seq.
-			if haveLast && ev.At == last.At && ev.Seq <= last.Seq {
-				t.Fatalf("trial %d: FIFO violated at t=%v: seq %d after %d", trial, ev.At, ev.Seq, last.Seq)
-			}
-			// NOTE: across a push between two pops, At may step backward
-			// only if the push introduced an earlier event — which the heap
-			// must surface immediately. Verify against the queue minimum.
-			if q.Len() > 0 && q.less(q.Peek(), ev) {
-				t.Fatalf("trial %d: popped %v but %v still queued", trial, ev, q.Peek())
-			}
-			last, haveLast = ev, true
-		}
-		// Drain with no more pushes: now the pop sequence as a whole must
-		// be (At, Seq)-sorted. (During the interleaved phase a push could
-		// legitimately introduce an event earlier than the previous pop,
-		// so this global check only holds from here on.)
-		haveLast = false
-		for q.Len() > 0 {
-			ev := q.Pop()
-			popped++
-			if haveLast && (ev.At < last.At || (ev.At == last.At && ev.Seq <= last.Seq)) {
-				t.Fatalf("trial %d: drain out of order: %v after %v", trial, ev, last)
-			}
-			last, haveLast = ev, true
-		}
-		if popped != pushed {
-			t.Fatalf("trial %d: pushed %d, popped %d", trial, pushed, popped)
-		}
-	}
-}
-
 // --- event core vs the reference loop --------------------------------------
 
 // stormActor is a deterministic actor for randomized engine storms: a
@@ -141,8 +59,8 @@ func phoneStateJSON(t *testing.T, ph *Phone) []byte {
 	return b
 }
 
-// TestCrossBackendStormBitIdentity is the work-conservation and
-// monotonicity property test: randomized seeded actor storms (random
+// TestCrossBackendStormBitIdentity is the work-conservation property
+// test: randomized seeded actor storms (random
 // actor counts, periods, phase offsets through the LCG) run on the event
 // core, with its invariant enforcement enabled, and on the reference
 // loop; the complete device state plus Stats must match bit for bit.
@@ -178,7 +96,8 @@ func TestCrossBackendStormBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := NewEngineOpts(ph, Options{DebugInvariants: true})
+			eng := NewEngine(ph)
+			eng.SetDebugInvariants(true)
 			actors := make([]*stormActor, nActors)
 			for i := range actors {
 				actors[i] = &stormActor{
@@ -221,7 +140,8 @@ func TestInterruptBoundaryParity(t *testing.T) {
 	for _, polls := range []int{1, 3, 10, 57} {
 		run := func(reference bool) (time.Duration, Stats) {
 			ph := newTestPhone(t, workload.AngryBirds(), workload.BaselineLoad)
-			eng := NewEngineOpts(ph, Options{DebugInvariants: true})
+			eng := NewEngine(ph)
+			eng.SetDebugInvariants(true)
 			eng.MustRegister(&FixedConfigActor{FreqIdx: 4, BWIdx: 4})
 			n := 0
 			eng.SetInterrupt(func() bool {
@@ -244,5 +164,37 @@ func TestInterruptBoundaryParity(t *testing.T) {
 		if evSt != refSt {
 			t.Fatalf("polls=%d: stats diverge:\nevent     %+v\nreference %+v", polls, evSt, refSt)
 		}
+	}
+}
+
+// TestSubStepDeadlineParity: a run whose length is not a whole number of
+// steps ends on the step that crosses its deadline, as the reference
+// loop does. Its last boundary lies less than one step before the
+// deadline, and the span there must still advance the clock one step.
+func TestSubStepDeadlineParity(t *testing.T) {
+	run := func(reference bool) (time.Duration, Stats, []byte) {
+		ph := newTestPhone(t, workload.Spotify(), workload.BaselineLoad)
+		eng := NewEngine(ph)
+		eng.SetDebugInvariants(true)
+		eng.MustRegister(&FixedConfigActor{FreqIdx: 4, BWIdx: 4})
+		const until = 2*time.Second + 300*time.Microsecond
+		var st Stats
+		if reference {
+			st = eng.RunReference(until, false)
+		} else {
+			st = eng.Run(until, false)
+		}
+		return ph.Now(), st, phoneStateJSON(t, ph)
+	}
+	evNow, evSt, evState := run(false)
+	refNow, refSt, refState := run(true)
+	if evNow != refNow {
+		t.Fatalf("stop instant diverges: event %v reference %v", evNow, refNow)
+	}
+	if evSt != refSt {
+		t.Fatalf("stats diverge:\nevent     %+v\nreference %+v", evSt, refSt)
+	}
+	if string(evState) != string(refState) {
+		t.Fatalf("device state diverges:\nevent     %s\nreference %s", evState, refState)
 	}
 }

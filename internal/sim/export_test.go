@@ -2,14 +2,15 @@ package sim
 
 import "time"
 
-// SetDebugInvariants turns the event core's invariant enforcement on or
-// off after construction, for cells built by higher-level harnesses.
+// SetDebugInvariants turns the event core's invariant enforcement
+// (INV-WORK, event.go) on or off; every reference-equivalence test turns
+// it on.
 func (e *Engine) SetDebugInvariants(on bool) { e.debug = on }
 
 // RunReference is the oracle the event core is tested against: Run
 // written as the literal loop. Every step it scans the actors in
 // registration order, ticks those that are due, and advances the phone
-// by exactly one Step — no event queue, no closed-form spans. The
+// by exactly one Step — no boundary skipping, no closed-form spans. The
 // interrupt and checkpoint hooks are polled where the event core polls
 // them: at run entry and at every step where an actor is due. Any
 // difference between Run and RunReference on the same cell is an
@@ -43,7 +44,7 @@ func (e *Engine) RunReference(until time.Duration, stopWhenFGDone bool) Stats {
 				}
 			}
 		}
-		ph.Step(e.step)
+		ph.Step(DefaultStep)
 	}
 	return e.finishRun(cur)
 }

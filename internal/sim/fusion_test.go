@@ -23,7 +23,8 @@ func fusionCell(t *testing.T, spec *workload.Spec, load workload.BGLoad, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngineOpts(ph, Options{DebugInvariants: true})
+	eng := NewEngine(ph)
+	eng.SetDebugInvariants(true)
 	if err := governor.Defaults(eng); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,8 @@ func TestStepFusionConfigChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewEngineOpts(ph, Options{DebugInvariants: true})
+		eng := NewEngine(ph)
+		eng.SetDebugInvariants(true)
 		eng.MustRegister(&churnActor{})
 		if !fused {
 			return eng.RunReference(20*time.Second, false), ph

@@ -4,9 +4,10 @@
 // traffic, evaluates the power model, and exposes the same observation
 // and actuation surfaces software has on the real device — sysfs files,
 // PMU counters, load statistics and touch events. The Engine ticks the
-// periodic actors (governors, perf tool, controller) from an event queue
-// and integrates the quiescent intervals between their deadlines in
-// closed form, bit-identically to stepping them one at a time.
+// periodic actors (governors, perf tool, controller) at their deadlines,
+// found by scanning its one actor schedule, and integrates the quiescent
+// intervals between them in closed form, bit-identically to stepping
+// them one at a time.
 package sim
 
 import (
@@ -26,19 +27,6 @@ import (
 	"aspeo/internal/sysfs"
 	"aspeo/internal/trace"
 	"aspeo/internal/workload"
-)
-
-// Governor names understood by the cpufreq/devfreq trees. The canonical
-// definitions live in platform (they are part of the backend contract);
-// these aliases keep sim's historical spelling working.
-const (
-	GovInteractive  = platform.GovInteractive
-	GovOndemand     = platform.GovOndemand
-	GovUserspace    = platform.GovUserspace
-	GovPerformance  = platform.GovPerformance
-	GovPowersave    = platform.GovPowersave
-	GovCPUBWHwmon   = platform.GovCPUBWHwmon
-	GovConservative = platform.GovConservative
 )
 
 // Config bundles phone construction options.
@@ -89,7 +77,6 @@ type Phone struct {
 	// Cumulative telemetry counters (governors snapshot and diff).
 	cumMachineBusySec float64 // aggregate machine-busy seconds
 	cumBusyCoreSec    float64 // OS-visible busy core-seconds
-	cumTrafficBytes   float64
 	pendingTouches    int
 	freqChanges       int
 	bwChanges         int
@@ -185,7 +172,7 @@ func (p *Phone) buildSysfs() {
 		bwList += strconv.Itoa(int(s.BW(i).MBps())) + " "
 	}
 
-	p.fs.Create(sysfs.CPUScalingGovernor, GovInteractive, true)
+	p.fs.Create(sysfs.CPUScalingGovernor, platform.GovInteractive, true)
 	p.fs.Create(sysfs.CPUScalingSetSpeed, strconv.Itoa(freqKHz(s.Freq(0))), true)
 	p.fs.Create(sysfs.CPUAvailableFreqs, freqList, false)
 	p.fs.Create(sysfs.CPUAvailableGovs, "interactive ondemand conservative userspace performance powersave", false)
@@ -198,7 +185,7 @@ func (p *Phone) buildSysfs() {
 		return strconv.Itoa(freqKHz(s.Freq(p.freqIdx)))
 	})
 
-	p.fs.Create(sysfs.DevFreqGovernor, GovCPUBWHwmon, true)
+	p.fs.Create(sysfs.DevFreqGovernor, platform.GovCPUBWHwmon, true)
 	p.fs.Create(sysfs.DevFreqSetFreq, strconv.Itoa(int(s.BW(0).MBps())), true)
 	p.fs.Create(sysfs.DevFreqAvailFreqs, bwList, false)
 	p.fs.Create(sysfs.DevFreqAvailGovs, "cpubw_hwmon userspace performance powersave", false)
@@ -219,7 +206,7 @@ func (p *Phone) buildSysfs() {
 	// matching governor is "userspace", exactly like the kernel.
 	p.fs.OnWrite(sysfs.CPUScalingSetSpeed, func(_, _, val string) error {
 		gov, _ := p.fs.Read(sysfs.CPUScalingGovernor)
-		if gov != GovUserspace {
+		if gov != platform.GovUserspace {
 			return fmt.Errorf("scaling_setspeed: governor is %q, not userspace", gov)
 		}
 		khz, err := strconv.Atoi(val)
@@ -231,7 +218,7 @@ func (p *Phone) buildSysfs() {
 	})
 	p.fs.OnWrite(sysfs.DevFreqSetFreq, func(_, _, val string) error {
 		gov, _ := p.fs.Read(sysfs.DevFreqGovernor)
-		if gov != GovUserspace {
+		if gov != platform.GovUserspace {
 			return fmt.Errorf("devfreq set_freq: governor is %q, not userspace", gov)
 		}
 		mbps, err := strconv.Atoi(val)
@@ -380,8 +367,9 @@ func (p *Phone) CumMachineBusySec() float64 { return p.cumMachineBusySec }
 // CumBusyCoreSec returns cumulative OS-visible busy core-seconds.
 func (p *Phone) CumBusyCoreSec() float64 { return p.cumBusyCoreSec }
 
-// CumTrafficBytes returns cumulative DRAM traffic.
-func (p *Phone) CumTrafficBytes() float64 { return p.cumTrafficBytes }
+// CumTrafficBytes returns cumulative DRAM traffic: the PMU's bus-access
+// counter, which every step and span advances by the step's traffic.
+func (p *Phone) CumTrafficBytes() float64 { return p.pmu.Read(pmu.BusAccessBytes) }
 
 // AttachSpanSink installs the decision-trace sink RecordSpan forwards
 // to; nil detaches it. Observation only — attaching a sink never alters
@@ -532,7 +520,6 @@ func (p *Phone) Step(dt time.Duration) {
 
 	p.cumMachineBusySec += machineUsed
 	p.cumBusyCoreSec += activeSec + stalledSec
-	p.cumTrafficBytes += trafficBytes
 	p.lastStepIPS = instrRetired / dtSec
 
 	p.cpuHist.Add(p.freqIdx, dt)
@@ -549,7 +536,7 @@ func (p *Phone) Step(dt time.Duration) {
 			CumInstr:        p.pmu.Read(pmu.Instructions),
 			CumBusySec:      p.cumMachineBusySec,
 			CumCoreSec:      p.cumBusyCoreSec,
-			CumTrafficBytes: p.cumTrafficBytes,
+			CumTrafficBytes: p.pmu.Read(pmu.BusAccessBytes),
 			Touches:         p.pendingTouches - touchesBefore,
 		})
 	}
@@ -650,7 +637,6 @@ func (p *Phone) fastForwardSpan(dt time.Duration, k int) {
 	}
 	p.cumMachineBusySec = fpacc.AddK(p.cumMachineBusySec, pl.machineUsed, k)
 	p.cumBusyCoreSec = fpacc.AddK(p.cumBusyCoreSec, pl.coreSec, k)
-	p.cumTrafficBytes = fpacc.AddK(p.cumTrafficBytes, pl.traffic, k)
 	kd := time.Duration(k) * dt
 	p.cpuHist.Add(p.freqIdx, kd)
 	p.bwHist.Add(p.bwIdx, kd)

@@ -40,11 +40,11 @@ func TestDefaultsToNexus6AndDefaultGovernors(t *testing.T) {
 		t.Fatalf("SoC = %s", got)
 	}
 	gov, err := ph.FS().Read(sysfs.CPUScalingGovernor)
-	if err != nil || gov != GovInteractive {
+	if err != nil || gov != platform.GovInteractive {
 		t.Fatalf("cpu governor = %q, %v", gov, err)
 	}
 	gov, err = ph.FS().Read(sysfs.DevFreqGovernor)
-	if err != nil || gov != GovCPUBWHwmon {
+	if err != nil || gov != platform.GovCPUBWHwmon {
 		t.Fatalf("devfreq governor = %q, %v", gov, err)
 	}
 }
@@ -126,7 +126,7 @@ func TestUserspaceSysfsActuation(t *testing.T) {
 	if err := fs.Write(sysfs.CPUScalingSetSpeed, "1497600"); err == nil {
 		t.Fatal("setspeed must be rejected while governor != userspace")
 	}
-	if err := fs.Write(sysfs.CPUScalingGovernor, GovUserspace); err != nil {
+	if err := fs.Write(sysfs.CPUScalingGovernor, platform.GovUserspace); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Write(sysfs.CPUScalingSetSpeed, "1497600"); err != nil {
@@ -142,7 +142,7 @@ func TestUserspaceSysfsActuation(t *testing.T) {
 	if err := fs.Write(sysfs.DevFreqSetFreq, "3051"); err == nil {
 		t.Fatal("devfreq set_freq must be rejected while governor != userspace")
 	}
-	if err := fs.Write(sysfs.DevFreqGovernor, GovUserspace); err != nil {
+	if err := fs.Write(sysfs.DevFreqGovernor, platform.GovUserspace); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Write(sysfs.DevFreqSetFreq, "3051"); err != nil {
@@ -156,7 +156,7 @@ func TestUserspaceSysfsActuation(t *testing.T) {
 func TestSetSpeedRejectsGarbage(t *testing.T) {
 	ph := newTestPhone(t, workload.AngryBirds(), workload.NoLoad)
 	fs := ph.FS()
-	fs.Write(sysfs.CPUScalingGovernor, GovUserspace)
+	fs.Write(sysfs.CPUScalingGovernor, platform.GovUserspace)
 	if err := fs.Write(sysfs.CPUScalingSetSpeed, "fast"); err == nil {
 		t.Fatal("non-numeric setspeed must be rejected")
 	}

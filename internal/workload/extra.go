@@ -110,7 +110,7 @@ func VideoStream() *Spec {
 // SpotifyIdle models screen-off audio playback over a full hour: the
 // steady decode demand of Spotify's stream phase with no buffer-refill
 // jitter (σ = 0) and no song-change bursts. The demand trace is exactly
-// periodic, which is the idle-dominated regime where the event-queue
+// periodic, which is the idle-dominated regime where the event
 // engine's closed-form spans pay off: a whole controller quantum folds
 // into one O(log k) accumulator jump instead of k fused steps.
 func SpotifyIdle() *Spec {
