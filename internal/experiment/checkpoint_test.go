@@ -336,6 +336,59 @@ func TestKillRestoreFaultsGolden(t *testing.T) {
 	}, 3, nil)
 }
 
+// TestKillRestoreCommittedCheckpoints restores checkpoint files that an
+// earlier build of aspeo-run wrote — each the last snapshot of its run,
+// made by the command beside it — into a session built from the same
+// spec, and requires the resumed run's summary JSON to equal an
+// uninterrupted run's byte for byte. The files pin the checkpoint
+// format: never regenerate them.
+func TestKillRestoreCommittedCheckpoints(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		cmd  string
+		spec experiment.SessionSpec
+	}{
+		{
+			file: "ckpt_ebook_interactive_seed7.json",
+			cmd:  "aspeo-run -app ebook -governor interactive -seed 7 -checkpoint <file> -checkpoint-every 5",
+			spec: experiment.SessionSpec{App: "ebook", Load: "BL", Governor: "interactive", Seed: 7},
+		},
+		{
+			file: "ckpt_spotify_controller_quick_seed7.json",
+			cmd:  "aspeo-run -app spotify -controller -quick -seed 7 -checkpoint <file> -checkpoint-every 10",
+			spec: experiment.SessionSpec{App: "spotify", Load: "BL", Governor: "interactive",
+				Controller: true, Quick: true, Seed: 7},
+		},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			want, _ := runToEnd(t, tc.spec)
+			cell := new(experiment.CellState)
+			if err := ckpt.Load(ckpt.OS{}, filepath.Join("testdata", tc.file), "aspeo/session-cell", nil, cell); err != nil {
+				t.Fatal(err)
+			}
+			sess, err := experiment.NewSession(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.RestoreState(cell); err != nil {
+				t.Fatalf("restore %s (written by %q): %v", tc.file, tc.cmd, err)
+			}
+			if now := sess.Harness.Phone.Now(); now == 0 || now != cell.At {
+				t.Fatalf("restored phone clock %v, want the snapshot's %v", now, cell.At)
+			}
+			st := sess.Run(nil)
+			got, err := json.Marshal(report.NewRunSummary(sess, st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("run restored from %s (written by %q) diverged:\nuninterrupted: %s\nrestored:      %s",
+					tc.file, tc.cmd, want, got)
+			}
+		})
+	}
+}
+
 // TestCheckpointSinkFailureDoesNotKillRun: losing durability is counted,
 // not fatal — the session completes and reports the failures.
 func TestCheckpointSinkFailureDoesNotKillRun(t *testing.T) {
