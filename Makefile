@@ -1,7 +1,8 @@
 # CI entry points. `make ci` is what .github/workflows/ci.yml runs:
 # the gofmt gate, vet, build, the full test suite under the race
 # detector, the benchmark module's tests, the fault-campaign (with the
-# paper-campaign golden), record/replay, fleet control-plane,
+# paper-campaign golden), record/replay with both backends' platform
+# conformance suites, fleet control-plane,
 # decision-trace, chaos/kill-restore, event-core reference-equivalence,
 # scenario-generator and telemetry-pipeline smoke tests, and — when the
 # tools are on PATH — staticcheck and govulncheck.
@@ -52,9 +53,12 @@ smoke-faults:
 # The platform layer's acceptance path end to end: record a live run at
 # full rate, round-trip the trace through the JSON wire format, replay
 # it through platform/replay, and require the controller's allocation
-# sequence to match cycle for cycle.
+# sequence to match cycle for cycle. Then the contract of the
+# platform.Kernel both backends embed: the replay device and the
+# simulated phone must each pass the platformtest conformance suite.
 smoke-replay:
-	$(GO) test -count=1 -run=TestReplayGolden ./internal/platform/replay/
+	$(GO) test -count=1 -run='TestReplayGolden|TestReplayConformance' ./internal/platform/replay/
+	$(GO) test -count=1 -run=TestPhoneConformance ./internal/sim/
 
 # The fleet control plane end to end, under the race detector: start
 # the HTTP server, submit 8 sessions over the API, stream one, assert

@@ -618,7 +618,7 @@ func (c *Controller) buildValueStrings(dev platform.Device) {
 	s := dev.SoC()
 	c.freqVal = make([]string, len(s.CPUFreqs))
 	for i := range c.freqVal {
-		c.freqVal[i] = strconv.Itoa(int(s.Freq(i).GHz()*1e6 + 0.5))
+		c.freqVal[i] = strconv.Itoa(s.Freq(i).KHz())
 	}
 	c.bwVal = make([]string, len(s.MemBWs))
 	for i := range c.bwVal {

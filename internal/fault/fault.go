@@ -279,7 +279,7 @@ func (in *Injector) fireHijack(dev platform.Device, h Hijack) {
 		dev.SetFile(sysfs.CPUScalingMaxFreq, strconv.Itoa(h.MaxFreqKHz))
 		// msm_thermal clamps the running frequency too, not just the
 		// policy bound.
-		capIdx := dev.SoC().NearestFreqIdx(soc.Freq(float64(h.MaxFreqKHz) / 1e6))
+		capIdx := dev.SoC().NearestFreqIdx(soc.FreqFromKHz(h.MaxFreqKHz))
 		if dev.CurFreqIdx() > capIdx {
 			dev.SetFreqIdx(capIdx)
 		}

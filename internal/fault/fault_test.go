@@ -88,7 +88,7 @@ func TestHijackFiresOnSchedule(t *testing.T) {
 	}
 	maxIdx := len(ph.SoC().CPUFreqs) - 1
 	ph.SetFreqIdx(maxIdx)
-	capKHz := int(ph.SoC().Freq(2).GHz()*1e6 + 0.5)
+	capKHz := ph.SoC().Freq(2).KHz()
 
 	in := MustNewInjector(Plan{Hijacks: []Hijack{{
 		At: 2 * time.Second, MaxFreqKHz: capKHz, Repeat: 3 * time.Second,

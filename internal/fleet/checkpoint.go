@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"aspeo/internal/ckpt"
 	"aspeo/internal/experiment"
@@ -105,40 +104,14 @@ func (m *Manager) resubmit(meta checkpointMeta, cell *experiment.CellState) (Ses
 			break
 		}
 	}
-	s := &session{
+	return m.enqueue(&session{
 		id:          meta.ID,
 		seq:         meta.Seq,
 		cfg:         cfg,
-		cohortID:    m.pipe.CohortID(cfg.Cohort),
-		state:       StatePending,
-		submittedAt: time.Now(),
-		done:        make(chan struct{}),
 		resume:      cell,
 		baseAttempt: meta.Attempt,
 		restarts:    meta.Attempt,
-	}
-	sh := m.shardOf(s.id)
-	sh.mu.Lock()
-	if _, exists := sh.m[s.id]; exists {
-		sh.mu.Unlock()
-		return SessionView{}, fmt.Errorf("session %s already present", s.id)
-	}
-	sh.m[s.id] = s
-	sh.mu.Unlock()
-
-	if err := m.pool.SubmitIndexed(func(worker int) { m.runSession(worker, s) }); err != nil {
-		sh.mu.Lock()
-		delete(sh.m, s.id)
-		sh.mu.Unlock()
-		return SessionView{}, err
-	}
-	m.submitted.Add(1)
-	m.stPending.Add(1)
-	// The restored session re-arrives in this process's pipeline: the
-	// pre-crash pipeline state died with the process, so the arrival is
-	// counted anew here.
-	m.pipe.ObserveArrival(int(meta.Seq), s.cohortID, cfg.ArrivalS)
-	return s.view(), nil
+	})
 }
 
 // ReadyProblems reports why the manager is not ready to serve: draining,

@@ -332,17 +332,26 @@ func (m *Manager) Submit(cfg Config) (SessionView, error) {
 		return SessionView{}, err
 	}
 	seq := m.seq.Add(1)
-	s := &session{
-		id:          fmt.Sprintf("s-%06d", seq),
-		seq:         seq,
-		cfg:         cfg,
-		cohortID:    m.pipe.CohortID(cfg.Cohort),
-		state:       StatePending,
-		submittedAt: time.Now(),
-		done:        make(chan struct{}),
-	}
+	return m.enqueue(&session{id: fmt.Sprintf("s-%06d", seq), seq: seq, cfg: cfg})
+}
+
+// enqueue is the one path into the fleet, for new and restored
+// sessions alike: it makes s a pending session, registers it under its
+// id and hands it to the worker pool, taking it back out when the pool
+// refuses it (queue full, pool closed). An accepted session arrives in
+// the telemetry pipeline; a restored one arrives anew, because the
+// pre-crash pipeline state died with its process.
+func (m *Manager) enqueue(s *session) (SessionView, error) {
+	s.cohortID = m.pipe.CohortID(s.cfg.Cohort)
+	s.state = StatePending
+	s.submittedAt = time.Now()
+	s.done = make(chan struct{})
 	sh := m.shardOf(s.id)
 	sh.mu.Lock()
+	if _, exists := sh.m[s.id]; exists {
+		sh.mu.Unlock()
+		return SessionView{}, fmt.Errorf("session %s already present", s.id)
+	}
 	sh.m[s.id] = s
 	sh.mu.Unlock()
 
@@ -356,7 +365,7 @@ func (m *Manager) Submit(cfg Config) (SessionView, error) {
 	m.stPending.Add(1)
 	// Arrival partition is free to use any shard — arrivals are integer
 	// counts, so the merged rollup is identical either way.
-	m.pipe.ObserveArrival(int(seq), s.cohortID, cfg.ArrivalS)
+	m.pipe.ObserveArrival(int(s.seq), s.cohortID, s.cfg.ArrivalS)
 	return s.view(), nil
 }
 

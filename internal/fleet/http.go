@@ -252,20 +252,11 @@ func handleScenario(m *Manager, w http.ResponseWriter, r *http.Request) {
 // per line — every interval until the session lands in a terminal state
 // (the final view is always emitted) or the client goes away.
 func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
-	// Bound concurrent streams: each holds a connection and a goroutine
-	// for a session's whole life, so an unbounded count is a resource
-	// leak an impatient dashboard can trigger. Excess is shed, not
-	// queued — the client knows immediately and can back off.
-	select {
-	case m.streamSem <- struct{}{}:
-		defer func() { <-m.streamSem }()
-	default:
-		m.shedStreams.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests,
-			errorBody(fmt.Errorf("too many concurrent streams (max %d)", m.opts.maxStreams())))
+	interval, ok := streamInterval(w, r)
+	if !ok || !acquireStream(m, w) {
 		return
 	}
+	defer func() { <-m.streamSem }()
 	// A healthy stream lives far past the server-wide read/write
 	// timeouts: clear the read deadline (nothing more arrives from the
 	// client) and extend the write deadline per emit below.
@@ -276,15 +267,6 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, err)
 		return
-	}
-	interval := 500 * time.Millisecond
-	if q := r.URL.Query().Get("interval_ms"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 20 {
-			writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("interval_ms %q: want an integer >= 20", q)))
-			return
-		}
-		interval = time.Duration(ms) * time.Millisecond
 	}
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -333,29 +315,13 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 // the file a client saves replays offline into the exact live rollup
 // via `aspeo-trace rollup`.
 func handleTelemetry(m *Manager, w http.ResponseWriter, r *http.Request) {
-	// Telemetry streams share the session-stream semaphore: both hold a
-	// connection and a goroutine indefinitely, so they share the bound.
-	select {
-	case m.streamSem <- struct{}{}:
-		defer func() { <-m.streamSem }()
-	default:
-		m.shedStreams.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests,
-			errorBody(fmt.Errorf("too many concurrent streams (max %d)", m.opts.maxStreams())))
+	interval, ok := streamInterval(w, r)
+	if !ok || !acquireStream(m, w) {
 		return
 	}
+	defer func() { <-m.streamSem }()
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Time{})
-	interval := 500 * time.Millisecond
-	if q := r.URL.Query().Get("interval_ms"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 20 {
-			writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("interval_ms %q: want an integer >= 20", q)))
-			return
-		}
-		interval = time.Duration(ms) * time.Millisecond
-	}
 	ch, cancel := m.pipe.Subscribe(64)
 	defer cancel()
 	flusher, _ := w.(http.Flusher)
@@ -389,6 +355,53 @@ func handleTelemetry(m *Manager, w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		}
+	}
+}
+
+// The NDJSON streams' emit interval: 500 ms unless the interval_ms query
+// asks for another within [20 ms, 1 h]. The upper bound keeps the
+// interval far from overflowing a time.Duration, whose wrap to a
+// non-positive value would panic time.NewTicker after the 200 header
+// was already sent.
+const (
+	defaultStreamInterval = 500 * time.Millisecond
+	minStreamIntervalMS   = 20
+	maxStreamIntervalMS   = 3_600_000
+)
+
+// streamInterval parses a stream's interval_ms query. An invalid value
+// answers 400, before anything else is written, and reports false.
+func streamInterval(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
+	q := r.URL.Query().Get("interval_ms")
+	if q == "" {
+		return defaultStreamInterval, true
+	}
+	ms, err := strconv.Atoi(q)
+	if err != nil || ms < minStreamIntervalMS || ms > maxStreamIntervalMS {
+		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("interval_ms %q: want an integer in [%d, %d]",
+			q, minStreamIntervalMS, maxStreamIntervalMS)))
+		return 0, false
+	}
+	return time.Duration(ms) * time.Millisecond, true
+}
+
+// acquireStream takes one of the stream slots that session and
+// telemetry streams share. Each stream holds a connection and a
+// goroutine indefinitely, so an unbounded count is a resource leak an
+// impatient dashboard can trigger. Excess is shed, not queued: it
+// answers 429 with Retry-After, is counted, and reports false, so the
+// client knows immediately and can back off. The caller releases a
+// taken slot with <-m.streamSem.
+func acquireStream(m *Manager, w http.ResponseWriter) bool {
+	select {
+	case m.streamSem <- struct{}{}:
+		return true
+	default:
+		m.shedStreams.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests,
+			errorBody(fmt.Errorf("too many concurrent streams (max %d)", m.opts.maxStreams())))
+		return false
 	}
 }
 

@@ -246,3 +246,47 @@ func TestHugeArrivalScrapeAnswers(t *testing.T) {
 		t.Fatalf("scrape: status %d, body:\n%s", resp.StatusCode, body)
 	}
 }
+
+// Both NDJSON streams answer 400 to an interval_ms outside [20, 3600000]
+// before writing anything else. An oversized value used to overflow the
+// ticker's interval to a non-positive duration, so time.NewTicker
+// panicked after the 200 header had gone out.
+func TestStreamIntervalOutOfRange(t *testing.T) {
+	m := fleet.NewManager(fleet.Options{Workers: 1})
+	srv := httptest.NewServer(fleet.NewServer(m))
+	defer srv.Close()
+	// An hour-long session stays live, so a session stream that got past
+	// the check would reach its ticker after the first line.
+	v, err := m.Submit(fleet.Config{App: "spotify", RunForS: 3600000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := m.Stop(v.ID); err != nil {
+			t.Error(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, path := range []string{"/api/v1/telemetry", "/api/v1/sessions/" + v.ID + "/stream"} {
+		for _, q := range []string{"10000000000000", "99999999999999999999", "abc", "-5", "0", "19", "3600001"} {
+			resp, err := client.Get(srv.URL + path + "?interval_ms=" + q)
+			if err != nil {
+				t.Fatalf("GET %s?interval_ms=%s: %v", path, q, err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "interval_ms") {
+				t.Errorf("GET %s?interval_ms=%s: status %d, body %s; want 400 naming interval_ms",
+					path, q, resp.StatusCode, body)
+			}
+		}
+	}
+	if r := m.Rollup(); r.HTTPPanicsRecovered != 0 {
+		t.Errorf("http_panics_recovered = %d, want 0", r.HTTPPanicsRecovered)
+	}
+}

@@ -269,6 +269,3 @@ func (c *CPUFreq) Tick(now time.Duration, dev platform.Device) {
 // freqFromGHz converts a GHz value to the soc.Freq the ladder lookup
 // expects.
 func freqFromGHz(g float64) soc.Freq { return soc.Freq(g) }
-
-// khzToFreq converts a cpufreq kHz value to a ladder frequency.
-func khzToFreq(khz int) soc.Freq { return soc.Freq(float64(khz) / 1e6) }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aspeo/internal/platform"
+	"aspeo/internal/soc"
 	"aspeo/internal/sysfs"
 )
 
@@ -31,7 +32,7 @@ func (g *interactive) publishTunables(dev platform.Device) {
 	if dev.FileExists(TunableHispeedFreq) {
 		return
 	}
-	khz := int(dev.SoC().Freq(g.tun.HispeedFreqIdx).GHz()*1e6 + 0.5)
+	khz := dev.SoC().Freq(g.tun.HispeedFreqIdx).KHz()
 	entries := map[string]string{
 		TunableHispeedFreq:   strconv.Itoa(khz),
 		TunableGoHispeedLoad: strconv.Itoa(int(g.tun.GoHispeedLoad*100 + 0.5)),
@@ -62,7 +63,7 @@ func requirePositiveInt(path, _, val string) error {
 // writes take effect at the next evaluation.
 func (g *interactive) loadTunables(dev platform.Device) {
 	if v, ok := readInt(dev, TunableHispeedFreq); ok {
-		g.tun.HispeedFreqIdx = dev.SoC().NearestFreqIdx(khzToFreq(v))
+		g.tun.HispeedFreqIdx = dev.SoC().NearestFreqIdx(soc.FreqFromKHz(v))
 	}
 	if v, ok := readInt(dev, TunableGoHispeedLoad); ok {
 		g.tun.GoHispeedLoad = float64(v) / 100

@@ -8,7 +8,12 @@
 // Backends implement Device: internal/sim's Phone (the cycle-accurate
 // simulator), internal/platform/replay (a trace-driven device replaying
 // a recorded run), and — the design target — a future adb/sysfs backend
-// driving real Android hardware.
+// driving real Android hardware. The kernel side of a device is written
+// once, as Kernel: the cpufreq/devfreq tree with its userspace
+// setspeed protocol, the clamped ladder actuator under a thermal cap,
+// the touch queue and the span sink. Both backends embed it and add
+// only what they alone know: the clock, PMU, power rail, busy-time
+// counters and /proc files.
 //
 // Backend contract:
 //

@@ -125,7 +125,7 @@ func testSetSpeedProtocol(t *testing.T, f Fixture) {
 	if err := dev.WriteFile(sysfs.CPUScalingGovernor, platform.GovInteractive); err != nil {
 		t.Fatal(err)
 	}
-	khz := int(chip.Freq(1).GHz()*1e6 + 0.5)
+	khz := chip.Freq(1).KHz()
 	if err := dev.WriteFile(sysfs.CPUScalingSetSpeed, strconv.Itoa(khz)); err == nil {
 		t.Fatal("setspeed accepted under a non-userspace governor")
 	}

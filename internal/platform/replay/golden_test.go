@@ -91,7 +91,7 @@ func TestReplayGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayTrace := obs.NewTrace()
-	reng.AttachSpanSink(replayTrace)
+	reng.Device().(*replay.Device).AttachSpanSink(replayTrace)
 	replayed, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)

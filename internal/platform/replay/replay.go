@@ -13,8 +13,8 @@
 // cycle-for-cycle, with no simulation engine in the loop.
 //
 // Replay is open-loop: actuation (SetFreqIdx, sysfs writes) is accepted,
-// protocol-checked and tracked, but does not alter the recorded
-// trajectory. That is exactly what makes it useful — it separates "what
+// protocol-checked and tracked by the platform.Kernel the device embeds,
+// the simulator's own, but does not alter the recorded trajectory. That is exactly what makes it useful — it separates "what
 // did the policy decide" from "what did the platform do", and it is the
 // harness for regression-testing controller logic against traces
 // captured from other backends, including real hardware.
@@ -22,10 +22,8 @@ package replay
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
-	"aspeo/internal/obs"
 	"aspeo/internal/platform"
 	"aspeo/internal/pmu"
 	"aspeo/internal/soc"
@@ -33,25 +31,26 @@ import (
 	"aspeo/internal/trace"
 )
 
-// Device is the trace-driven platform.Device. It is a single-threaded
-// cell like every backend: not safe for concurrent use.
+// Device is the trace-driven platform.Device. Its kernel side — the
+// cpufreq/devfreq tree, the ladder actuator, the touch queue and the
+// span sink — is the embedded platform.Kernel the simulated phone
+// embeds too, so installers and governors see an identical tree and
+// actuation is tracked exactly as on the phone: protocol checks, clamps
+// and the thermal cap behave the same, but open-loop — actuation does
+// not change the recorded trajectory. It is a single-threaded cell like
+// every backend: not safe for concurrent use.
 type Device struct {
-	chip *soc.SoC
-	fs   *sysfs.FS
+	platform.Kernel
+
 	pts  []trace.Point
 	step time.Duration
 	cur  int // next step to replay; Now() is its start time
-
-	freqIdx        int
-	bwIdx          int
-	thermalCap     int
-	pendingTouches int
-	freqChanges    int
-	bwChanges      int
-	spanSink       obs.Sink // decision-trace sink; nil drops spans
 }
 
-var _ platform.Device = (*Device)(nil)
+var (
+	_ platform.Device      = (*Device)(nil)
+	_ platform.BatchWriter = (*Device)(nil)
+)
 
 // newDevice validates the trace and builds the device over it.
 func newDevice(pts []trace.Point, chip *soc.SoC) (*Device, error) {
@@ -80,83 +79,14 @@ func newDevice(pts []trace.Point, chip *soc.SoC) (*Device, error) {
 	if pts[len(pts)-1].CumInstr == 0 {
 		return nil, fmt.Errorf("replay: trace carries no cumulative counters (recorded by an older recorder, or via CSV?); re-record with WriteJSON")
 	}
-	d := &Device{chip: chip, fs: sysfs.New(), pts: pts, step: step, thermalCap: -1}
-	d.buildSysfs()
-	return d, nil
-}
-
-// buildSysfs registers the same cpufreq/devfreq file protocol the
-// simulated phone exposes, so installers and governors see an identical
-// tree: userspace actuation paths apply only under the userspace
-// governor, exactly like the kernel.
-func (d *Device) buildSysfs() {
-	s := d.chip
-	freqList, bwList := "", ""
-	for i := range s.CPUFreqs {
-		freqList += strconv.Itoa(freqKHz(s.Freq(i))) + " "
-	}
-	for i := range s.MemBWs {
-		bwList += strconv.Itoa(int(s.BW(i).MBps())) + " "
-	}
-
-	d.fs.Create(sysfs.CPUScalingGovernor, platform.GovInteractive, true)
-	d.fs.Create(sysfs.CPUScalingSetSpeed, strconv.Itoa(freqKHz(s.Freq(0))), true)
-	d.fs.Create(sysfs.CPUAvailableFreqs, freqList, false)
-	d.fs.Create(sysfs.CPUAvailableGovs, "interactive ondemand conservative userspace performance powersave", false)
-	d.fs.Create(sysfs.CPUScalingMinFreq, strconv.Itoa(freqKHz(s.Freq(0))), true)
-	d.fs.Create(sysfs.CPUScalingMaxFreq, strconv.Itoa(freqKHz(s.Freq(len(s.CPUFreqs)-1))), true)
-	d.fs.CreateDynamic(sysfs.CPUScalingCurFreq, func(string) string {
-		return strconv.Itoa(freqKHz(s.Freq(d.freqIdx)))
-	})
-	d.fs.CreateDynamic(sysfs.CPUInfoCurFreq, func(string) string {
-		return strconv.Itoa(freqKHz(s.Freq(d.freqIdx)))
-	})
-
-	d.fs.Create(sysfs.DevFreqGovernor, platform.GovCPUBWHwmon, true)
-	d.fs.Create(sysfs.DevFreqSetFreq, strconv.Itoa(int(s.BW(0).MBps())), true)
-	d.fs.Create(sysfs.DevFreqAvailFreqs, bwList, false)
-	d.fs.Create(sysfs.DevFreqAvailGovs, "cpubw_hwmon userspace performance powersave", false)
-	d.fs.Create(sysfs.DevFreqMinFreq, strconv.Itoa(int(s.BW(0).MBps())), true)
-	d.fs.Create(sysfs.DevFreqMaxFreq, strconv.Itoa(int(s.BW(len(s.MemBWs)-1).MBps())), true)
-	d.fs.CreateDynamic(sysfs.DevFreqCurFreq, func(string) string {
-		return strconv.Itoa(int(s.BW(d.bwIdx).MBps()))
-	})
-
+	d := &Device{pts: pts, step: step}
+	d.Kernel.Init(chip, nil)
 	// The trace does not carry the load model; the informational files
 	// exist (software probing them must not error) with quiescent values.
-	d.fs.Create(sysfs.ProcLoadAvg, "0.00 0.00 0.00 2/812 12345", false)
-	d.fs.Create(sysfs.ProcMemInfoFreeMB, "512", false)
-	d.fs.Create(sysfs.MPDecisionEnabled, "0", true)
-	d.fs.Create(sysfs.TouchBoostEnabled, "0", true)
-
-	d.fs.OnWrite(sysfs.CPUScalingSetSpeed, func(_, _, val string) error {
-		gov, _ := d.fs.Read(sysfs.CPUScalingGovernor)
-		if gov != platform.GovUserspace {
-			return fmt.Errorf("scaling_setspeed: governor is %q, not userspace", gov)
-		}
-		khz, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scaling_setspeed: %w", err)
-		}
-		d.SetFreqIdx(s.NearestFreqIdx(soc.Freq(float64(khz) / 1e6)))
-		return nil
-	})
-	d.fs.OnWrite(sysfs.DevFreqSetFreq, func(_, _, val string) error {
-		gov, _ := d.fs.Read(sysfs.DevFreqGovernor)
-		if gov != platform.GovUserspace {
-			return fmt.Errorf("devfreq set_freq: governor is %q, not userspace", gov)
-		}
-		mbps, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("devfreq set_freq: %w", err)
-		}
-		d.SetBWIdx(s.NearestBWIdx(soc.Bandwidth(mbps)))
-		return nil
-	})
+	d.FS().Create(sysfs.ProcLoadAvg, "0.00 0.00 0.00 2/812 12345", false)
+	d.FS().Create(sysfs.ProcMemInfoFreeMB, "512", false)
+	return d, nil
 }
-
-// freqKHz converts a ladder frequency to the kHz integer cpufreq uses.
-func freqKHz(f soc.Freq) int { return int(f.GHz()*1e6 + 0.5) }
 
 // observed returns the trace point whose counters are visible at the
 // current time: the one covering the step that just completed. Before
@@ -172,15 +102,10 @@ func (d *Device) observed() trace.Point {
 	return d.pts[i-1]
 }
 
-// advance replays one recorded step; it reports false once the trace is
-// exhausted.
-func (d *Device) advance() bool {
-	if d.cur >= len(d.pts) {
-		return false
-	}
-	d.pendingTouches += d.pts[d.cur].Touches
+// advance replays one recorded step; the trace must not be exhausted.
+func (d *Device) advance() {
+	d.AddTouches(d.pts[d.cur].Touches)
 	d.cur++
-	return true
 }
 
 // Done reports whether the whole trace has been replayed.
@@ -226,89 +151,6 @@ func (d *Device) LastCPUPowerW() float64 { return d.observed().CPUPowerW }
 // so one-shot instrumentation costs are already in the record.
 func (d *Device) AddOverlayEnergyJ(j float64) {}
 
-// --- platform.ConfigActuator ---
-//
-// Actuation is tracked (protocol checks, clamps and the thermal cap
-// behave exactly as on the phone) but open-loop: it does not change the
-// recorded trajectory.
-
-// SoC describes the chip's ladders.
-func (d *Device) SoC() *soc.SoC { return d.chip }
-
-// CurFreqIdx returns the last actuated CPU frequency index.
-func (d *Device) CurFreqIdx() int { return d.freqIdx }
-
-// CurBWIdx returns the last actuated bandwidth index.
-func (d *Device) CurBWIdx() int { return d.bwIdx }
-
-// SetFreqIdx tracks a CPU frequency request, clamped and bounded by an
-// active thermal cap like the kernel's thermal driver bounding
-// policy->max.
-func (d *Device) SetFreqIdx(i int) {
-	i = d.chip.ClampFreqIdx(i)
-	if d.thermalCap >= 0 && i > d.thermalCap {
-		i = d.thermalCap
-	}
-	if i != d.freqIdx {
-		d.freqIdx = i
-		d.freqChanges++
-	}
-}
-
-// SetBWIdx tracks a memory bandwidth vote.
-func (d *Device) SetBWIdx(i int) {
-	i = d.chip.ClampBWIdx(i)
-	if i != d.bwIdx {
-		d.bwIdx = i
-		d.bwChanges++
-	}
-}
-
-// SetThermalCapIdx bounds the tracked frequency; negative lifts the cap.
-func (d *Device) SetThermalCapIdx(i int) {
-	if i < 0 {
-		d.thermalCap = -1
-		return
-	}
-	d.thermalCap = d.chip.ClampFreqIdx(i)
-	if d.freqIdx > d.thermalCap {
-		d.SetFreqIdx(d.thermalCap)
-	}
-}
-
-// ThermalCapIdx returns the active cap, or -1 when none.
-func (d *Device) ThermalCapIdx() int { return d.thermalCap }
-
-// FreqChanges returns how many tracked frequency transitions actuation
-// requested during replay.
-func (d *Device) FreqChanges() int { return d.freqChanges }
-
-// BWChanges returns how many tracked bandwidth transitions actuation
-// requested during replay.
-func (d *Device) BWChanges() int { return d.bwChanges }
-
-// --- platform.SysfsView ---
-
-// ReadFile implements platform.SysfsView.
-func (d *Device) ReadFile(path string) (string, error) { return d.fs.Read(path) }
-
-// WriteFile implements platform.SysfsView (userspace semantics).
-func (d *Device) WriteFile(path, value string) error { return d.fs.Write(path, value) }
-
-// SetFile implements platform.SysfsView (root semantics).
-func (d *Device) SetFile(path, value string) { d.fs.Set(path, value) }
-
-// FileExists implements platform.SysfsView.
-func (d *Device) FileExists(path string) bool { return d.fs.Exists(path) }
-
-// CreateFile implements platform.SysfsView.
-func (d *Device) CreateFile(path, initial string, writable bool, hook sysfs.WriteHook) {
-	d.fs.Create(path, initial, writable)
-	if hook != nil {
-		d.fs.OnWrite(path, hook)
-	}
-}
-
 // --- platform.Telemetry ---
 
 // CumMachineBusySec returns the recorded cumulative machine-busy time.
@@ -319,27 +161,6 @@ func (d *Device) CumBusyCoreSec() float64 { return d.observed().CumCoreSec }
 
 // CumTrafficBytes returns the recorded cumulative DRAM traffic.
 func (d *Device) CumTrafficBytes() float64 { return d.observed().CumTrafficBytes }
-
-// TakeTouches drains the input events accumulated over the replayed
-// steps since the last call.
-func (d *Device) TakeTouches() int {
-	n := d.pendingTouches
-	d.pendingTouches = 0
-	return n
-}
-
-// AttachSpanSink installs the decision-trace sink RecordSpan forwards
-// to; nil detaches it. A replayed run traced through the same sink type
-// emits the identical span stream as the live run it replays.
-func (d *Device) AttachSpanSink(s obs.Sink) { d.spanSink = s }
-
-// RecordSpan forwards a decision-trace span to the attached sink, or
-// drops it when none is attached (platform.Telemetry).
-func (d *Device) RecordSpan(s obs.Span) {
-	if d.spanSink != nil {
-		d.spanSink.Emit(s)
-	}
-}
 
 // Engine drives actors over a replayed Device with the simulator's
 // scheduling semantics: actors tick at their period boundaries, in
@@ -370,10 +191,6 @@ func NewEngine(pts []trace.Point, chip *soc.SoC) (*Engine, error) {
 // Device implements platform.Runner.
 func (e *Engine) Device() platform.Device { return e.dev }
 
-// AttachSpanSink installs the decision-trace sink on the replayed
-// device (see Device.AttachSpanSink).
-func (e *Engine) AttachSpanSink(s obs.Sink) { e.dev.AttachSpanSink(s) }
-
 // Step returns the engine's scheduling quantum: the recorded step.
 func (e *Engine) Step() time.Duration { return e.dev.step }
 
@@ -398,7 +215,7 @@ func (e *Engine) Run(until time.Duration, stopWhenFGDone bool) platform.Stats {
 	start := dev.Now()
 	deadline := start + until
 	startInstr := dev.observed().CumInstr
-	fcAtStart, bwAtStart := dev.freqChanges, dev.bwChanges
+	fcAtStart, bwAtStart := dev.FreqChanges(), dev.BWChanges()
 
 	var energyJ, peakW float64
 	for dev.Now() < deadline && !dev.Done() {
@@ -410,9 +227,7 @@ func (e *Engine) Run(until time.Duration, stopWhenFGDone bool) platform.Stats {
 			}
 		}
 		stepPower := dev.pts[dev.cur].PowerW
-		if !dev.advance() {
-			break
-		}
+		dev.advance()
 		energyJ += stepPower * dev.step.Seconds()
 		if stepPower > peakW {
 			peakW = stepPower
@@ -426,8 +241,8 @@ func (e *Engine) Run(until time.Duration, stopWhenFGDone bool) platform.Stats {
 		EnergyJ:      energyJ,
 		PeakPowerW:   peakW,
 		Instructions: instr,
-		FreqChanges:  dev.freqChanges - fcAtStart,
-		BWChanges:    dev.bwChanges - bwAtStart,
+		FreqChanges:  dev.FreqChanges() - fcAtStart,
+		BWChanges:    dev.BWChanges() - bwAtStart,
 	}
 	if dur > 0 {
 		st.AvgPowerW = energyJ / dur.Seconds()

@@ -122,21 +122,20 @@ func (e *Engine) RestoreActors(states []ActorState) error {
 // Config (SoC tables, power model, sysfs wiring, step plan cache) is
 // excluded; everything that evolves during a run is here.
 type PhoneState struct {
-	Now        time.Duration `json:"now_ns"`
-	FreqIdx    int           `json:"freq_idx"`
-	BWIdx      int           `json:"bw_idx"`
-	ThermalCap int           `json:"thermal_cap"`
-	ScreenOn   bool          `json:"screen_on"`
-	WiFiOn     bool          `json:"wifi_on"`
+	// KernelState is the ladder position, transition counts, pending
+	// touches and every static sysfs file's value, the phone's /proc
+	// files included.
+	platform.KernelState
+
+	Now      time.Duration `json:"now_ns"`
+	ScreenOn bool          `json:"screen_on"`
+	WiFiOn   bool          `json:"wifi_on"`
 
 	// Tasks holds fg followed by bg, in the fixed construction order.
 	Tasks []workload.TaskState `json:"tasks"`
 
 	CumMachineBusySec float64 `json:"cum_machine_busy_sec"`
 	CumBusyCoreSec    float64 `json:"cum_busy_core_sec"`
-	PendingTouches    int     `json:"pending_touches"`
-	FreqChanges       int     `json:"freq_changes"`
-	BWChanges         int     `json:"bw_changes"`
 
 	PendingOverlayJ float64 `json:"pending_overlay_j"`
 	StandingOverlay float64 `json:"standing_overlay_w"`
@@ -153,10 +152,6 @@ type PhoneState struct {
 	Monitor monsoon.State            `json:"monitor"`
 	CPUHist histogram.ResidencyState `json:"cpu_hist"`
 	BWHist  histogram.ResidencyState `json:"bw_hist"`
-
-	// Sysfs holds every static file's stored value. Dynamic (read-hook)
-	// files derive their content from the state above and are excluded.
-	Sysfs map[string]string `json:"sysfs"`
 }
 
 // CheckpointState captures the phone. It refuses when a full-rate trace
@@ -168,18 +163,14 @@ func (p *Phone) CheckpointState() (PhoneState, error) {
 		return PhoneState{}, fmt.Errorf("sim: checkpoint unsupported with trace recording enabled (TraceEvery > 0)")
 	}
 	s := PhoneState{
-		Now:        p.now,
-		FreqIdx:    p.freqIdx,
-		BWIdx:      p.bwIdx,
-		ThermalCap: p.thermalCap,
-		ScreenOn:   p.screenOn,
-		WiFiOn:     p.wifiOn,
+		KernelState: p.Kernel.State(),
+
+		Now:      p.now,
+		ScreenOn: p.screenOn,
+		WiFiOn:   p.wifiOn,
 
 		CumMachineBusySec: p.cumMachineBusySec,
 		CumBusyCoreSec:    p.cumBusyCoreSec,
-		PendingTouches:    p.pendingTouches,
-		FreqChanges:       p.freqChanges,
-		BWChanges:         p.bwChanges,
 
 		PendingOverlayJ: p.pendingOverlayJ,
 		StandingOverlay: p.standingOverlay,
@@ -192,7 +183,6 @@ func (p *Phone) CheckpointState() (PhoneState, error) {
 		Monitor: p.mon.State(),
 		CPUHist: p.cpuHist.State(),
 		BWHist:  p.bwHist.State(),
-		Sysfs:   p.fs.Export(),
 	}
 	s.PMUInstr, s.PMUCycles, s.PMUBus = p.pmu.Snapshot().Values()
 	s.Tasks = make([]workload.TaskState, len(p.tasks))
@@ -214,11 +204,8 @@ func (p *Phone) RestoreState(s PhoneState) error {
 	if len(s.Tasks) != len(p.tasks) {
 		return fmt.Errorf("sim: restore %d task states into %d tasks", len(s.Tasks), len(p.tasks))
 	}
-	if s.FreqIdx < 0 || s.FreqIdx >= len(p.soc.CPUFreqs) {
-		return fmt.Errorf("sim: restore freq index %d out of %d", s.FreqIdx, len(p.soc.CPUFreqs))
-	}
-	if s.BWIdx < 0 || s.BWIdx >= len(p.soc.MemBWs) {
-		return fmt.Errorf("sim: restore bw index %d out of %d", s.BWIdx, len(p.soc.MemBWs))
+	if err := p.Kernel.Restore(s.KernelState); err != nil {
+		return fmt.Errorf("sim: restore: %w", err)
 	}
 	for i, t := range p.tasks {
 		if err := t.Restore(s.Tasks[i]); err != nil {
@@ -231,22 +218,13 @@ func (p *Phone) RestoreState(s PhoneState) error {
 	if err := p.bwHist.Restore(s.BWHist); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
-	if err := p.fs.RestoreValues(s.Sysfs); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
-	}
 
 	p.now = s.Now
-	p.freqIdx = s.FreqIdx
-	p.bwIdx = s.BWIdx
-	p.thermalCap = s.ThermalCap
 	p.screenOn = s.ScreenOn
 	p.wifiOn = s.WiFiOn
 
 	p.cumMachineBusySec = s.CumMachineBusySec
 	p.cumBusyCoreSec = s.CumBusyCoreSec
-	p.pendingTouches = s.PendingTouches
-	p.freqChanges = s.FreqChanges
-	p.bwChanges = s.BWChanges
 
 	p.pendingOverlayJ = s.PendingOverlayJ
 	p.standingOverlay = s.StandingOverlay

@@ -3,11 +3,13 @@
 // memory bandwidth) configuration, accounts core time and memory
 // traffic, evaluates the power model, and exposes the same observation
 // and actuation surfaces software has on the real device — sysfs files,
-// PMU counters, load statistics and touch events. The Engine ticks the
-// periodic actors (governors, perf tool, controller) at their deadlines,
-// found by scanning its one actor schedule, and integrates the quiescent
-// intervals between them in closed form, bit-identically to stepping
-// them one at a time.
+// PMU counters, load statistics and touch events. Its kernel side (the
+// sysfs tree, the ladder actuator, the touch queue and the span sink) is
+// the platform.Kernel it embeds, the one the replay backend embeds too.
+// The Engine ticks the periodic actors (governors, perf tool,
+// controller) at their deadlines, found by scanning its one actor
+// schedule, and integrates the quiescent intervals between them in
+// closed form, bit-identically to stepping them one at a time.
 package sim
 
 import (
@@ -18,7 +20,6 @@ import (
 	"aspeo/internal/fpacc"
 	"aspeo/internal/histogram"
 	"aspeo/internal/monsoon"
-	"aspeo/internal/obs"
 	"aspeo/internal/perfmodel"
 	"aspeo/internal/platform"
 	"aspeo/internal/pmu"
@@ -48,18 +49,19 @@ type Config struct {
 	TraceEvery time.Duration
 }
 
-// Phone is the simulated device.
+// Phone is the simulated device. Its kernel side — the cpufreq/devfreq
+// tree, the ladder actuator, the touch queue and the span sink — is the
+// embedded platform.Kernel it shares with every backend; the phone adds
+// the machine that executes the workload under the kernel's ladder
+// position, and its own /proc files.
 type Phone struct {
-	soc   *soc.SoC
-	fs    *sysfs.FS
+	platform.Kernel
+
 	model *power.Model
 	pmu   *pmu.PMU
 	mon   *monsoon.Monitor
 
-	freqIdx    int
-	bwIdx      int
-	thermalCap int // max allowed freq index (thermal driver); -1 = none
-	load       workload.BGLoad
+	load workload.BGLoad
 
 	screenOn bool
 	wifiOn   bool
@@ -77,10 +79,6 @@ type Phone struct {
 	// Cumulative telemetry counters (governors snapshot and diff).
 	cumMachineBusySec float64 // aggregate machine-busy seconds
 	cumBusyCoreSec    float64 // OS-visible busy core-seconds
-	pendingTouches    int
-	freqChanges       int
-	bwChanges         int
-	spanSink          obs.Sink // decision-trace sink; nil drops spans
 
 	// Per-step transient state.
 	pendingOverlayJ float64 // one-shot overlay energy charged to the next step
@@ -123,19 +121,26 @@ func NewPhone(cfg Config) (*Phone, error) {
 	}
 
 	p := &Phone{
-		thermalCap: -1,
-		soc:        cfg.SoC,
-		fs:         sysfs.New(),
-		model:      model,
-		pmu:        pmu.New(),
-		mon:        monsoon.Default(),
-		load:       cfg.Load,
-		screenOn:   cfg.ScreenOn,
-		wifiOn:     cfg.WiFiOn,
-		fg:         workload.NewTask(cfg.Foreground, cfg.Seed),
-		cpuHist:    histogram.New("cpu-frequency residency", len(cfg.SoC.CPUFreqs)),
-		bwHist:     histogram.New("memory-bandwidth residency", len(cfg.SoC.MemBWs)),
+		model:    model,
+		pmu:      pmu.New(),
+		mon:      monsoon.Default(),
+		load:     cfg.Load,
+		screenOn: cfg.ScreenOn,
+		wifiOn:   cfg.WiFiOn,
+		fg:       workload.NewTask(cfg.Foreground, cfg.Seed),
+		cpuHist:  histogram.New("cpu-frequency residency", len(cfg.SoC.CPUFreqs)),
+		bwHist:   histogram.New("memory-bandwidth residency", len(cfg.SoC.MemBWs)),
 	}
+	// Paper §V-A1 reports a 14 mW average actuation overhead while the
+	// controller runs (a handful of transitions per 2 s cycle); that
+	// corresponds to a few millijoules per CPU frequency transition,
+	// charged to the next step whichever path requested it.
+	p.Kernel.Init(cfg.SoC, func() { p.pendingOverlayJ += 5e-3 })
+	// The kernel does not know the load model; /proc reports it.
+	p.FS().CreateDynamic(sysfs.ProcLoadAvg, func(string) string {
+		return fmt.Sprintf("%.2f %.2f %.2f 2/812 12345", p.load.LoadAvg(), p.load.LoadAvg(), p.load.LoadAvg())
+	})
+	p.FS().Create(sysfs.ProcMemInfoFreeMB, strconv.Itoa(p.load.FreeMemMB()), false)
 	bgSpecs := workload.Background(cfg.Load, cfg.Foreground.Name)
 	for _, spec := range cfg.ExtraBackground {
 		if spec == nil {
@@ -156,90 +161,10 @@ func NewPhone(cfg Config) (*Phone, error) {
 	if cfg.TraceEvery > 0 {
 		p.rec = trace.NewRecorder(cfg.TraceEvery)
 	}
-	p.buildSysfs()
 	return p, nil
 }
 
-// buildSysfs registers the cpufreq/devfreq file protocol.
-func (p *Phone) buildSysfs() {
-	s := p.soc
-	freqList := ""
-	for i := range s.CPUFreqs {
-		freqList += strconv.Itoa(freqKHz(s.Freq(i))) + " "
-	}
-	bwList := ""
-	for i := range s.MemBWs {
-		bwList += strconv.Itoa(int(s.BW(i).MBps())) + " "
-	}
-
-	p.fs.Create(sysfs.CPUScalingGovernor, platform.GovInteractive, true)
-	p.fs.Create(sysfs.CPUScalingSetSpeed, strconv.Itoa(freqKHz(s.Freq(0))), true)
-	p.fs.Create(sysfs.CPUAvailableFreqs, freqList, false)
-	p.fs.Create(sysfs.CPUAvailableGovs, "interactive ondemand conservative userspace performance powersave", false)
-	p.fs.Create(sysfs.CPUScalingMinFreq, strconv.Itoa(freqKHz(s.Freq(0))), true)
-	p.fs.Create(sysfs.CPUScalingMaxFreq, strconv.Itoa(freqKHz(s.Freq(len(s.CPUFreqs)-1))), true)
-	p.fs.CreateDynamic(sysfs.CPUScalingCurFreq, func(string) string {
-		return strconv.Itoa(freqKHz(s.Freq(p.freqIdx)))
-	})
-	p.fs.CreateDynamic(sysfs.CPUInfoCurFreq, func(string) string {
-		return strconv.Itoa(freqKHz(s.Freq(p.freqIdx)))
-	})
-
-	p.fs.Create(sysfs.DevFreqGovernor, platform.GovCPUBWHwmon, true)
-	p.fs.Create(sysfs.DevFreqSetFreq, strconv.Itoa(int(s.BW(0).MBps())), true)
-	p.fs.Create(sysfs.DevFreqAvailFreqs, bwList, false)
-	p.fs.Create(sysfs.DevFreqAvailGovs, "cpubw_hwmon userspace performance powersave", false)
-	p.fs.Create(sysfs.DevFreqMinFreq, strconv.Itoa(int(s.BW(0).MBps())), true)
-	p.fs.Create(sysfs.DevFreqMaxFreq, strconv.Itoa(int(s.BW(len(s.MemBWs)-1).MBps())), true)
-	p.fs.CreateDynamic(sysfs.DevFreqCurFreq, func(string) string {
-		return strconv.Itoa(int(s.BW(p.bwIdx).MBps()))
-	})
-
-	p.fs.CreateDynamic(sysfs.ProcLoadAvg, func(string) string {
-		return fmt.Sprintf("%.2f %.2f %.2f 2/812 12345", p.load.LoadAvg(), p.load.LoadAvg(), p.load.LoadAvg())
-	})
-	p.fs.Create(sysfs.ProcMemInfoFreeMB, strconv.Itoa(p.load.FreeMemMB()), false)
-	p.fs.Create(sysfs.MPDecisionEnabled, "0", true) // hotplug disabled, as in §IV-A
-	p.fs.Create(sysfs.TouchBoostEnabled, "0", true) // kernel touch boost disabled
-
-	// Userspace actuation paths: writing setspeed applies only when the
-	// matching governor is "userspace", exactly like the kernel.
-	p.fs.OnWrite(sysfs.CPUScalingSetSpeed, func(_, _, val string) error {
-		gov, _ := p.fs.Read(sysfs.CPUScalingGovernor)
-		if gov != platform.GovUserspace {
-			return fmt.Errorf("scaling_setspeed: governor is %q, not userspace", gov)
-		}
-		khz, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scaling_setspeed: %w", err)
-		}
-		p.SetFreqIdx(p.soc.NearestFreqIdx(soc.Freq(float64(khz) / 1e6)))
-		return nil
-	})
-	p.fs.OnWrite(sysfs.DevFreqSetFreq, func(_, _, val string) error {
-		gov, _ := p.fs.Read(sysfs.DevFreqGovernor)
-		if gov != platform.GovUserspace {
-			return fmt.Errorf("devfreq set_freq: governor is %q, not userspace", gov)
-		}
-		mbps, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("devfreq set_freq: %w", err)
-		}
-		p.SetBWIdx(p.soc.NearestBWIdx(soc.Bandwidth(mbps)))
-		return nil
-	})
-}
-
-// freqKHz converts a ladder frequency to the kHz integer cpufreq uses.
-func freqKHz(f soc.Freq) int { return int(f.GHz()*1e6 + 0.5) }
-
 // --- Accessors ---
-
-// SoC returns the chip description.
-func (p *Phone) SoC() *soc.SoC { return p.soc }
-
-// FS returns the sysfs tree.
-func (p *Phone) FS() *sysfs.FS { return p.fs }
 
 // PMU returns the hardware counters.
 func (p *Phone) PMU() *pmu.PMU { return p.pmu }
@@ -249,12 +174,6 @@ func (p *Phone) Monitor() *monsoon.Monitor { return p.mon }
 
 // Now returns the simulation clock.
 func (p *Phone) Now() time.Duration { return p.now }
-
-// CurFreqIdx returns the current CPU frequency ladder index.
-func (p *Phone) CurFreqIdx() int { return p.freqIdx }
-
-// CurBWIdx returns the current bandwidth ladder index.
-func (p *Phone) CurBWIdx() int { return p.bwIdx }
 
 // Foreground returns the foreground task.
 func (p *Phone) Foreground() *workload.Task { return p.fg }
@@ -271,63 +190,8 @@ func (p *Phone) BWHistogram() *histogram.Residency { return p.bwHist }
 // Recorder returns the trace recorder (nil when tracing is disabled).
 func (p *Phone) Recorder() *trace.Recorder { return p.rec }
 
-// FreqChanges returns how many CPU frequency transitions happened.
-func (p *Phone) FreqChanges() int { return p.freqChanges }
-
-// BWChanges returns how many bandwidth transitions happened.
-func (p *Phone) BWChanges() int { return p.bwChanges }
-
 // LastPowerW returns the device power of the last step.
 func (p *Phone) LastPowerW() float64 { return p.lastPowerW }
-
-// LastStepGIPS returns the instantaneous performance of the last step.
-func (p *Phone) LastStepGIPS() float64 { return p.lastStepIPS / 1e9 }
-
-// --- Actuation (governors and sysfs hooks call these) ---
-
-// SetFreqIdx changes the CPU frequency (all four cores, as in §IV-A).
-// A thermal cap, when set, bounds the request like the kernel's thermal
-// driver bounding policy->max.
-func (p *Phone) SetFreqIdx(i int) {
-	i = p.soc.ClampFreqIdx(i)
-	if p.thermalCap >= 0 && i > p.thermalCap {
-		i = p.thermalCap
-	}
-	if i != p.freqIdx {
-		p.freqIdx = i
-		p.freqChanges++
-		// Paper §V-A1 reports a 14 mW average actuation overhead while
-		// the controller runs (a handful of transitions per 2 s cycle);
-		// that corresponds to a few millijoules per transition.
-		p.pendingOverlayJ += 5e-3
-	}
-}
-
-// SetBWIdx changes the memory bandwidth vote.
-func (p *Phone) SetBWIdx(i int) {
-	i = p.soc.ClampBWIdx(i)
-	if i != p.bwIdx {
-		p.bwIdx = i
-		p.bwChanges++
-	}
-}
-
-// SetThermalCapIdx bounds the CPU frequency to ladder index i (the
-// thermal driver's mitigation); pass a negative value to lift the cap.
-// An active cap is applied immediately.
-func (p *Phone) SetThermalCapIdx(i int) {
-	if i < 0 {
-		p.thermalCap = -1
-		return
-	}
-	p.thermalCap = p.soc.ClampFreqIdx(i)
-	if p.freqIdx > p.thermalCap {
-		p.SetFreqIdx(p.thermalCap)
-	}
-}
-
-// ThermalCapIdx returns the active cap, or -1 when none.
-func (p *Phone) ThermalCapIdx() int { return p.thermalCap }
 
 // LastCPUPowerW returns the CPU component (dynamic + leakage) of the last
 // step's power — the heat source for thermal models.
@@ -339,23 +203,6 @@ func (p *Phone) AddOverlayEnergyJ(j float64) {
 	if j > 0 {
 		p.pendingOverlayJ += j
 	}
-}
-
-// SetStandingOverlayW sets a persistent instrumentation power draw
-// (e.g. the perf tool's sampling cost).
-func (p *Phone) SetStandingOverlayW(w float64) { p.standingOverlay = w }
-
-// SetPerfOverheadFrac reserves a fraction of machine time for the perf
-// tool's own computation (40% at a 100 ms sampling period, 4% at 1 s —
-// paper §IV-B).
-func (p *Phone) SetPerfOverheadFrac(f float64) {
-	if f < 0 {
-		f = 0
-	}
-	if f > 0.9 {
-		f = 0.9
-	}
-	p.perfOverheadCPU = f
 }
 
 // --- Telemetry (governors snapshot and diff) ---
@@ -371,26 +218,6 @@ func (p *Phone) CumBusyCoreSec() float64 { return p.cumBusyCoreSec }
 // counter, which every step and span advances by the step's traffic.
 func (p *Phone) CumTrafficBytes() float64 { return p.pmu.Read(pmu.BusAccessBytes) }
 
-// AttachSpanSink installs the decision-trace sink RecordSpan forwards
-// to; nil detaches it. Observation only — attaching a sink never alters
-// the simulation's trajectory.
-func (p *Phone) AttachSpanSink(s obs.Sink) { p.spanSink = s }
-
-// RecordSpan forwards a decision-trace span to the attached sink, or
-// drops it when none is attached (platform.Telemetry).
-func (p *Phone) RecordSpan(s obs.Span) {
-	if p.spanSink != nil {
-		p.spanSink.Emit(s)
-	}
-}
-
-// TakeTouches drains and returns pending input events.
-func (p *Phone) TakeTouches() int {
-	n := p.pendingTouches
-	p.pendingTouches = 0
-	return n
-}
-
 // FGDone reports whether the foreground task completed.
 func (p *Phone) FGDone() bool { return p.fg.Done() }
 
@@ -405,10 +232,11 @@ func (p *Phone) FGDone() bool { return p.fg.Done() }
 // verbatim while the workload's SpanBound contract proves they cannot
 // change.
 func (p *Phone) Step(dt time.Duration) {
-	s := p.soc
-	f := s.Freq(p.freqIdx)
-	v := s.Voltage(p.freqIdx)
-	bw := s.BW(p.bwIdx)
+	s := p.SoC()
+	freqIdx, bwIdx := p.CurFreqIdx(), p.CurBWIdx()
+	f := s.Freq(freqIdx)
+	v := s.Voltage(freqIdx)
+	bw := s.BW(bwIdx)
 	dtSec := dt.Seconds()
 
 	// The perf tool eats a slice of the machine before apps run.
@@ -435,8 +263,7 @@ func (p *Phone) Step(dt time.Duration) {
 		p.plan.tasks = p.plan.tasks[:0]
 	}
 
-	touchesBefore := p.pendingTouches
-
+	touches := 0
 	for _, task := range p.tasks {
 		if task.Done() {
 			if capture {
@@ -475,7 +302,7 @@ func (p *Phone) Step(dt time.Duration) {
 			})
 		}
 		task.Advance(exec, dt)
-		p.pendingTouches += task.Touches(dt)
+		touches += task.Touches(dt)
 		if avail <= 0 {
 			avail = 0
 		}
@@ -513,6 +340,7 @@ func (p *Phone) Step(dt time.Duration) {
 	p.lastPowerW = bd.Total()
 	p.lastCPUPowerW = bd.CPUDynamic + bd.CPULeak
 	p.pendingOverlayJ = 0
+	p.AddTouches(touches)
 
 	p.pmu.Add(pmu.Instructions, instrRetired)
 	p.pmu.Add(pmu.Cycles, activeSec*f.Hz())
@@ -522,22 +350,22 @@ func (p *Phone) Step(dt time.Duration) {
 	p.cumBusyCoreSec += activeSec + stalledSec
 	p.lastStepIPS = instrRetired / dtSec
 
-	p.cpuHist.Add(p.freqIdx, dt)
-	p.bwHist.Add(p.bwIdx, dt)
+	p.cpuHist.Add(freqIdx, dt)
+	p.bwHist.Add(bwIdx, dt)
 	p.mon.Observe(p.lastPowerW, dt)
 	if p.rec != nil {
 		// T is the step's start time; the cumulative counters are their
 		// values AFTER the step — i.e. the PMU/telemetry state an actor
 		// observes at time T+dt. Replay backends rely on this offset.
 		p.rec.Observe(trace.Point{
-			T: p.now, FreqIdx: p.freqIdx, BWIdx: p.bwIdx,
+			T: p.now, FreqIdx: freqIdx, BWIdx: bwIdx,
 			PowerW: p.lastPowerW, GIPS: p.lastStepIPS / 1e9,
 			CPUPowerW:       p.lastCPUPowerW,
 			CumInstr:        p.pmu.Read(pmu.Instructions),
 			CumBusySec:      p.cumMachineBusySec,
 			CumCoreSec:      p.cumBusyCoreSec,
 			CumTrafficBytes: p.pmu.Read(pmu.BusAccessBytes),
-			Touches:         p.pendingTouches - touchesBefore,
+			Touches:         touches,
 		})
 	}
 	p.now += dt
@@ -545,8 +373,8 @@ func (p *Phone) Step(dt time.Duration) {
 	if capture {
 		p.plan.valid = true
 		p.plan.dt = dt
-		p.plan.freqIdx = p.freqIdx
-		p.plan.bwIdx = p.bwIdx
+		p.plan.freqIdx = freqIdx
+		p.plan.bwIdx = bwIdx
 		p.plan.perfFrac = p.perfOverheadCPU
 		p.plan.standingW = p.standingOverlay
 		p.plan.machineUsed = machineUsed
@@ -595,7 +423,7 @@ func (p *Phone) planReady(dt time.Duration) bool {
 	pl := &p.plan
 	return pl.valid && p.rec == nil &&
 		pl.dt == dt &&
-		pl.freqIdx == p.freqIdx && pl.bwIdx == p.bwIdx &&
+		pl.freqIdx == p.CurFreqIdx() && pl.bwIdx == p.CurBWIdx() &&
 		pl.perfFrac == p.perfOverheadCPU && pl.standingW == p.standingOverlay &&
 		p.pendingOverlayJ == 0
 }
@@ -632,14 +460,14 @@ func (p *Phone) fastForwardSpan(dt time.Duration, k int) {
 	pl := &p.plan
 	for i := range pl.tasks {
 		if ft := &pl.tasks[i]; !ft.sp.Done {
-			p.pendingTouches += ft.task.AdvanceSpan(ft.sp.Exec, dt, k)
+			p.AddTouches(ft.task.AdvanceSpan(ft.sp.Exec, dt, k))
 		}
 	}
 	p.cumMachineBusySec = fpacc.AddK(p.cumMachineBusySec, pl.machineUsed, k)
 	p.cumBusyCoreSec = fpacc.AddK(p.cumBusyCoreSec, pl.coreSec, k)
 	kd := time.Duration(k) * dt
-	p.cpuHist.Add(p.freqIdx, kd)
-	p.bwHist.Add(p.bwIdx, kd)
+	p.cpuHist.Add(pl.freqIdx, kd)
+	p.bwHist.Add(pl.bwIdx, kd)
 	p.pmu.AddSpan(pmu.Instructions, pl.instr, k)
 	p.pmu.AddSpan(pmu.Cycles, pl.cycles, k)
 	p.pmu.AddSpan(pmu.BusAccessBytes, pl.traffic, k)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -222,7 +223,7 @@ func TestBGLoadAddsWorkAndPower(t *testing.T) {
 func TestPerfOverheadReducesCapacity(t *testing.T) {
 	run := func(overhead float64) Stats {
 		ph := newTestPhone(t, workload.VidCon(), workload.NoLoad)
-		ph.SetPerfOverheadFrac(overhead)
+		ph.SetPerfOverhead(overhead, 0)
 		eng := NewEngine(ph)
 		eng.MustRegister(&FixedConfigActor{FreqIdx: 17, BWIdx: 12})
 		return eng.Run(20*time.Second, false)
@@ -237,8 +238,8 @@ func TestPerfOverheadReducesCapacity(t *testing.T) {
 
 func TestPerfOverheadClamped(t *testing.T) {
 	ph := newTestPhone(t, workload.VidCon(), workload.NoLoad)
-	ph.SetPerfOverheadFrac(-1)
-	ph.SetPerfOverheadFrac(2) // clamps to 0.9, must not panic or wedge
+	ph.SetPerfOverhead(-1, 0)
+	ph.SetPerfOverhead(2, 0) // clamps to 0.9, must not panic or wedge
 	ph.Step(time.Millisecond)
 }
 
@@ -262,6 +263,28 @@ func TestFreqChangeAccounting(t *testing.T) {
 	ph.SetBWIdx(-4)
 	if got := ph.CurBWIdx(); got != 0 {
 		t.Fatalf("clamped bw = %d", got)
+	}
+}
+
+// Every CPU frequency transition charges the §V-A1 actuation energy to
+// the next step, whether it comes from SetFreqIdx or from a setspeed
+// write, which reaches the kernel's own SetFreqIdx through its hook.
+func TestTransitionEnergyOnEveryPath(t *testing.T) {
+	ph := newTestPhone(t, workload.AngryBirds(), workload.NoLoad)
+	ph.SetFreqIdx(5)
+	if ph.pendingOverlayJ != 5e-3 {
+		t.Fatalf("after SetFreqIdx: pending overlay %v J, want 5e-3", ph.pendingOverlayJ)
+	}
+	ph.SetFile(sysfs.CPUScalingGovernor, platform.GovUserspace)
+	if err := ph.WriteFile(sysfs.CPUScalingSetSpeed, strconv.Itoa(ph.SoC().Freq(7).KHz())); err != nil {
+		t.Fatal(err)
+	}
+	if ph.CurFreqIdx() != 7 || ph.pendingOverlayJ != 10e-3 {
+		t.Fatalf("after setspeed: freq %d, pending overlay %v J; want 7 and 1e-2", ph.CurFreqIdx(), ph.pendingOverlayJ)
+	}
+	ph.SetFreqIdx(7) // no transition, no charge
+	if ph.pendingOverlayJ != 10e-3 {
+		t.Fatalf("after a no-op request: pending overlay %v J, want 1e-2", ph.pendingOverlayJ)
 	}
 }
 

@@ -21,6 +21,13 @@ func (f Freq) GHz() float64 { return float64(f) }
 // Hz returns the frequency in cycles per second.
 func (f Freq) Hz() float64 { return float64(f) * 1e9 }
 
+// KHz returns the frequency as the integer kHz the cpufreq files carry,
+// rounded to the nearest kHz.
+func (f Freq) KHz() int { return int(float64(f)*1e6 + 0.5) }
+
+// FreqFromKHz converts a cpufreq kHz value to a frequency.
+func FreqFromKHz(khz int) Freq { return Freq(float64(khz) / 1e6) }
+
 // String formats the frequency the way the paper's tables do.
 func (f Freq) String() string { return fmt.Sprintf("%.4fGHz", float64(f)) }
 

@@ -93,6 +93,25 @@ func TestNearestFreqIdx(t *testing.T) {
 	}
 }
 
+// Every ladder step survives the cpufreq kHz encoding: KHz rounds to
+// the integer the files carry, and FreqFromKHz maps it back to the same
+// step.
+func TestKHzRoundTrip(t *testing.T) {
+	n6 := Nexus6()
+	if got := n6.Freq(0).KHz(); got != 300000 {
+		t.Errorf("Freq(0).KHz() = %d, want 300000", got)
+	}
+	if got := n6.Freq(17).KHz(); got != 2649600 {
+		t.Errorf("Freq(17).KHz() = %d, want 2649600", got)
+	}
+	for i := range n6.CPUFreqs {
+		khz := n6.Freq(i).KHz()
+		if got := n6.NearestFreqIdx(FreqFromKHz(khz)); got != i {
+			t.Errorf("step %d: %d kHz maps back to step %d", i, khz, got)
+		}
+	}
+}
+
 func TestNearestBWIdx(t *testing.T) {
 	n6 := Nexus6()
 	cases := []struct {

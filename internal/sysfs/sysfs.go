@@ -209,24 +209,23 @@ const (
 	CPUFreqDir = "/sys/devices/system/cpu/cpu0/cpufreq"
 	DevFreqDir = "/sys/class/devfreq/soc:qcom,cpubw"
 
-	CPUScalingGovernor  = CPUFreqDir + "/scaling_governor"
-	CPUScalingSetSpeed  = CPUFreqDir + "/scaling_setspeed"
-	CPUScalingCurFreq   = CPUFreqDir + "/scaling_cur_freq"
-	CPUScalingMinFreq   = CPUFreqDir + "/scaling_min_freq"
-	CPUScalingMaxFreq   = CPUFreqDir + "/scaling_max_freq"
-	CPUAvailableFreqs   = CPUFreqDir + "/scaling_available_frequencies"
-	CPUAvailableGovs    = CPUFreqDir + "/scaling_available_governors"
-	CPUInfoCurFreq      = CPUFreqDir + "/cpuinfo_cur_freq"
-	DevFreqGovernor     = DevFreqDir + "/governor"
-	DevFreqCurFreq      = DevFreqDir + "/cur_freq"
-	DevFreqSetFreq      = DevFreqDir + "/userspace/set_freq"
-	DevFreqMinFreq      = DevFreqDir + "/min_freq"
-	DevFreqMaxFreq      = DevFreqDir + "/max_freq"
-	DevFreqAvailFreqs   = DevFreqDir + "/available_frequencies"
-	DevFreqAvailGovs    = DevFreqDir + "/available_governors"
-	MPDecisionEnabled   = "/sys/module/msm_mpdecision/enabled"
-	TouchBoostEnabled   = "/sys/module/msm_performance/touchboost"
-	ProcLoadAvg         = "/proc/loadavg"
-	ProcMemInfoFreeMB   = "/proc/meminfo_free_mb" // simplified meminfo
-	PerfInstructionsRaw = "/sys/kernel/debug/perf/instructions"
+	CPUScalingGovernor = CPUFreqDir + "/scaling_governor"
+	CPUScalingSetSpeed = CPUFreqDir + "/scaling_setspeed"
+	CPUScalingCurFreq  = CPUFreqDir + "/scaling_cur_freq"
+	CPUScalingMinFreq  = CPUFreqDir + "/scaling_min_freq"
+	CPUScalingMaxFreq  = CPUFreqDir + "/scaling_max_freq"
+	CPUAvailableFreqs  = CPUFreqDir + "/scaling_available_frequencies"
+	CPUAvailableGovs   = CPUFreqDir + "/scaling_available_governors"
+	CPUInfoCurFreq     = CPUFreqDir + "/cpuinfo_cur_freq"
+	DevFreqGovernor    = DevFreqDir + "/governor"
+	DevFreqCurFreq     = DevFreqDir + "/cur_freq"
+	DevFreqSetFreq     = DevFreqDir + "/userspace/set_freq"
+	DevFreqMinFreq     = DevFreqDir + "/min_freq"
+	DevFreqMaxFreq     = DevFreqDir + "/max_freq"
+	DevFreqAvailFreqs  = DevFreqDir + "/available_frequencies"
+	DevFreqAvailGovs   = DevFreqDir + "/available_governors"
+	MPDecisionEnabled  = "/sys/module/msm_mpdecision/enabled"
+	TouchBoostEnabled  = "/sys/module/msm_performance/touchboost"
+	ProcLoadAvg        = "/proc/loadavg"
+	ProcMemInfoFreeMB  = "/proc/meminfo_free_mb" // simplified meminfo
 )
