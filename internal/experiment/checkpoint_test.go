@@ -53,10 +53,10 @@ func writeProfile(t *testing.T, tab *profile.Table) string {
 	return path
 }
 
-// TestCPUOnlySessionRunsOneDevfreq: a CPU-only controller leaves the
-// memory bus to exactly one cpubw_hwmon — its own without faults, the
-// standby pair's under faults — never two deciding the bus in turn.
-func TestCPUOnlySessionRunsOneDevfreq(t *testing.T) {
+// governedProfile writes a synthetic CPU-only (governed-bandwidth)
+// profile, the table a CPU-only controller runs on.
+func governedProfile(t *testing.T) string {
+	t.Helper()
 	tab := &profile.Table{App: "governed", Load: "BL", Mode: profile.Governed, BaseGIPS: 0.8}
 	for f := 0; f < 9; f++ {
 		s := 1 + 0.1*float64(f)
@@ -65,7 +65,14 @@ func TestCPUOnlySessionRunsOneDevfreq(t *testing.T) {
 			Speedup: s, PowerW: 1.6 + 0.05*float64(f*f), GIPS: s * tab.BaseGIPS,
 		})
 	}
-	prof := writeProfile(t, tab)
+	return writeProfile(t, tab)
+}
+
+// TestCPUOnlySessionRunsOneDevfreq: a CPU-only controller leaves the
+// memory bus to exactly one cpubw_hwmon — its own without faults, the
+// standby pair's under faults — never two deciding the bus in turn.
+func TestCPUOnlySessionRunsOneDevfreq(t *testing.T) {
+	prof := governedProfile(t)
 	for _, faults := range []string{"", "noisy-perf"} {
 		sess, err := experiment.NewSession(experiment.SessionSpec{
 			App: "ebook", Load: "BL", Controller: true, CPUOnly: true,
@@ -92,14 +99,18 @@ func TestCPUOnlySessionRunsOneDevfreq(t *testing.T) {
 	}
 }
 
+// builder builds a session cell from a spec: experiment.NewSession, or
+// a package-internal builder for a cell no SessionSpec describes.
+type builder func(experiment.SessionSpec) (*experiment.Session, error)
+
 // runToEnd runs a fresh session from the spec (with checkpointing
 // stripped) and returns its summary bytes and allocation log — the
 // reference an interrupted-and-restored run must reproduce exactly.
-func runToEnd(t *testing.T, spec experiment.SessionSpec) ([]byte, []interface{}) {
+func runToEnd(t *testing.T, build builder, spec experiment.SessionSpec) ([]byte, []interface{}) {
 	t.Helper()
 	spec.CheckpointEvery = 0
 	spec.OnCheckpoint = nil
-	sess, err := experiment.NewSession(spec)
+	sess, err := build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +133,14 @@ func runToEnd(t *testing.T, spec experiment.SessionSpec) ([]byte, []interface{})
 // session from the same spec, restores the last snapshot — edited by
 // plant first, when non-nil — and runs it to completion, returning the
 // restored run's summary and log.
-func killRestore(t *testing.T, spec experiment.SessionSpec, afterCkpts int,
+func killRestore(t *testing.T, build builder, spec experiment.SessionSpec, afterCkpts int,
 	plant func(*testing.T, *experiment.CellState)) ([]byte, []interface{}) {
 	t.Helper()
 	var last *experiment.CellState
 	sink := func(cs *experiment.CellState) error { last = cs; return nil }
 	spec.OnCheckpoint = sink
 
-	first, err := experiment.NewSession(spec)
+	first, err := build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +161,7 @@ func killRestore(t *testing.T, spec experiment.SessionSpec, afterCkpts int,
 	if plant != nil {
 		plant(t, last)
 	}
-	second, err := experiment.NewSession(spec)
+	second, err := build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +188,15 @@ func killRestore(t *testing.T, spec experiment.SessionSpec, afterCkpts int,
 func checkGolden(t *testing.T, spec experiment.SessionSpec, afterCkpts int,
 	plant func(*testing.T, *experiment.CellState)) {
 	t.Helper()
-	wantJSON, wantLog := runToEnd(t, spec)
-	gotJSON, gotLog := killRestore(t, spec, afterCkpts, plant)
+	checkGoldenBuilt(t, experiment.NewSession, spec, afterCkpts, plant)
+}
+
+// checkGoldenBuilt is checkGolden for cells that build runs.
+func checkGoldenBuilt(t *testing.T, build builder, spec experiment.SessionSpec, afterCkpts int,
+	plant func(*testing.T, *experiment.CellState)) {
+	t.Helper()
+	wantJSON, wantLog := runToEnd(t, build, spec)
+	gotJSON, gotLog := killRestore(t, build, spec, afterCkpts, plant)
 	if !bytes.Equal(wantJSON, gotJSON) {
 		t.Fatalf("restored summary diverged:\nuninterrupted: %s\nrestored:      %s", wantJSON, gotJSON)
 	}
@@ -322,6 +340,74 @@ func TestKillRestoreGovernorGolden(t *testing.T) {
 	}, 2, nil)
 }
 
+// TestKillRestoreSampledGovernorGolden covers the two sampled cpufreq
+// governors: ondemand's and conservative's sampling schedule and load
+// baselines come back bit-exactly.
+func TestKillRestoreSampledGovernorGolden(t *testing.T) {
+	for _, gov := range []string{"ondemand", "conservative"} {
+		t.Run(gov, func(t *testing.T) {
+			checkGolden(t, experiment.SessionSpec{
+				App: "angrybirds", Load: "BL", Governor: gov, Seed: 7,
+				RunFor:          20 * time.Second,
+				CheckpointEvery: 4,
+			}, 2, nil)
+		})
+	}
+}
+
+// TestKillRestoreCPUOnlyGolden covers the CPU-only controller, which
+// leaves the bus to a cpubw_hwmon: its own without faults, the standby
+// pair's under faults.
+func TestKillRestoreCPUOnlyGolden(t *testing.T) {
+	prof := governedProfile(t)
+	for _, faults := range []string{"", "noisy-perf"} {
+		checkGolden(t, experiment.SessionSpec{
+			App: "ebook", Load: "BL", Controller: true, CPUOnly: true,
+			Profile: prof, TargetGIPS: 1, Seed: 101, Faults: faults,
+			RunFor: 30 * time.Second, LogAllocations: true,
+			CheckpointEvery: 3,
+		}, 2, nil)
+	}
+}
+
+// TestKillRestorePhaseAwareGolden covers the phase tracker: a
+// phase-aware controller on MobileBench, restored from a snapshot
+// whose tracker already holds phases, resumes each phase's integrator
+// state bit-exactly.
+func TestKillRestorePhaseAwareGolden(t *testing.T) {
+	prof, _ := storedProfile(t)
+	checkGoldenBuilt(t, experiment.NewPhaseAwareSession, experiment.SessionSpec{
+		App: "mobilebench", Load: "BL", Controller: true,
+		Profile: prof, TargetGIPS: 1, Seed: 42,
+		RunFor: 40 * time.Second, LogAllocations: true,
+		CheckpointEvery: 3,
+	}, 3, requireTrackerPhases)
+}
+
+// requireTrackerPhases edits nothing: it fails the test unless the
+// controller's snapshot carries a tracker with at least two phases.
+func requireTrackerPhases(t *testing.T, cs *experiment.CellState) {
+	t.Helper()
+	for _, a := range cs.Actors {
+		if a.Name != "aspeo-controller" {
+			continue
+		}
+		var st struct {
+			Tracker *struct {
+				Phases []json.RawMessage `json:"phases"`
+			} `json:"tracker"`
+		}
+		if err := json.Unmarshal(a.State, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Tracker == nil || len(st.Tracker.Phases) < 2 {
+			t.Fatalf("controller snapshot tracker %s, want at least two phases", a.State)
+		}
+		return
+	}
+	t.Fatal("snapshot has no controller actor")
+}
+
 // TestKillRestoreFaultsGolden adds a fault scenario on top of the
 // controller: the injector's RNG, schedule and hijack counts restore
 // mid-torment without perturbing the stream.
@@ -361,7 +447,7 @@ func TestKillRestoreCommittedCheckpoints(t *testing.T) {
 		},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			want, _ := runToEnd(t, tc.spec)
+			want, _ := runToEnd(t, experiment.NewSession, tc.spec)
 			cell := new(experiment.CellState)
 			if err := ckpt.Load(ckpt.OS{}, filepath.Join("testdata", tc.file), "aspeo/session-cell", nil, cell); err != nil {
 				t.Fatal(err)
