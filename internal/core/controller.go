@@ -156,42 +156,19 @@ type Controller struct {
 	// formats integers.
 	freqVal, bwVal []string
 
-	sPrev     float64 // speedup applied during the previous cycle
-	tracker   *PhaseTracker
-	slots     []profile.Entry
-	slotIdx   int
-	attached  bool
-	lastAlloc Allocation
-	allocLog  []AllocationRecord
+	tracker *PhaseTracker
+	res     Resilience // the fault-handling ladder (resilience.go)
+	// st is the controller's dynamic state besides the Kalman filter's
+	// and the tracker's (state.go).
+	st controllerState
 
-	// Resilience state (resilience.go).
-	res              Resilience
-	health           Health
-	retriesLeft      int  // actuation retry budget for the current cycle
-	cycleFailed      bool // an actuation failed unrecovered this cycle
-	degraded         bool // watchdog pinned the safe configuration
-	recentY          []float64
-	recentYPos       int    // ring write position once recentY is full
-	outlierRun       int    // consecutive outlier rejections (persistence-accept)
-	stockCPUGov      string // governor to hand back on relinquish
-	stockBWGov       string
-	installedMaxFreq string // legitimate scaling_max_freq value
-	cyclesRun        int    // total runCycle invocations (measured or not)
-
-	// Decision-trace state (observation only — nothing below feeds back
-	// into the control law).
-	gateCause string // why the gate rejected this cycle's sample
 	// spanAttrs is the scratch array every span's attributes are built
 	// in (allocated only when tracing). Sinks borrow a span for the
 	// length of Emit and copy what they keep, so one array serves every
 	// span and tracing allocates nothing per cycle.
 	spanAttrs []obs.Attr
-
-	// Diagnostics.
-	cycles       int
-	sumAbsErr    float64
-	lastMeasured float64
-	optWallTime  time.Duration
+	// optWallTime is host wall time spent optimizing, not state.
+	optWallTime time.Duration
 }
 
 // New validates options and builds a controller.
@@ -243,12 +220,14 @@ func New(opt Options) (*Controller, error) {
 		perf:     perftool.MustNew(opt.PerfPeriod, opt.Seed),
 		kf:       kf,
 		res:      opt.Resilience.withDefaults(),
-		sPrev: clamp(opt.TargetGIPS/b0,
-			entries[0].Speedup, entries[len(entries)-1].Speedup),
-		slots: make([]profile.Entry, nSlots),
+		st: controllerState{
+			SPrev: clamp(opt.TargetGIPS/b0,
+				entries[0].Speedup, entries[len(entries)-1].Speedup),
+			Slots: make([]profile.Entry, nSlots),
+		},
 	}
 	if n := c.res.StuckWindow - 1; n > 0 {
-		c.recentY = make([]float64, 0, n)
+		c.st.RecentY = make([]float64, 0, n)
 	}
 	if opt.Trace {
 		c.spanAttrs = make([]obs.Attr, 0, 16) // the widest span, "cycle", has 12
@@ -262,11 +241,11 @@ func New(opt Options) (*Controller, error) {
 	}
 
 	// Until the first measurement arrives, schedule the open-loop guess.
-	alloc, err := c.optimize(c.sPrev)
+	alloc, err := c.optimize(c.st.SPrev)
 	if err != nil {
 		return nil, err
 	}
-	c.lastAlloc = alloc
+	c.st.LastAlloc = alloc
 	c.fillSlots(alloc)
 	return c, nil
 }
@@ -298,7 +277,7 @@ func (c *Controller) Install(r platform.Runner) error {
 	if err := r.Register(c); err != nil {
 		return err
 	}
-	c.attached = true
+	c.st.Attached = true
 	return nil
 }
 
@@ -345,20 +324,20 @@ func (c *Controller) Tick(now time.Duration, dev platform.Device) {
 	if c.dev == nil {
 		c.bindDevice(dev)
 	}
-	if c.health.Relinquished {
+	if c.st.Health.Relinquished {
 		return // the stock governors own the device again
 	}
-	if c.slotIdx == 0 {
-		c.retriesLeft = c.res.MaxRetriesPerCycle
+	if c.st.SlotIdx == 0 {
+		c.st.RetriesLeft = c.res.MaxRetriesPerCycle
 		c.runCycle(c.dev)
-		if c.health.Relinquished {
+		if c.st.Health.Relinquished {
 			return
 		}
 	}
-	if !c.applySlot(c.dev, c.slots[c.slotIdx]) {
-		c.cycleFailed = true
+	if !c.applySlot(c.dev, c.st.Slots[c.st.SlotIdx]) {
+		c.st.CycleFailed = true
 	}
-	c.slotIdx = (c.slotIdx + 1) % len(c.slots)
+	c.st.SlotIdx = (c.st.SlotIdx + 1) % len(c.st.Slots)
 }
 
 // runCycle executes one control cycle and publishes its telemetry —
@@ -375,14 +354,14 @@ func (c *Controller) runCycle(dev platform.Device) {
 // governor ownership, measurement validity) feeds the watchdog before
 // the optimizer runs.
 func (c *Controller) cycleBody(dev platform.Device) {
-	c.cyclesRun++
-	failing := c.cycleFailed
-	c.cycleFailed = false
+	c.st.CyclesRun++
+	failing := c.st.CycleFailed
+	c.st.CycleFailed = false
 	ownershipOK := c.checkOwnership(dev)
 	if !ownershipOK {
 		failing = true
 	}
-	c.gateCause = ""
+	c.st.GateCause = ""
 
 	// Trace collection: plain scalar locals populated along the decision
 	// path and emitted as spans afterwards. Writes are unconditional
@@ -397,14 +376,14 @@ func (c *Controller) cycleBody(dev platform.Device) {
 	// the cycle's performance).
 	y, ok := c.perf.MeanOver(c.opt.CycleT)
 	if ok {
-		c.lastMeasured = y
+		c.st.LastMeasured = y
 
 		// z = y_n / s_{n-1} (§III-B3). s_{n-1} is the speedup actually
 		// scheduled during the window — the applied allocation's
 		// expectation.
-		applied := c.lastAlloc.ExpectedSpeedup
+		applied := c.st.LastAlloc.ExpectedSpeedup
 		if applied < 1e-9 {
-			applied = c.sPrev
+			applied = c.st.SPrev
 		}
 		z := math.Inf(1)
 		if applied > 1e-9 {
@@ -418,9 +397,9 @@ func (c *Controller) cycleBody(dev platform.Device) {
 			// that a disabled gate let through is counted as rejected
 			// and the regulator falls back to the prior estimate.
 			if _, err := c.kf.Update(z); err != nil {
-				c.health.NonFiniteSamples++
-				c.health.RejectedSamples++
-				c.gateCause = "non-finite"
+				c.st.Health.NonFiniteSamples++
+				c.st.Health.RejectedSamples++
+				c.st.GateCause = "non-finite"
 				accepted = false
 			} else {
 				trKalman = true
@@ -428,8 +407,8 @@ func (c *Controller) cycleBody(dev platform.Device) {
 		}
 		if accepted {
 			e := c.opt.TargetGIPS - y // Eqn. (2)
-			c.cycles++
-			c.sumAbsErr += math.Abs(e)
+			c.st.Cycles++
+			c.st.SumAbsErr += math.Abs(e)
 			trAccepted, trErr = true, e
 
 			// Phase-aware mode: recognize the cycle's phase and resume
@@ -437,7 +416,7 @@ func (c *Controller) cycleBody(dev platform.Device) {
 			if c.tracker != nil {
 				c.tracker.Classify(y)
 				if s, found := c.tracker.Load(); found {
-					c.sPrev = s
+					c.st.SPrev = s
 				}
 			}
 			b, _ := c.kf.Estimate()
@@ -447,15 +426,15 @@ func (c *Controller) cycleBody(dev platform.Device) {
 			// Eqn. (3): adaptive-gain integrator with pole damping,
 			// clamped to the speedups the (pruned) table can actually
 			// deliver (anti-windup).
-			s := c.sPrev + (1-c.opt.Pole)*e/b
-			c.sPrev = clamp(s, c.entries[0].Speedup, c.entries[len(c.entries)-1].Speedup)
+			s := c.st.SPrev + (1-c.opt.Pole)*e/b
+			c.st.SPrev = clamp(s, c.entries[0].Speedup, c.entries[len(c.entries)-1].Speedup)
 			if c.tracker != nil {
-				c.tracker.Store(c.sPrev)
+				c.tracker.Store(c.st.SPrev)
 			}
 		} else {
 			failing = true
 		}
-	} else if c.cyclesRun >= 2 {
+	} else if c.st.CyclesRun >= 2 {
 		// After the first full cycle a healthy perf pipeline always has
 		// readings; none means every sample in the window was dropped.
 		failing = true
@@ -470,8 +449,8 @@ func (c *Controller) cycleBody(dev platform.Device) {
 		if trHaveY {
 			attrs = append(attrs, obs.Float("measured_gips", trY), obs.Float("z", trZ))
 		}
-		if c.gateCause != "" {
-			attrs = append(attrs, obs.String("gate_verdict", c.gateCause))
+		if c.st.GateCause != "" {
+			attrs = append(attrs, obs.String("gate_verdict", c.st.GateCause))
 		}
 		if trAccepted {
 			attrs = append(attrs, obs.Float("err_gips", trErr))
@@ -491,29 +470,29 @@ func (c *Controller) cycleBody(dev platform.Device) {
 	if c.watchdog(dev, failing) {
 		// Degraded (safe schedule installed) or relinquished: skip the
 		// optimizer. The watchdog's own compute still costs energy.
-		if !c.health.Relinquished {
+		if !c.st.Health.Relinquished {
 			dev.AddOverlayEnergyJ(cycleOverheadJ)
 		}
 		return
 	}
 
 	start := time.Now()
-	alloc, err := c.optimize(c.sPrev)
+	alloc, err := c.optimize(c.st.SPrev)
 	c.optWallTime += time.Since(start)
 	if err != nil {
 		// Keep the previous schedule; the table was validated so this
 		// only happens for pathological targets.
 		return
 	}
-	c.lastAlloc = alloc
+	c.st.LastAlloc = alloc
 	if c.opt.LogAllocations {
-		c.allocLog = append(c.allocLog, AllocationRecord{
-			Cycle: c.cyclesRun, At: dev.Now(), Target: c.sPrev, Alloc: alloc,
+		c.st.AllocLog = append(c.st.AllocLog, AllocationRecord{
+			Cycle: c.st.CyclesRun, At: dev.Now(), Target: c.st.SPrev, Alloc: alloc,
 		})
 	}
 	if c.opt.Trace {
 		c.emitSpan(dev, obs.StageOptimize, append(c.spanAttrs[:0],
-			obs.Float("target_speedup", c.sPrev),
+			obs.Float("target_speedup", c.st.SPrev),
 			obs.Int("low_freq_idx", alloc.Low.FreqIdx),
 			obs.Int("low_bw_idx", alloc.Low.BWIdx),
 			obs.Int("high_freq_idx", alloc.High.FreqIdx),
@@ -529,7 +508,7 @@ func (c *Controller) cycleBody(dev platform.Device) {
 		c.emitSpan(dev, obs.StageSchedule, append(c.spanAttrs[:0],
 			obs.Bool("safe", false),
 			obs.Int("hi_slots", hiSlots),
-			obs.Int("n_slots", len(c.slots)),
+			obs.Int("n_slots", len(c.st.Slots)),
 			obs.Int("quantum_ns", c.opt.Quantum),
 		))
 	}
@@ -542,7 +521,7 @@ func (c *Controller) cycleBody(dev platform.Device) {
 // attributes, so an untraced run never builds them, and assemble them in
 // c.spanAttrs, which the sink only borrows.
 func (c *Controller) emitSpan(dev platform.Device, stage string, attrs obs.Attrs) {
-	dev.RecordSpan(obs.Span{Cycle: c.cyclesRun, Stage: stage, At: dev.Now(), Attrs: attrs})
+	dev.RecordSpan(obs.Span{Cycle: c.st.CyclesRun, Stage: stage, At: dev.Now(), Attrs: attrs})
 }
 
 // optimize quantizes the target to the 2⁻¹² grid and solves it on the
@@ -559,16 +538,16 @@ func (c *Controller) optimize(target float64) (Allocation, error) {
 // runs first, then the high one — a single transition per cycle, as in
 // the paper's scheduler S.
 func (c *Controller) fillSlots(a Allocation) int {
-	n := len(c.slots)
+	n := len(c.st.Slots)
 	hiSlots := int(float64(a.TauHigh)/float64(c.opt.Quantum) + 0.5)
 	if hiSlots > n {
 		hiSlots = n
 	}
 	for i := 0; i < n; i++ {
 		if i < n-hiSlots {
-			c.slots[i] = a.Low
+			c.st.Slots[i] = a.Low
 		} else {
-			c.slots[i] = a.High
+			c.st.Slots[i] = a.High
 		}
 	}
 	return hiSlots
@@ -627,21 +606,21 @@ func (c *Controller) buildValueStrings(dev platform.Device) {
 }
 
 // Cycles returns how many closed-loop cycles have run.
-func (c *Controller) Cycles() int { return c.cycles }
+func (c *Controller) Cycles() int { return c.st.Cycles }
 
 // MeanAbsError returns the mean |r − y| over all cycles, in GIPS.
 func (c *Controller) MeanAbsError() float64 {
-	if c.cycles == 0 {
+	if c.st.Cycles == 0 {
 		return 0
 	}
-	return c.sumAbsErr / float64(c.cycles)
+	return c.st.SumAbsErr / float64(c.st.Cycles)
 }
 
 // LastMeasuredGIPS returns the most recent perf reading consumed.
-func (c *Controller) LastMeasuredGIPS() float64 { return c.lastMeasured }
+func (c *Controller) LastMeasuredGIPS() float64 { return c.st.LastMeasured }
 
 // LastAllocation returns the most recent optimizer decision.
-func (c *Controller) LastAllocation() Allocation { return c.lastAlloc }
+func (c *Controller) LastAllocation() Allocation { return c.st.LastAlloc }
 
 // AllocationLog returns a copy of the per-cycle decision log (nil
 // unless Options.LogAllocations was set). The copy means a caller can
@@ -649,11 +628,11 @@ func (c *Controller) LastAllocation() Allocation { return c.lastAlloc }
 // showing through — or worse, a grow reallocation leaving the caller a
 // stale prefix.
 func (c *Controller) AllocationLog() []AllocationRecord {
-	if c.allocLog == nil {
+	if c.st.AllocLog == nil {
 		return nil
 	}
-	out := make([]AllocationRecord, len(c.allocLog))
-	copy(out, c.allocLog)
+	out := make([]AllocationRecord, len(c.st.AllocLog))
+	copy(out, c.st.AllocLog)
 	return out
 }
 
@@ -667,7 +646,7 @@ func (c *Controller) BaseSpeedEstimate() float64 {
 }
 
 // CurrentSpeedupSetting returns s_{n}, the regulator's current demand.
-func (c *Controller) CurrentSpeedupSetting() float64 { return c.sPrev }
+func (c *Controller) CurrentSpeedupSetting() float64 { return c.st.SPrev }
 
 // OptimizerWallTime returns the cumulative host time spent in the energy
 // optimizer (for the §V-A1 overhead reproduction).

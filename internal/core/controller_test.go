@@ -230,7 +230,7 @@ func TestSchedulerQuantization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 slots of 200 ms in a 2 s cycle.
-	if got := len(ctl.slots); got != 10 {
+	if got := len(ctl.st.Slots); got != 10 {
 		t.Fatalf("slots = %d, want 10", got)
 	}
 	alloc := Allocation{
@@ -241,7 +241,7 @@ func TestSchedulerQuantization(t *testing.T) {
 	}
 	ctl.fillSlots(alloc)
 	hi := 0
-	for _, s := range ctl.slots {
+	for _, s := range ctl.st.Slots {
 		if s == tab.Entries[50] {
 			hi++
 		}
@@ -251,7 +251,7 @@ func TestSchedulerQuantization(t *testing.T) {
 		t.Fatalf("high slots = %d, want 4", hi)
 	}
 	// Low runs first (single transition per cycle).
-	if ctl.slots[0] != tab.Entries[0] || ctl.slots[9] != tab.Entries[50] {
+	if ctl.st.Slots[0] != tab.Entries[0] || ctl.st.Slots[9] != tab.Entries[50] {
 		t.Fatal("slot order wrong: low must run before high")
 	}
 }

@@ -19,15 +19,21 @@ type PhaseTracker struct {
 	joinTol   float64 // relative distance to join an existing cluster
 	ewma      float64 // centroid adaptation rate
 
-	phases  []phaseState
-	current int
+	st trackerState // the dynamic state a checkpoint carries
+}
+
+// trackerState is the tracker's dynamic state: the tracker holds it and
+// the controller's checkpoint carries it.
+type trackerState struct {
+	Phases  []phaseState `json:"phases"`
+	Current int          `json:"current"`
 }
 
 type phaseState struct {
-	centroid float64 // typical measured GIPS of the phase
-	visits   int
-	s        float64 // per-phase integrator state
-	hasS     bool
+	Centroid float64 `json:"centroid"` // typical measured GIPS of the phase
+	Visits   int     `json:"visits"`
+	S        float64 `json:"s"` // per-phase integrator state
+	HasS     bool    `json:"has_s"`
 }
 
 // NewPhaseTracker creates a tracker holding at most maxPhases clusters;
@@ -48,11 +54,11 @@ func NewPhaseTracker(maxPhases int, joinTol float64) (*PhaseTracker, error) {
 // returns the phase index.
 func (pt *PhaseTracker) Classify(y float64) int {
 	if y <= 0 || math.IsNaN(y) || math.IsInf(y, 0) {
-		return pt.current
+		return pt.st.Current
 	}
 	best, bestDist := -1, math.Inf(1)
-	for i, p := range pt.phases {
-		d := math.Abs(y-p.centroid) / p.centroid
+	for i, p := range pt.st.Phases {
+		d := math.Abs(y-p.Centroid) / p.Centroid
 		if d < bestDist {
 			best, bestDist = i, d
 		}
@@ -60,50 +66,50 @@ func (pt *PhaseTracker) Classify(y float64) int {
 	switch {
 	case best >= 0 && bestDist <= pt.joinTol:
 		// Existing phase: adapt the centroid.
-		pt.phases[best].centroid += pt.ewma * (y - pt.phases[best].centroid)
-		pt.phases[best].visits++
-		pt.current = best
-	case len(pt.phases) < pt.maxPhases:
-		pt.phases = append(pt.phases, phaseState{centroid: y, visits: 1})
-		pt.current = len(pt.phases) - 1
+		pt.st.Phases[best].Centroid += pt.ewma * (y - pt.st.Phases[best].Centroid)
+		pt.st.Phases[best].Visits++
+		pt.st.Current = best
+	case len(pt.st.Phases) < pt.maxPhases:
+		pt.st.Phases = append(pt.st.Phases, phaseState{Centroid: y, Visits: 1})
+		pt.st.Current = len(pt.st.Phases) - 1
 	default:
 		// Full: absorb into the nearest cluster.
-		pt.phases[best].centroid += pt.ewma * (y - pt.phases[best].centroid)
-		pt.phases[best].visits++
-		pt.current = best
+		pt.st.Phases[best].Centroid += pt.ewma * (y - pt.st.Phases[best].Centroid)
+		pt.st.Phases[best].Visits++
+		pt.st.Current = best
 	}
-	return pt.current
+	return pt.st.Current
 }
 
 // Load returns the stored integrator state for the current phase; ok is
 // false on first visit.
 func (pt *PhaseTracker) Load() (s float64, ok bool) {
-	if len(pt.phases) == 0 {
+	if len(pt.st.Phases) == 0 {
 		return 0, false
 	}
-	p := pt.phases[pt.current]
-	return p.s, p.hasS
+	p := pt.st.Phases[pt.st.Current]
+	return p.S, p.HasS
 }
 
 // Store saves the integrator state into the current phase.
 func (pt *PhaseTracker) Store(s float64) {
-	if len(pt.phases) == 0 {
+	if len(pt.st.Phases) == 0 {
 		return
 	}
-	pt.phases[pt.current].s = s
-	pt.phases[pt.current].hasS = true
+	pt.st.Phases[pt.st.Current].S = s
+	pt.st.Phases[pt.st.Current].HasS = true
 }
 
 // Phases returns how many distinct phases have been observed.
-func (pt *PhaseTracker) Phases() int { return len(pt.phases) }
+func (pt *PhaseTracker) Phases() int { return len(pt.st.Phases) }
 
 // Current returns the index of the active phase.
-func (pt *PhaseTracker) Current() int { return pt.current }
+func (pt *PhaseTracker) Current() int { return pt.st.Current }
 
 // Centroid returns the typical measured performance of phase i.
 func (pt *PhaseTracker) Centroid(i int) float64 {
-	if i < 0 || i >= len(pt.phases) {
+	if i < 0 || i >= len(pt.st.Phases) {
 		return 0
 	}
-	return pt.phases[i].centroid
+	return pt.st.Phases[i].Centroid
 }

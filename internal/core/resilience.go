@@ -104,7 +104,7 @@ func (r Resilience) withDefaults() Resilience {
 type Health = platform.Health
 
 // Health returns a snapshot of the controller's fault diagnostics.
-func (c *Controller) Health() Health { return c.health }
+func (c *Controller) Health() Health { return c.st.Health }
 
 // Perf exposes the controller's perf reader so a fault injector can arm
 // its reading hook.
@@ -119,17 +119,17 @@ func (c *Controller) applySlot(dev platform.Device, e profile.Entry) bool {
 	if err == nil {
 		return true
 	}
-	c.health.ActuationFailures++
+	c.st.Health.ActuationFailures++
 	if c.res.Disabled {
 		return false
 	}
-	for c.retriesLeft > 0 {
-		c.retriesLeft--
-		c.health.ActuationRetries++
+	for c.st.RetriesLeft > 0 {
+		c.st.RetriesLeft--
+		c.st.Health.ActuationRetries++
 		if err = c.apply(dev, e); err == nil {
 			return true
 		}
-		c.health.ActuationFailures++
+		c.st.Health.ActuationFailures++
 	}
 	return false
 }
@@ -139,24 +139,24 @@ func (c *Controller) applySlot(dev platform.Device, e profile.Entry) bool {
 // back to userspace, a clamped scaling_max_freq is restored to its
 // installed value. It reports false when a repair attempt failed.
 func (c *Controller) checkOwnership(dev platform.Device) bool {
-	if c.res.Disabled || !c.attached {
+	if c.res.Disabled || !c.st.Attached {
 		return true
 	}
-	if c.res.OwnershipCheckEvery > 1 && c.cyclesRun%c.res.OwnershipCheckEvery != 0 {
+	if c.res.OwnershipCheckEvery > 1 && c.st.CyclesRun%c.res.OwnershipCheckEvery != 0 {
 		return true
 	}
 	ok := true
 	if gov, err := dev.ReadFile(sysfs.CPUScalingGovernor); err == nil && gov != platform.GovUserspace {
 		if werr := dev.WriteFile(sysfs.CPUScalingGovernor, platform.GovUserspace); werr == nil {
-			c.health.GovernorReinstalls++
+			c.st.Health.GovernorReinstalls++
 		} else {
 			ok = false
 		}
 	}
-	if c.installedMaxFreq != "" {
-		if mf, err := dev.ReadFile(sysfs.CPUScalingMaxFreq); err == nil && mf != c.installedMaxFreq {
-			if werr := dev.WriteFile(sysfs.CPUScalingMaxFreq, c.installedMaxFreq); werr == nil {
-				c.health.MaxFreqRestores++
+	if c.st.InstalledMaxFreq != "" {
+		if mf, err := dev.ReadFile(sysfs.CPUScalingMaxFreq); err == nil && mf != c.st.InstalledMaxFreq {
+			if werr := dev.WriteFile(sysfs.CPUScalingMaxFreq, c.st.InstalledMaxFreq); werr == nil {
+				c.st.Health.MaxFreqRestores++
 			} else {
 				ok = false
 			}
@@ -165,7 +165,7 @@ func (c *Controller) checkOwnership(dev platform.Device) bool {
 	if !c.opt.CPUOnly {
 		if gov, err := dev.ReadFile(sysfs.DevFreqGovernor); err == nil && gov != platform.GovUserspace {
 			if werr := dev.WriteFile(sysfs.DevFreqGovernor, platform.GovUserspace); werr == nil {
-				c.health.GovernorReinstalls++
+				c.st.Health.GovernorReinstalls++
 			} else {
 				ok = false
 			}
@@ -183,13 +183,13 @@ func (c *Controller) gate(y, z float64) bool {
 		return true
 	}
 	if math.IsNaN(z) || math.IsInf(z, 0) {
-		c.health.NonFiniteSamples++
-		c.health.RejectedSamples++
-		c.gateCause = "non-finite"
+		c.st.Health.NonFiniteSamples++
+		c.st.Health.RejectedSamples++
+		c.st.GateCause = "non-finite"
 		return false
 	}
-	stuck := len(c.recentY) >= c.res.StuckWindow-1
-	for _, prev := range c.recentY {
+	stuck := len(c.st.RecentY) >= c.res.StuckWindow-1
+	for _, prev := range c.st.RecentY {
 		if prev != y {
 			stuck = false
 			break
@@ -197,22 +197,22 @@ func (c *Controller) gate(y, z float64) bool {
 	}
 	c.pushRecentY(y)
 	if stuck {
-		c.health.StuckSamples++
-		c.health.RejectedSamples++
-		c.gateCause = "stuck"
+		c.st.Health.StuckSamples++
+		c.st.Health.RejectedSamples++
+		c.st.GateCause = "stuck"
 		return false
 	}
 	if est, err := c.kf.Estimate(); err == nil {
 		band := c.res.OutlierSigma * math.Sqrt(c.kf.Variance()+c.kf.MeasurementVariance())
-		if math.Abs(z-est) > band && c.outlierRun < c.res.OutlierPersistence {
-			c.outlierRun++
-			c.health.OutlierSamples++
-			c.health.RejectedSamples++
-			c.gateCause = "outlier"
+		if math.Abs(z-est) > band && c.st.OutlierRun < c.res.OutlierPersistence {
+			c.st.OutlierRun++
+			c.st.Health.OutlierSamples++
+			c.st.Health.RejectedSamples++
+			c.st.GateCause = "outlier"
 			return false
 		}
 	}
-	c.outlierRun = 0
+	c.st.OutlierRun = 0
 	return true
 }
 
@@ -223,15 +223,15 @@ func (c *Controller) gate(y, z float64) bool {
 func (c *Controller) pushRecentY(y float64) {
 	n := c.res.StuckWindow - 1
 	if n <= 0 {
-		c.recentY = append(c.recentY, y)
+		c.st.RecentY = append(c.st.RecentY, y)
 		return
 	}
-	if len(c.recentY) < n {
-		c.recentY = append(c.recentY, y)
+	if len(c.st.RecentY) < n {
+		c.st.RecentY = append(c.st.RecentY, y)
 		return
 	}
-	c.recentY[c.recentYPos] = y
-	c.recentYPos = (c.recentYPos + 1) % n
+	c.st.RecentY[c.st.RecentYPos] = y
+	c.st.RecentYPos = (c.st.RecentYPos + 1) % n
 }
 
 // watchdog consumes one cycle's health verdict and walks the degradation
@@ -242,28 +242,28 @@ func (c *Controller) watchdog(dev platform.Device, failing bool) bool {
 		return false
 	}
 	if failing {
-		c.health.ConsecutiveFailures++
+		c.st.Health.ConsecutiveFailures++
 	} else {
-		c.health.ConsecutiveFailures = 0
-		if c.degraded {
+		c.st.Health.ConsecutiveFailures = 0
+		if c.st.Degraded {
 			// The fault cleared: resume closed-loop control.
-			c.degraded = false
+			c.st.Degraded = false
 			c.ladderTransition(dev, "recovered")
 		}
 	}
-	if c.health.ConsecutiveFailures >= c.res.RelinquishAfter {
+	if c.st.Health.ConsecutiveFailures >= c.res.RelinquishAfter {
 		c.relinquish(dev)
 		return true
 	}
-	if !c.degraded && c.health.ConsecutiveFailures >= c.res.DegradeAfter {
-		c.degraded = true
-		c.health.WatchdogTrips++
+	if !c.st.Degraded && c.st.Health.ConsecutiveFailures >= c.res.DegradeAfter {
+		c.st.Degraded = true
+		c.st.Health.WatchdogTrips++
 		c.ladderTransition(dev, "degraded")
 	}
-	if c.degraded {
-		c.health.DegradedCycles++
+	if c.st.Degraded {
+		c.st.Health.DegradedCycles++
 		alloc := c.safeAllocation()
-		c.lastAlloc = alloc
+		c.st.LastAlloc = alloc
 		c.fillSlots(alloc)
 		if c.opt.Trace {
 			c.emitSpan(dev, obs.StageSchedule, append(c.spanAttrs[:0],
@@ -282,12 +282,12 @@ func (c *Controller) watchdog(dev platform.Device, failing bool) bool {
 // (which aggregate consumers — the run summary, the fleet rollup — read)
 // and, when tracing, a ladder event span in the decision trace.
 func (c *Controller) ladderTransition(dev platform.Device, name string) {
-	c.health.LastTransition = fmt.Sprintf("%s@%d", name, c.cyclesRun)
+	c.st.Health.LastTransition = fmt.Sprintf("%s@%d", name, c.st.CyclesRun)
 	if c.opt.Trace {
 		c.emitSpan(dev, obs.StageLadder, append(c.spanAttrs[:0],
 			obs.String("transition", name),
-			obs.Int("consecutive_failures", c.health.ConsecutiveFailures),
-			obs.Int("watchdog_trips", c.health.WatchdogTrips),
+			obs.Int("consecutive_failures", c.st.Health.ConsecutiveFailures),
+			obs.Int("watchdog_trips", c.st.Health.WatchdogTrips),
 		))
 	}
 }
@@ -309,22 +309,22 @@ func (c *Controller) safeAllocation() Allocation {
 // actuating for good. Registered stock governor actors take over from
 // the governor files; without them the device keeps its last state.
 func (c *Controller) relinquish(dev platform.Device) {
-	if c.health.Relinquished {
+	if c.st.Health.Relinquished {
 		return
 	}
-	c.health.Relinquished = true
-	c.health.WatchdogTrips++
+	c.st.Health.Relinquished = true
+	c.st.Health.WatchdogTrips++
 	c.ladderTransition(dev, "relinquished")
-	cpuGov := c.stockCPUGov
+	cpuGov := c.st.StockCPUGov
 	if cpuGov == "" {
 		cpuGov = platform.GovInteractive
 	}
 	_ = dev.WriteFile(sysfs.CPUScalingGovernor, cpuGov)
-	if c.installedMaxFreq != "" {
-		_ = dev.WriteFile(sysfs.CPUScalingMaxFreq, c.installedMaxFreq)
+	if c.st.InstalledMaxFreq != "" {
+		_ = dev.WriteFile(sysfs.CPUScalingMaxFreq, c.st.InstalledMaxFreq)
 	}
 	if !c.opt.CPUOnly {
-		bwGov := c.stockBWGov
+		bwGov := c.st.StockBWGov
 		if bwGov == "" {
 			bwGov = platform.GovCPUBWHwmon
 		}
@@ -337,16 +337,16 @@ func (c *Controller) relinquish(dev platform.Device) {
 // relinquish knows what to hand back to.
 func (c *Controller) recordInstallState(dev platform.Device) {
 	if gov, err := dev.ReadFile(sysfs.CPUScalingGovernor); err == nil && gov != platform.GovUserspace {
-		c.stockCPUGov = gov
+		c.st.StockCPUGov = gov
 	}
 	if gov, err := dev.ReadFile(sysfs.DevFreqGovernor); err == nil && gov != platform.GovUserspace {
-		c.stockBWGov = gov
+		c.st.StockBWGov = gov
 	}
 	if mf, err := dev.ReadFile(sysfs.CPUScalingMaxFreq); err == nil {
-		c.installedMaxFreq = mf
+		c.st.InstalledMaxFreq = mf
 	}
 }
 
 // Degraded reports whether the watchdog currently pins the safe
 // configuration.
-func (c *Controller) Degraded() bool { return c.degraded }
+func (c *Controller) Degraded() bool { return c.st.Degraded }

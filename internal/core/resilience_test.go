@@ -128,7 +128,7 @@ func TestWatchdogLadder(t *testing.T) {
 		t.Fatal("watchdog did not degrade at its threshold")
 	}
 	safe := ctl.entries[len(ctl.entries)/2]
-	for _, s := range ctl.slots {
+	for _, s := range ctl.st.Slots {
 		if s != safe {
 			t.Fatalf("degraded schedule holds %+v, want safe entry %+v", s, safe)
 		}

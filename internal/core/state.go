@@ -25,21 +25,12 @@ import (
 // and the last solve path — still restore; none of those fed the
 // control law.
 
-type trackerState struct {
-	Phases  []trackerPhase `json:"phases"`
-	Current int            `json:"current"`
-}
-
-type trackerPhase struct {
-	Centroid float64 `json:"centroid"`
-	Visits   int     `json:"visits"`
-	S        float64 `json:"s"`
-	HasS     bool    `json:"has_s"`
-}
-
+// controllerState is the controller's dynamic state besides its Kalman
+// filter and phase tracker: the Controller holds it and its checkpoint
+// carries it.
 type controllerState struct {
-	CyclesRun int     `json:"cycles_run"`
-	SPrev     float64 `json:"s_prev"`
+	CyclesRun int     `json:"cycles_run"` // total runCycle invocations (measured or not)
+	SPrev     float64 `json:"s_prev"`     // speedup applied during the previous cycle
 
 	Slots     []profile.Entry    `json:"slots"`
 	SlotIdx   int                `json:"slot_idx"`
@@ -47,132 +38,74 @@ type controllerState struct {
 	LastAlloc Allocation         `json:"last_alloc"`
 	AllocLog  []AllocationRecord `json:"alloc_log,omitempty"`
 
-	Kalman  kalman.State  `json:"kalman"`
-	Tracker *trackerState `json:"tracker,omitempty"`
-
+	// Resilience state (resilience.go).
 	Health           platform.Health `json:"health"`
-	RetriesLeft      int             `json:"retries_left"`
-	CycleFailed      bool            `json:"cycle_failed"`
-	Degraded         bool            `json:"degraded"`
+	RetriesLeft      int             `json:"retries_left"` // actuation retry budget for the current cycle
+	CycleFailed      bool            `json:"cycle_failed"` // an actuation failed unrecovered this cycle
+	Degraded         bool            `json:"degraded"`     // watchdog pinned the safe configuration
 	RecentY          []float64       `json:"recent_y"`
-	RecentYPos       int             `json:"recent_y_pos"`
-	OutlierRun       int             `json:"outlier_run"`
-	StockCPUGov      string          `json:"stock_cpu_gov"`
+	RecentYPos       int             `json:"recent_y_pos"`  // ring write position once RecentY is full
+	OutlierRun       int             `json:"outlier_run"`   // consecutive outlier rejections (persistence-accept)
+	StockCPUGov      string          `json:"stock_cpu_gov"` // governor to hand back on relinquish
 	StockBWGov       string          `json:"stock_bw_gov"`
-	InstalledMaxFreq string          `json:"installed_max_freq"`
+	InstalledMaxFreq string          `json:"installed_max_freq"` // legitimate scaling_max_freq value
 
+	// Decision-trace state (observation only — it never feeds back into
+	// the control law): why the gate rejected this cycle's sample.
 	GateCause string `json:"gate_cause"`
 
+	// Diagnostics.
 	Cycles       int     `json:"cycles"`
 	SumAbsErr    float64 `json:"sum_abs_err"`
 	LastMeasured float64 `json:"last_measured"`
 }
 
+// snapshot is the JSON shape of a checkpointed controller: its dynamic
+// state plus its Kalman filter's and, when phase-aware, its tracker's.
+type snapshot struct {
+	controllerState
+	Kalman  kalman.State  `json:"kalman"`
+	Tracker *trackerState `json:"tracker,omitempty"`
+}
+
 // CheckpointState implements platform.Checkpointer.
 func (c *Controller) CheckpointState() (json.RawMessage, error) {
-	s := controllerState{
-		CyclesRun: c.cyclesRun,
-		SPrev:     c.sPrev,
-
-		Slots:     c.slots,
-		SlotIdx:   c.slotIdx,
-		Attached:  c.attached,
-		LastAlloc: c.lastAlloc,
-		AllocLog:  c.allocLog,
-
-		Kalman: c.kf.State(),
-
-		Health:           c.health,
-		RetriesLeft:      c.retriesLeft,
-		CycleFailed:      c.cycleFailed,
-		Degraded:         c.degraded,
-		RecentY:          c.recentY,
-		RecentYPos:       c.recentYPos,
-		OutlierRun:       c.outlierRun,
-		StockCPUGov:      c.stockCPUGov,
-		StockBWGov:       c.stockBWGov,
-		InstalledMaxFreq: c.installedMaxFreq,
-
-		GateCause: c.gateCause,
-
-		Cycles:       c.cycles,
-		SumAbsErr:    c.sumAbsErr,
-		LastMeasured: c.lastMeasured,
-	}
+	s := snapshot{controllerState: c.st, Kalman: c.kf.State()}
 	if c.tracker != nil {
-		ts := &trackerState{Current: c.tracker.current}
-		for _, p := range c.tracker.phases {
-			ts.Phases = append(ts.Phases, trackerPhase{
-				Centroid: p.centroid, Visits: p.visits, S: p.s, HasS: p.hasS,
-			})
-		}
-		s.Tracker = ts
+		s.Tracker = &c.tracker.st
 	}
 	return json.Marshal(s)
 }
 
 // RestoreState implements platform.Checkpointer. The controller must
 // have been rebuilt (New + Install) from the same options the snapshot
-// was taken under; only the dynamic state is overwritten here.
+// was taken under; only the dynamic state is overwritten here, and
+// only once every check has passed.
 func (c *Controller) RestoreState(raw json.RawMessage, _ platform.Device) error {
-	var s controllerState
+	var s snapshot
 	if err := json.Unmarshal(raw, &s); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	if len(s.Slots) != len(c.slots) {
-		return fmt.Errorf("core: restore %d slots into schedule of %d", len(s.Slots), len(c.slots))
+	if len(s.Slots) != len(c.st.Slots) {
+		return fmt.Errorf("core: restore %d slots into schedule of %d", len(s.Slots), len(c.st.Slots))
 	}
-	if s.SlotIdx < 0 || s.SlotIdx >= len(c.slots) {
-		return fmt.Errorf("core: restore slot index %d out of %d", s.SlotIdx, len(c.slots))
+	if s.SlotIdx < 0 || s.SlotIdx >= len(c.st.Slots) {
+		return fmt.Errorf("core: restore slot index %d out of %d", s.SlotIdx, len(c.st.Slots))
 	}
 	if (s.Tracker != nil) != (c.tracker != nil) {
 		return fmt.Errorf("core: restore phase-tracker state mismatch (snapshot %v, controller %v)",
 			s.Tracker != nil, c.tracker != nil)
 	}
+	if t := s.Tracker; t != nil && (t.Current < 0 || (len(t.Phases) > 0 && t.Current >= len(t.Phases))) {
+		return fmt.Errorf("core: restore tracker current %d out of %d phases", t.Current, len(t.Phases))
+	}
 	if err := c.kf.Restore(s.Kalman); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-
-	c.cyclesRun = s.CyclesRun
-	c.sPrev = s.SPrev
-	copy(c.slots, s.Slots)
-	c.slotIdx = s.SlotIdx
-	c.attached = s.Attached
-	c.lastAlloc = s.LastAlloc
-	c.allocLog = s.AllocLog
-
+	c.st = s.controllerState
 	if c.tracker != nil {
-		c.tracker.phases = c.tracker.phases[:0]
-		for _, p := range s.Tracker.Phases {
-			c.tracker.phases = append(c.tracker.phases, phaseState{
-				centroid: p.Centroid, visits: p.Visits, s: p.S, hasS: p.HasS,
-			})
-		}
-		if s.Tracker.Current < 0 || (len(c.tracker.phases) > 0 && s.Tracker.Current >= len(c.tracker.phases)) {
-			return fmt.Errorf("core: restore tracker current %d out of %d phases",
-				s.Tracker.Current, len(c.tracker.phases))
-		}
-		c.tracker.current = s.Tracker.Current
+		c.tracker.st = *s.Tracker
 	}
-
-	c.health = s.Health
-	c.retriesLeft = s.RetriesLeft
-	c.cycleFailed = s.CycleFailed
-	c.degraded = s.Degraded
-	// recentY is a capacity-bounded ring; rebuild it at the restored
-	// length so pushRecentY's append/rotate decisions replay exactly.
-	c.recentY = append(c.recentY[:0], s.RecentY...)
-	c.recentYPos = s.RecentYPos
-	c.outlierRun = s.OutlierRun
-	c.stockCPUGov = s.StockCPUGov
-	c.stockBWGov = s.StockBWGov
-	c.installedMaxFreq = s.InstalledMaxFreq
-
-	c.gateCause = s.GateCause
-
-	c.cycles = s.Cycles
-	c.sumAbsErr = s.SumAbsErr
-	c.lastMeasured = s.LastMeasured
 	return nil
 }
 

@@ -52,17 +52,17 @@ type CycleSnapshot struct {
 // controller-side state.
 func (c *Controller) Snapshot() CycleSnapshot {
 	s := CycleSnapshot{
-		CyclesRun:        c.cyclesRun,
-		Cycles:           c.cycles,
-		MeasuredGIPS:     c.lastMeasured,
+		CyclesRun:        c.st.CyclesRun,
+		Cycles:           c.st.Cycles,
+		MeasuredGIPS:     c.st.LastMeasured,
 		TargetGIPS:       c.opt.TargetGIPS,
-		SpeedupSetting:   c.sPrev,
+		SpeedupSetting:   c.st.SPrev,
 		BaseEstimateGIPS: c.BaseSpeedEstimate(),
-		ExpectedSpeedup:  c.lastAlloc.ExpectedSpeedup,
+		ExpectedSpeedup:  c.st.LastAlloc.ExpectedSpeedup,
 		MeanAbsErrGIPS:   c.MeanAbsError(),
 		PhasesDetected:   c.PhasesDetected(),
-		Degraded:         c.degraded,
-		Health:           c.health,
+		Degraded:         c.st.Degraded,
+		Health:           c.st.Health,
 	}
 	if c.dev != nil {
 		s.At = c.dev.Now()
@@ -107,7 +107,7 @@ func (c *Controller) publishCycle(dev platform.Device) {
 		c.opt.OnCycle(snap)
 	}
 	if c.opt.OnCheckpoint != nil && c.opt.CheckpointEvery > 0 &&
-		c.cyclesRun%c.opt.CheckpointEvery == 0 {
-		c.opt.OnCheckpoint(c.cyclesRun)
+		c.st.CyclesRun%c.opt.CheckpointEvery == 0 {
+		c.opt.OnCheckpoint(c.st.CyclesRun)
 	}
 }

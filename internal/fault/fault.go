@@ -156,14 +156,7 @@ type Injector struct {
 	plan   Plan
 	rng    *rand.Rand
 	rngSrc *detrand.Source
-
-	now      time.Duration
-	nextFire []time.Duration // per hijack; <0 when exhausted
-
-	lastGIPS float64
-	haveLast bool
-
-	counts Counts
+	st     injectorState // the dynamic state a checkpoint carries (state.go)
 }
 
 // NewInjector validates the plan and builds an injector. Cells of one
@@ -175,13 +168,13 @@ func NewInjector(plan Plan, seed int64) (*Injector, error) {
 	}
 	rng, src := detrand.New(seed)
 	in := &Injector{
-		plan:     plan,
-		rng:      rng,
-		rngSrc:   src,
-		nextFire: make([]time.Duration, len(plan.Hijacks)),
+		plan:   plan,
+		rng:    rng,
+		rngSrc: src,
+		st:     injectorState{NextFire: make([]time.Duration, len(plan.Hijacks))},
 	}
 	for i, h := range plan.Hijacks {
-		in.nextFire[i] = h.At
+		in.st.NextFire[i] = h.At
 	}
 	return in, nil
 }
@@ -241,7 +234,7 @@ type faultRunner struct {
 func (r *faultRunner) Device() platform.Device { return r.dev }
 
 // Counts returns the faults delivered so far.
-func (in *Injector) Counts() Counts { return in.counts }
+func (in *Injector) Counts() Counts { return in.st.Counts }
 
 // Name implements platform.Actor.
 func (in *Injector) Name() string { return "fault-injector" }
@@ -253,16 +246,16 @@ func (in *Injector) Period() time.Duration { return 100 * time.Millisecond }
 // Tick implements platform.Actor: advance the scenario clock and fire
 // due hijack events.
 func (in *Injector) Tick(now time.Duration, dev platform.Device) {
-	in.now = now
+	in.st.Now = now
 	for i := range in.plan.Hijacks {
-		if in.nextFire[i] < 0 || now < in.nextFire[i] {
+		if in.st.NextFire[i] < 0 || now < in.st.NextFire[i] {
 			continue
 		}
 		in.fireHijack(dev, in.plan.Hijacks[i])
 		if r := in.plan.Hijacks[i].Repeat; r > 0 {
-			in.nextFire[i] = now + r
+			in.st.NextFire[i] = now + r
 		} else {
-			in.nextFire[i] = -1
+			in.st.NextFire[i] = -1
 		}
 	}
 }
@@ -284,7 +277,7 @@ func (in *Injector) fireHijack(dev platform.Device, h Hijack) {
 			dev.SetFreqIdx(capIdx)
 		}
 	}
-	in.counts.Hijacks++
+	in.st.Counts.Hijacks++
 }
 
 // interceptWrite vets one userspace write (the WrapActuator hot path):
@@ -293,15 +286,15 @@ func (in *Injector) fireHijack(dev platform.Device, h Hijack) {
 // deterministically.
 func (in *Injector) interceptWrite(path, _ string) error {
 	for _, s := range in.plan.StuckFiles {
-		if s.Path == path && in.now >= s.From {
-			in.counts.StuckWrites++
+		if s.Path == path && in.st.Now >= s.From {
+			in.st.Counts.StuckWrites++
 			return sysfs.ErrBusy
 		}
 	}
 	if in.plan.WriteFailProb > 0 && in.writeFaultable(path) && in.windowActive() {
 		if in.rng.Float64() < in.plan.WriteFailProb {
-			in.counts.WriteFailures++
-			if in.counts.WriteFailures%2 == 1 {
+			in.st.Counts.WriteFailures++
+			if in.st.Counts.WriteFailures%2 == 1 {
 				return sysfs.ErrBusy
 			}
 			return sysfs.ErrInvalid
@@ -324,34 +317,34 @@ func (in *Injector) writeFaultable(path string) bool {
 }
 
 func (in *Injector) windowActive() bool {
-	if in.now < in.plan.WriteFailFrom {
+	if in.st.Now < in.plan.WriteFailFrom {
 		return false
 	}
-	return in.plan.WriteFailUntil == 0 || in.now < in.plan.WriteFailUntil
+	return in.plan.WriteFailUntil == 0 || in.st.Now < in.plan.WriteFailUntil
 }
 
 // interceptReading is the perftool.FaultHook. Evaluation order is fixed
 // by the plan — stuck window, drop, zero, spike — and a zero probability
 // never consumes an rng draw, so replays are bit-identical.
 func (in *Injector) interceptReading(r perftool.Reading) (perftool.Reading, bool) {
-	if in.plan.StuckReadFor > 0 && in.haveLast &&
+	if in.plan.StuckReadFor > 0 && in.st.HaveLast &&
 		r.EndedAt >= in.plan.StuckReadFrom &&
 		r.EndedAt < in.plan.StuckReadFrom+in.plan.StuckReadFor {
-		in.counts.StuckReads++
-		r.GIPS = in.lastGIPS
+		in.st.Counts.StuckReads++
+		r.GIPS = in.st.LastGIPS
 		return r, true
 	}
 	if in.plan.DropProb > 0 && in.rng.Float64() < in.plan.DropProb {
-		in.counts.DroppedSamples++
+		in.st.Counts.DroppedSamples++
 		return r, false
 	}
 	if in.plan.ZeroProb > 0 && in.rng.Float64() < in.plan.ZeroProb {
-		in.counts.ZeroReads++
+		in.st.Counts.ZeroReads++
 		r.GIPS = 0
 		return r, true
 	}
 	if in.plan.SpikeProb > 0 && in.rng.Float64() < in.plan.SpikeProb {
-		in.counts.Spikes++
+		in.st.Counts.Spikes++
 		f := in.plan.SpikeFactor
 		if f == 0 {
 			f = 4
@@ -359,7 +352,7 @@ func (in *Injector) interceptReading(r perftool.Reading) (perftool.Reading, bool
 		r.GIPS *= f
 		return r, true
 	}
-	in.lastGIPS = r.GIPS
-	in.haveLast = true
+	in.st.LastGIPS = r.GIPS
+	in.st.HaveLast = true
 	return r, true
 }

@@ -8,31 +8,33 @@ import (
 	"aspeo/internal/platform"
 )
 
-// state is the JSON shape of a checkpointed injector: the rng stream
-// position, the scenario clock, per-hijack fire schedule, the stuck-read
-// memory, and the delivered-fault tallies. The plan itself is not
-// serialized — a restored cell is rebuilt from the same immutable Plan —
-// but its hijack count is recorded so a mismatched plan fails loudly.
-type state struct {
-	Hijacks  int             `json:"hijacks"`
-	RNGSeed  int64           `json:"rng_seed"`
-	RNGDraws uint64          `json:"rng_draws"`
+// injectorState is the injector's dynamic state: the scenario clock,
+// the per-hijack fire schedule, the stuck-read memory and the
+// delivered-fault tallies. The injector holds it and its checkpoint
+// carries it.
+type injectorState struct {
 	Now      time.Duration   `json:"now_ns"`
-	NextFire []time.Duration `json:"next_fire_ns"`
+	NextFire []time.Duration `json:"next_fire_ns"` // per hijack; <0 when exhausted
 	LastGIPS float64         `json:"last_gips"`
 	HaveLast bool            `json:"have_last"`
 	Counts   Counts          `json:"counts"`
 }
 
+// state is the JSON shape of a checkpointed injector: its dynamic state
+// plus the rng stream position. The plan itself is not serialized — a
+// restored cell is rebuilt from the same immutable Plan — but its
+// hijack count is recorded so a mismatched plan fails loudly.
+type state struct {
+	Hijacks  int    `json:"hijacks"`
+	RNGSeed  int64  `json:"rng_seed"`
+	RNGDraws uint64 `json:"rng_draws"`
+	injectorState
+}
+
 // CheckpointState implements platform.Checkpointer.
 func (in *Injector) CheckpointState() (json.RawMessage, error) {
 	seed, draws := in.rngSrc.State()
-	s := state{
-		Hijacks: len(in.plan.Hijacks), RNGSeed: seed, RNGDraws: draws,
-		Now: in.now, NextFire: in.nextFire,
-		LastGIPS: in.lastGIPS, HaveLast: in.haveLast, Counts: in.counts,
-	}
-	return json.Marshal(s)
+	return json.Marshal(state{Hijacks: len(in.plan.Hijacks), RNGSeed: seed, RNGDraws: draws, injectorState: in.st})
 }
 
 // RestoreState implements platform.Checkpointer.
@@ -47,10 +49,6 @@ func (in *Injector) RestoreState(raw json.RawMessage, _ platform.Device) error {
 	if err := in.rngSrc.Restore(s.RNGSeed, s.RNGDraws); err != nil {
 		return fmt.Errorf("fault: %w", err)
 	}
-	in.now = s.Now
-	copy(in.nextFire, s.NextFire)
-	in.lastGIPS = s.LastGIPS
-	in.haveLast = s.HaveLast
-	in.counts = s.Counts
+	in.st = s.injectorState
 	return nil
 }

@@ -28,11 +28,8 @@ func DefaultConservative() ConservativeTunables {
 }
 
 type conservative struct {
-	tun         ConservativeTunables
-	lastBusy    float64
-	lastTime    time.Duration
-	nextSample  time.Duration
-	initialized bool
+	tun ConservativeTunables
+	st  sampledState // the dynamic state a checkpoint carries (state.go)
 }
 
 func newConservative(tun ConservativeTunables) *conservative {
@@ -40,22 +37,22 @@ func newConservative(tun ConservativeTunables) *conservative {
 }
 
 func (g *conservative) tick(now time.Duration, dev platform.Device) {
-	if now < g.nextSample {
+	if now < g.st.NextSample {
 		return
 	}
-	g.nextSample = now + g.tun.SamplingRate
+	g.st.NextSample = now + g.tun.SamplingRate
 	busy := dev.CumMachineBusySec()
-	if !g.initialized {
-		g.initialized = true
-		g.lastBusy, g.lastTime = busy, now
+	if !g.st.Initialized {
+		g.st.Initialized = true
+		g.st.LastBusy, g.st.LastTime = busy, now
 		return
 	}
-	elapsed := (now - g.lastTime).Seconds()
+	elapsed := (now - g.st.LastTime).Seconds()
 	if elapsed <= 0 {
 		return
 	}
-	load := (busy - g.lastBusy) / elapsed
-	g.lastBusy, g.lastTime = busy, now
+	load := (busy - g.st.LastBusy) / elapsed
+	g.st.LastBusy, g.st.LastTime = busy, now
 
 	cur := dev.CurFreqIdx()
 	switch {

@@ -51,13 +51,7 @@ func DefaultInteractive() InteractiveTunables {
 // interactive is the per-policy state of the interactive algorithm.
 type interactive struct {
 	tun InteractiveTunables
-
-	lastBusy    float64
-	lastTime    time.Duration
-	floorUntil  time.Duration // no down-steps before this
-	boostUntil  time.Duration // input boost active until this
-	hispeedTime time.Duration // when we arrived at/above hispeed
-	initialized bool
+	st  interactiveState // the dynamic state a checkpoint carries (state.go)
 }
 
 func newInteractive(tun InteractiveTunables) *interactive {
@@ -67,19 +61,19 @@ func newInteractive(tun InteractiveTunables) *interactive {
 // tick runs one evaluation of the interactive algorithm.
 func (g *interactive) tick(now time.Duration, dev platform.Device) {
 	busy := dev.CumMachineBusySec()
-	if !g.initialized {
-		g.initialized = true
-		g.lastBusy, g.lastTime = busy, now
+	if !g.st.Initialized {
+		g.st.Initialized = true
+		g.st.LastBusy, g.st.LastTime = busy, now
 		g.publishTunables(dev)
 		return
 	}
 	g.loadTunables(dev)
-	elapsed := (now - g.lastTime).Seconds()
+	elapsed := (now - g.st.LastTime).Seconds()
 	if elapsed <= 0 {
 		return
 	}
-	load := (busy - g.lastBusy) / elapsed
-	g.lastBusy, g.lastTime = busy, now
+	load := (busy - g.st.LastBusy) / elapsed
+	g.st.LastBusy, g.st.LastTime = busy, now
 	if load < 0 {
 		load = 0
 	}
@@ -88,7 +82,7 @@ func (g *interactive) tick(now time.Duration, dev platform.Device) {
 	}
 
 	if dev.TakeTouches() > 0 {
-		g.boostUntil = now + g.tun.InputBoost
+		g.st.BoostUntil = now + g.tun.InputBoost
 	}
 
 	cur := dev.CurFreqIdx()
@@ -110,7 +104,7 @@ func (g *interactive) tick(now time.Duration, dev platform.Device) {
 	// This staircase is what populates the mid-frequency buckets of the
 	// paper's Figure 4 histograms.
 	if target > g.tun.HispeedFreqIdx && cur >= g.tun.HispeedFreqIdx {
-		if now-g.hispeedTime < g.tun.AboveHispeedWait {
+		if now-g.st.HispeedTime < g.tun.AboveHispeedWait {
 			target = cur
 		} else if target > cur+2 {
 			target = cur + 2
@@ -121,22 +115,22 @@ func (g *interactive) tick(now time.Duration, dev platform.Device) {
 	}
 
 	// Input boost floors the frequency at hispeed.
-	if now < g.boostUntil && target < g.tun.HispeedFreqIdx {
+	if now < g.st.BoostUntil && target < g.tun.HispeedFreqIdx {
 		target = g.tun.HispeedFreqIdx
 	}
 
 	switch {
 	case target > cur:
 		dev.SetFreqIdx(target)
-		g.floorUntil = now + g.tun.MinSampleTime
+		g.st.FloorUntil = now + g.tun.MinSampleTime
 		if target >= g.tun.HispeedFreqIdx {
-			g.hispeedTime = now
+			g.st.HispeedTime = now
 		}
 	case target < cur:
 		// Down-steps wait out min_sample_time (the floor timer).
-		if now >= g.floorUntil {
+		if now >= g.st.FloorUntil {
 			dev.SetFreqIdx(target)
-			g.floorUntil = now + g.tun.MinSampleTime
+			g.st.FloorUntil = now + g.tun.MinSampleTime
 		}
 	}
 }
@@ -159,11 +153,8 @@ func DefaultOndemand() OndemandTunables {
 }
 
 type ondemand struct {
-	tun         OndemandTunables
-	lastBusy    float64
-	lastTime    time.Duration
-	nextSample  time.Duration
-	initialized bool
+	tun OndemandTunables
+	st  sampledState // the dynamic state a checkpoint carries (state.go)
 }
 
 func newOndemand(tun OndemandTunables) *ondemand {
@@ -171,22 +162,22 @@ func newOndemand(tun OndemandTunables) *ondemand {
 }
 
 func (g *ondemand) tick(now time.Duration, dev platform.Device) {
-	if now < g.nextSample {
+	if now < g.st.NextSample {
 		return
 	}
-	g.nextSample = now + g.tun.SamplingRate
+	g.st.NextSample = now + g.tun.SamplingRate
 	busy := dev.CumMachineBusySec()
-	if !g.initialized {
-		g.initialized = true
-		g.lastBusy, g.lastTime = busy, now
+	if !g.st.Initialized {
+		g.st.Initialized = true
+		g.st.LastBusy, g.st.LastTime = busy, now
 		return
 	}
-	elapsed := (now - g.lastTime).Seconds()
+	elapsed := (now - g.st.LastTime).Seconds()
 	if elapsed <= 0 {
 		return
 	}
-	load := (busy - g.lastBusy) / elapsed
-	g.lastBusy, g.lastTime = busy, now
+	load := (busy - g.st.LastBusy) / elapsed
+	g.st.LastBusy, g.st.LastTime = busy, now
 
 	s := dev.SoC()
 	if load >= g.tun.UpThreshold {

@@ -43,11 +43,7 @@ func DefaultHwmon() HwmonTunables {
 
 type hwmon struct {
 	tun HwmonTunables
-
-	lastBytes   float64
-	lastTime    time.Duration
-	lowSince    time.Duration
-	initialized bool
+	st  hwmonState // the dynamic state a checkpoint carries (state.go)
 }
 
 func newHwmon(tun HwmonTunables) *hwmon {
@@ -56,18 +52,18 @@ func newHwmon(tun HwmonTunables) *hwmon {
 
 func (g *hwmon) tick(now time.Duration, dev platform.Device) {
 	bytes := dev.CumTrafficBytes()
-	if !g.initialized {
-		g.initialized = true
-		g.lastBytes, g.lastTime = bytes, now
-		g.lowSince = now
+	if !g.st.Initialized {
+		g.st.Initialized = true
+		g.st.LastBytes, g.st.LastTime = bytes, now
+		g.st.LowSince = now
 		return
 	}
-	elapsed := (now - g.lastTime).Seconds()
+	elapsed := (now - g.st.LastTime).Seconds()
 	if elapsed <= 0 {
 		return
 	}
-	measuredMBps := (bytes - g.lastBytes) / elapsed / 1e6 * g.tun.EventInflation
-	g.lastBytes, g.lastTime = bytes, now
+	measuredMBps := (bytes - g.st.LastBytes) / elapsed / 1e6 * g.tun.EventInflation
+	g.st.LastBytes, g.st.LastTime = bytes, now
 
 	s := dev.SoC()
 	cur := s.BW(dev.CurBWIdx()).MBps()
@@ -76,25 +72,25 @@ func (g *hwmon) tick(now time.Duration, dev platform.Device) {
 	if needed > cur {
 		// Ramp up immediately to fit the demand.
 		dev.SetBWIdx(s.NearestBWIdx(soc.Bandwidth(needed)))
-		g.lowSince = now
+		g.st.LowSince = now
 		return
 	}
 	if needed > cur*g.tun.IOPercent {
 		// Within the utilization band: hold.
-		g.lowSince = now
+		g.st.LowSince = now
 		return
 	}
 	// Demand is low; back off exponentially after the hold period. The
 	// decayed vote rounds *down* the ladder (a decay that rounded up
 	// would wedge at rungs spaced wider than the decay factor), but
 	// never below what the measured demand needs.
-	if now-g.lowSince >= g.tun.DecayHold {
+	if now-g.st.LowSince >= g.tun.DecayHold {
 		idx := floorBWIdx(s, cur*g.tun.DecayFactor)
 		if min := s.NearestBWIdx(soc.Bandwidth(needed)); idx < min {
 			idx = min
 		}
 		dev.SetBWIdx(idx)
-		g.lowSince = now
+		g.st.LowSince = now
 	}
 }
 

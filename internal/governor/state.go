@@ -8,22 +8,26 @@ import (
 	"aspeo/internal/platform"
 )
 
-// Checkpoint states for the policy engines. Only evaluation state is
-// captured — tunables live either in the constructor (restored cells are
-// rebuilt with the same tunables) or in sysfs (covered by the sysfs
-// value snapshot). The interactive governor is special: its sysfs
-// tunable files are created at its first tick, so RestoreState
-// republishes them before the checkpointed sysfs values are applied.
+// Checkpoint states for the policy engines. Each engine holds its
+// evaluation state in one of the structs below, and its checkpoint
+// carries that struct. Tunables live either in the constructor
+// (restored cells are rebuilt with the same tunables) or in sysfs
+// (covered by the sysfs value snapshot). The interactive governor is
+// special: its sysfs tunable files are created at its first tick, so
+// RestoreState republishes them before the checkpointed sysfs values
+// are applied.
 
 type interactiveState struct {
 	LastBusy    float64       `json:"last_busy"`
 	LastTime    time.Duration `json:"last_time_ns"`
-	FloorUntil  time.Duration `json:"floor_until_ns"`
-	BoostUntil  time.Duration `json:"boost_until_ns"`
-	HispeedTime time.Duration `json:"hispeed_time_ns"`
+	FloorUntil  time.Duration `json:"floor_until_ns"`  // no down-steps before this
+	BoostUntil  time.Duration `json:"boost_until_ns"`  // input boost active until this
+	HispeedTime time.Duration `json:"hispeed_time_ns"` // when we arrived at/above hispeed
 	Initialized bool          `json:"initialized"`
 }
 
+// sampledState serves both sampled governors, ondemand and
+// conservative.
 type sampledState struct {
 	LastBusy    float64       `json:"last_busy"`
 	LastTime    time.Duration `json:"last_time_ns"`
@@ -46,23 +50,11 @@ type cpufreqState struct {
 
 // CheckpointState implements platform.Checkpointer.
 func (c *CPUFreq) CheckpointState() (json.RawMessage, error) {
-	g, o, v := c.interactive, c.ondemand, c.conservative
-	s := cpufreqState{
-		Interactive: interactiveState{
-			LastBusy: g.lastBusy, LastTime: g.lastTime,
-			FloorUntil: g.floorUntil, BoostUntil: g.boostUntil,
-			HispeedTime: g.hispeedTime, Initialized: g.initialized,
-		},
-		Ondemand: sampledState{
-			LastBusy: o.lastBusy, LastTime: o.lastTime,
-			NextSample: o.nextSample, Initialized: o.initialized,
-		},
-		Conservative: sampledState{
-			LastBusy: v.lastBusy, LastTime: v.lastTime,
-			NextSample: v.nextSample, Initialized: v.initialized,
-		},
-	}
-	return json.Marshal(s)
+	return json.Marshal(cpufreqState{
+		Interactive:  c.interactive.st,
+		Ondemand:     c.ondemand.st,
+		Conservative: c.conservative.st,
+	})
 }
 
 // RestoreState implements platform.Checkpointer. When the interactive
@@ -74,31 +66,18 @@ func (c *CPUFreq) RestoreState(raw json.RawMessage, dev platform.Device) error {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		return fmt.Errorf("governor: cpufreq: %w", err)
 	}
-	g := c.interactive
-	g.lastBusy, g.lastTime = s.Interactive.LastBusy, s.Interactive.LastTime
-	g.floorUntil, g.boostUntil = s.Interactive.FloorUntil, s.Interactive.BoostUntil
-	g.hispeedTime = s.Interactive.HispeedTime
-	g.initialized = s.Interactive.Initialized
-	if g.initialized && dev != nil {
-		g.publishTunables(dev)
+	c.interactive.st = s.Interactive
+	c.ondemand.st = s.Ondemand
+	c.conservative.st = s.Conservative
+	if s.Interactive.Initialized && dev != nil {
+		c.interactive.publishTunables(dev)
 	}
-	o := c.ondemand
-	o.lastBusy, o.lastTime = s.Ondemand.LastBusy, s.Ondemand.LastTime
-	o.nextSample, o.initialized = s.Ondemand.NextSample, s.Ondemand.Initialized
-	v := c.conservative
-	v.lastBusy, v.lastTime = s.Conservative.LastBusy, s.Conservative.LastTime
-	v.nextSample, v.initialized = s.Conservative.NextSample, s.Conservative.Initialized
 	return nil
 }
 
 // CheckpointState implements platform.Checkpointer.
 func (d *DevFreq) CheckpointState() (json.RawMessage, error) {
-	h := d.hwmon
-	s := hwmonState{
-		LastBytes: h.lastBytes, LastTime: h.lastTime,
-		LowSince: h.lowSince, Initialized: h.initialized,
-	}
-	return json.Marshal(s)
+	return json.Marshal(d.hwmon.st)
 }
 
 // RestoreState implements platform.Checkpointer.
@@ -107,8 +86,6 @@ func (d *DevFreq) RestoreState(raw json.RawMessage, _ platform.Device) error {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		return fmt.Errorf("governor: devfreq: %w", err)
 	}
-	h := d.hwmon
-	h.lastBytes, h.lastTime = s.LastBytes, s.LastTime
-	h.lowSince, h.initialized = s.LowSince, s.Initialized
+	d.hwmon.st = s
 	return nil
 }

@@ -21,17 +21,9 @@ import (
 )
 
 // Filter is a one-dimensional Kalman filter. The zero value is not usable;
-// construct with New.
+// construct with New. Its whole state is the State a checkpoint carries.
 type Filter struct {
-	q float64 // process noise variance
-	r float64 // measurement noise variance
-
-	x float64 // state estimate
-	p float64 // estimate variance
-
-	initialized bool
-	steps       int
-	lastGain    float64
+	st State
 }
 
 // Errors returned by Filter methods.
@@ -48,7 +40,7 @@ func New(q, r float64) (*Filter, error) {
 	if !(q > 0) || !(r > 0) || math.IsInf(q, 0) || math.IsInf(r, 0) {
 		return nil, ErrBadVariance
 	}
-	return &Filter{q: q, r: r}, nil
+	return &Filter{st: State{Q: q, R: r}}, nil
 }
 
 // MustNew is New but panics on invalid parameters; for use in tests and
@@ -65,58 +57,58 @@ func MustNew(q, r float64) *Filter {
 // should reflect how much the seed is trusted (large when the seed is a
 // guess).
 func (f *Filter) Init(x0, p0 float64) {
-	f.x = x0
-	f.p = math.Abs(p0)
-	f.initialized = true
-	f.steps = 0
+	f.st.X = x0
+	f.st.P = math.Abs(p0)
+	f.st.Initialized = true
+	f.st.Steps = 0
 }
 
 // Initialized reports whether Init or a first Update has run.
-func (f *Filter) Initialized() bool { return f.initialized }
+func (f *Filter) Initialized() bool { return f.st.Initialized }
 
 // Update folds in a new measurement z and returns the posterior state
 // estimate. If the filter has not been initialized, the first measurement
 // initializes it with a large prior variance.
 func (f *Filter) Update(z float64) (float64, error) {
 	if math.IsNaN(z) || math.IsInf(z, 0) {
-		return f.x, ErrBadMeasure
+		return f.st.X, ErrBadMeasure
 	}
-	if !f.initialized {
-		f.Init(z, 100*f.r)
-		f.steps = 1
-		return f.x, nil
+	if !f.st.Initialized {
+		f.Init(z, 100*f.st.R)
+		f.st.Steps = 1
+		return f.st.X, nil
 	}
 	// Predict.
-	pPred := f.p + f.q
+	pPred := f.st.P + f.st.Q
 	// Update.
-	k := pPred / (pPred + f.r)
-	f.x += k * (z - f.x)
-	f.p = (1 - k) * pPred
-	f.lastGain = k
-	f.steps++
-	return f.x, nil
+	k := pPred / (pPred + f.st.R)
+	f.st.X += k * (z - f.st.X)
+	f.st.P = (1 - k) * pPred
+	f.st.LastGain = k
+	f.st.Steps++
+	return f.st.X, nil
 }
 
 // Estimate returns the current state estimate.
 func (f *Filter) Estimate() (float64, error) {
-	if !f.initialized {
+	if !f.st.Initialized {
 		return 0, ErrUninitialized
 	}
-	return f.x, nil
+	return f.st.X, nil
 }
 
 // Variance returns the current estimate variance.
-func (f *Filter) Variance() float64 { return f.p }
+func (f *Filter) Variance() float64 { return f.st.P }
 
 // MeasurementVariance returns the configured measurement noise variance
 // R; controllers scale their innovation gates by sqrt(P + R).
-func (f *Filter) MeasurementVariance() float64 { return f.r }
+func (f *Filter) MeasurementVariance() float64 { return f.st.R }
 
 // Gain returns the Kalman gain applied by the most recent Update.
-func (f *Filter) Gain() float64 { return f.lastGain }
+func (f *Filter) Gain() float64 { return f.st.LastGain }
 
 // Steps returns the number of measurements folded in so far.
-func (f *Filter) Steps() int { return f.steps }
+func (f *Filter) Steps() int { return f.st.Steps }
 
 // SteadyStateGain returns the asymptotic Kalman gain for the filter's q
 // and r; useful for analysis and tests. For the random-walk model it is
@@ -125,6 +117,7 @@ func (f *Filter) Steps() int { return f.steps }
 func (f *Filter) SteadyStateGain() float64 {
 	// Fixed point of p' = (1-k)(p+q) with k = (p+q)/(p+q+r):
 	// p* = (-q + sqrt(q² + 4qr)) / 2.
-	pStar := (-f.q + math.Sqrt(f.q*f.q+4*f.q*f.r)) / 2
-	return (pStar + f.q) / (pStar + f.q + f.r)
+	q, r := f.st.Q, f.st.R
+	pStar := (-q + math.Sqrt(q*q+4*q*r)) / 2
+	return (pStar + q) / (pStar + q + r)
 }

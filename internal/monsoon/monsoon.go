@@ -15,17 +15,10 @@ import (
 	"aspeo/internal/fpacc"
 )
 
-// Monitor integrates a power signal over time.
+// Monitor integrates a power signal over time. Its whole state is the
+// State a checkpoint carries.
 type Monitor struct {
-	sampleHz float64
-	// Current sample state.
-	lastPowerW float64
-	energyJ    float64
-	elapsed    time.Duration
-	samples    int
-	sumPower   float64
-	maxPower   float64
-	running    bool
+	st State
 }
 
 // New creates a monitor with the given sampling frequency. The real
@@ -34,7 +27,7 @@ func New(sampleHz float64) (*Monitor, error) {
 	if sampleHz <= 0 {
 		return nil, fmt.Errorf("monsoon: sample rate %v Hz invalid", sampleHz)
 	}
-	return &Monitor{sampleHz: sampleHz}, nil
+	return &Monitor{st: State{SampleHz: sampleHz}}, nil
 }
 
 // Default returns the 5 kHz instrument used in the paper.
@@ -48,32 +41,32 @@ func Default() *Monitor {
 
 // Start begins a measurement session, resetting accumulated state.
 func (m *Monitor) Start() {
-	m.energyJ, m.elapsed, m.samples, m.sumPower, m.maxPower = 0, 0, 0, 0, 0
-	m.running = true
+	m.st.EnergyJ, m.st.Elapsed, m.st.Samples, m.st.SumPower, m.st.MaxPower = 0, 0, 0, 0, 0
+	m.st.Running = true
 }
 
 // Running reports whether a session is active.
-func (m *Monitor) Running() bool { return m.running }
+func (m *Monitor) Running() bool { return m.st.Running }
 
 // Observe feeds the instantaneous device power for the next dt of
 // simulated time. The monitor internally resamples at its configured
 // frequency; with a constant power over dt the result is exact.
 func (m *Monitor) Observe(powerW float64, dt time.Duration) {
-	if !m.running || dt <= 0 {
+	if !m.st.Running || dt <= 0 {
 		return
 	}
 	sec := dt.Seconds()
-	n := int(sec*m.sampleHz + 0.5)
+	n := int(sec*m.st.SampleHz + 0.5)
 	if n < 1 {
 		n = 1
 	}
-	m.lastPowerW = powerW
-	m.energyJ += powerW * sec
-	m.elapsed += dt
-	m.samples += n
-	m.sumPower += powerW * float64(n)
-	if powerW > m.maxPower {
-		m.maxPower = powerW
+	m.st.LastPowerW = powerW
+	m.st.EnergyJ += powerW * sec
+	m.st.Elapsed += dt
+	m.st.Samples += n
+	m.st.SumPower += powerW * float64(n)
+	if powerW > m.st.MaxPower {
+		m.st.MaxPower = powerW
 	}
 }
 
@@ -85,46 +78,46 @@ func (m *Monitor) Observe(powerW float64, dt time.Duration) {
 // simulation engine uses it to integrate power over a whole quiescent
 // interval in one call.
 func (m *Monitor) ObserveSpan(powerW float64, dt time.Duration, n int) {
-	if !m.running || dt <= 0 || n <= 0 {
+	if !m.st.Running || dt <= 0 || n <= 0 {
 		return
 	}
 	sec := dt.Seconds()
-	k := int(sec*m.sampleHz + 0.5)
+	k := int(sec*m.st.SampleHz + 0.5)
 	if k < 1 {
 		k = 1
 	}
-	m.lastPowerW = powerW
-	m.energyJ = fpacc.AddK(m.energyJ, powerW*sec, n)
-	m.sumPower = fpacc.AddK(m.sumPower, powerW*float64(k), n)
-	m.elapsed += time.Duration(n) * dt
-	m.samples += n * k
-	if powerW > m.maxPower {
-		m.maxPower = powerW
+	m.st.LastPowerW = powerW
+	m.st.EnergyJ = fpacc.AddK(m.st.EnergyJ, powerW*sec, n)
+	m.st.SumPower = fpacc.AddK(m.st.SumPower, powerW*float64(k), n)
+	m.st.Elapsed += time.Duration(n) * dt
+	m.st.Samples += n * k
+	if powerW > m.st.MaxPower {
+		m.st.MaxPower = powerW
 	}
 }
 
 // Stop ends the session.
-func (m *Monitor) Stop() { m.running = false }
+func (m *Monitor) Stop() { m.st.Running = false }
 
 // EnergyJ returns accumulated energy in joules.
-func (m *Monitor) EnergyJ() float64 { return m.energyJ }
+func (m *Monitor) EnergyJ() float64 { return m.st.EnergyJ }
 
 // AveragePowerW returns the session's average power.
 func (m *Monitor) AveragePowerW() float64 {
-	if m.samples == 0 {
+	if m.st.Samples == 0 {
 		return 0
 	}
-	return m.sumPower / float64(m.samples)
+	return m.st.SumPower / float64(m.st.Samples)
 }
 
 // PeakPowerW returns the maximum instantaneous power observed.
-func (m *Monitor) PeakPowerW() float64 { return m.maxPower }
+func (m *Monitor) PeakPowerW() float64 { return m.st.MaxPower }
 
 // LastPowerW returns the most recent instantaneous power.
-func (m *Monitor) LastPowerW() float64 { return m.lastPowerW }
+func (m *Monitor) LastPowerW() float64 { return m.st.LastPowerW }
 
 // Elapsed returns the measured session duration.
-func (m *Monitor) Elapsed() time.Duration { return m.elapsed }
+func (m *Monitor) Elapsed() time.Duration { return m.st.Elapsed }
 
 // Samples returns how many ADC samples the session represents.
-func (m *Monitor) Samples() int { return m.samples }
+func (m *Monitor) Samples() int { return m.st.Samples }

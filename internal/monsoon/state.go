@@ -2,11 +2,13 @@ package monsoon
 
 import "time"
 
-// State is a checkpointable snapshot of a measurement session. Restoring
-// it mid-session (Running true) continues the integration exactly where
-// the original left off — unlike Start, which resets the accumulators.
+// State is the monitor's whole state, held by the monitor itself and
+// carried by its checkpoint. Restoring it mid-session (Running true)
+// continues the integration exactly where the original left off —
+// unlike Start, which resets the accumulators.
 type State struct {
-	SampleHz   float64       `json:"sample_hz"`
+	SampleHz float64 `json:"sample_hz"`
+	// Current sample state.
 	LastPowerW float64       `json:"last_power_w"`
 	EnergyJ    float64       `json:"energy_j"`
 	Elapsed    time.Duration `json:"elapsed_ns"`
@@ -17,22 +19,9 @@ type State struct {
 }
 
 // State captures the monitor for a checkpoint.
-func (m *Monitor) State() State {
-	return State{SampleHz: m.sampleHz, LastPowerW: m.lastPowerW,
-		EnergyJ: m.energyJ, Elapsed: m.elapsed, Samples: m.samples,
-		SumPower: m.sumPower, MaxPower: m.maxPower, Running: m.running}
-}
+func (m *Monitor) State() State { return m.st }
 
 // Restore overwrites the monitor with a previously captured State,
 // including the running flag — a restored session must not call Start
 // (which would zero the accumulators).
-func (m *Monitor) Restore(s State) {
-	m.sampleHz = s.SampleHz
-	m.lastPowerW = s.LastPowerW
-	m.energyJ = s.EnergyJ
-	m.elapsed = s.Elapsed
-	m.samples = s.Samples
-	m.sumPower = s.SumPower
-	m.maxPower = s.MaxPower
-	m.running = s.Running
-}
+func (m *Monitor) Restore(s State) { m.st = s }

@@ -69,22 +69,15 @@ type Perf struct {
 	rng    *rand.Rand
 	rngSrc *detrand.Source
 
-	prev        pmu.Snapshot
-	prevAt      time.Duration
-	initialized bool
-	last        Reading
-	// history is a fixed ring of the most recent readings: histPos is
-	// the next write slot, histN the live count (== historyLen once
-	// wrapped). A ring instead of an append-and-reslice window keeps the
-	// per-sample steady state allocation-free.
-	history  [historyLen]Reading
-	histPos  int
-	histN    int
-	seq      int
-	attached bool
+	prev pmu.Snapshot
+	// history is a fixed ring of the most recent readings: st.HistPos
+	// is the next write slot, st.HistN the live count (== historyLen
+	// once wrapped). A ring instead of an append-and-reslice window
+	// keeps the per-sample steady state allocation-free.
+	history [historyLen]Reading
+	st      perfState // the rest of the dynamic state a checkpoint carries (state.go)
 
-	hook    FaultHook
-	dropped int
+	hook FaultHook
 }
 
 // New creates a perf reader with the given sampling period.
@@ -124,25 +117,25 @@ func (p *Perf) OverheadFrac() float64 {
 // Tick implements platform.Actor: close the current window, produce a
 // reading, and charge the instrumentation costs to the device.
 func (p *Perf) Tick(now time.Duration, dev platform.Device) {
-	if !p.attached {
+	if !p.st.Attached {
 		// First tick: install the standing CPU and power overheads.
 		// Each sample costs ~15 mJ, so the average power overhead is
 		// 15 mW at the 1 s period the paper reports.
 		dev.SetPerfOverhead(p.OverheadFrac(), powerPerSampleJ/p.period.Seconds())
-		p.attached = true
+		p.st.Attached = true
 	}
 	snap := dev.PMUSnapshot()
-	if !p.initialized {
-		p.initialized = true
-		p.prev, p.prevAt = snap, now
+	if !p.st.Initialized {
+		p.st.Initialized = true
+		p.prev, p.st.PrevAt = snap, now
 		return
 	}
-	window := now - p.prevAt
+	window := now - p.st.PrevAt
 	if window <= 0 {
 		return
 	}
 	instr := snap.Delta(p.prev, pmu.Instructions)
-	p.prev, p.prevAt = snap, now
+	p.prev, p.st.PrevAt = snap, now
 
 	gips := instr / window.Seconds() / 1e9
 	// Noise scales with 1/sqrt(window): short windows are unreliable.
@@ -151,21 +144,21 @@ func (p *Perf) Tick(now time.Duration, dev platform.Device) {
 	if gips < 0 {
 		gips = 0
 	}
-	r := Reading{GIPS: gips, Window: window, EndedAt: now, Seq: p.seq + 1}
+	r := Reading{GIPS: gips, Window: window, EndedAt: now, Seq: p.st.Seq + 1}
 	if p.hook != nil {
 		var keep bool
 		if r, keep = p.hook(r); !keep {
-			p.dropped++
+			p.st.Dropped++
 			return
 		}
 	}
-	p.seq++
-	r.Seq = p.seq
-	p.last = r
-	p.history[p.histPos] = r
-	p.histPos = (p.histPos + 1) % historyLen
-	if p.histN < historyLen {
-		p.histN++
+	p.st.Seq++
+	r.Seq = p.st.Seq
+	p.st.Last = r
+	p.history[p.st.HistPos] = r
+	p.st.HistPos = (p.st.HistPos + 1) % historyLen
+	if p.st.HistN < historyLen {
+		p.st.HistN++
 	}
 }
 
@@ -173,19 +166,19 @@ func (p *Perf) Tick(now time.Duration, dev platform.Device) {
 func (p *Perf) SetFaultHook(h FaultHook) { p.hook = h }
 
 // Dropped returns how many completed readings the fault hook discarded.
-func (p *Perf) Dropped() int { return p.dropped }
+func (p *Perf) Dropped() int { return p.st.Dropped }
 
 // Detach removes the instrumentation costs from the device (perf
 // stopped).
 func (p *Perf) Detach(dev platform.Device) {
 	dev.SetPerfOverhead(0, 0)
-	p.attached = false
+	p.st.Attached = false
 }
 
 // Last returns the most recent completed reading; ok is false before the
 // first window closes.
 func (p *Perf) Last() (Reading, bool) {
-	return p.last, p.seq > 0
+	return p.st.Last, p.st.Seq > 0
 }
 
 // MeanOver returns the time-weighted mean GIPS of the readings covering
@@ -195,14 +188,14 @@ func (p *Perf) Last() (Reading, bool) {
 // are excluded, so ok is false for a non-positive span, before the first
 // window closes, and when every sample inside the span was dropped.
 func (p *Perf) MeanOver(span time.Duration) (float64, bool) {
-	if span <= 0 || p.histN == 0 {
+	if span <= 0 || p.st.HistN == 0 {
 		return 0, false
 	}
-	cutoff := p.prevAt - span
+	cutoff := p.st.PrevAt - span
 	var sum, weight float64
 	covered := time.Duration(0)
-	for k := 0; k < p.histN && covered < span; k++ {
-		r := &p.history[(p.histPos-1-k+2*historyLen)%historyLen]
+	for k := 0; k < p.st.HistN && covered < span; k++ {
+		r := &p.history[(p.st.HistPos-1-k+2*historyLen)%historyLen]
 		if r.EndedAt <= cutoff {
 			break // window entirely before the span: stale
 		}

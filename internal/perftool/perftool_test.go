@@ -149,8 +149,8 @@ func TestHistoryBounded(t *testing.T) {
 	p := MustNew(100*time.Millisecond, 1)
 	eng.MustRegister(p)
 	eng.Run(30*time.Second, false) // 300 samples >> historyLen
-	if p.histN > historyLen {
-		t.Fatalf("history grew to %d, cap %d", p.histN, historyLen)
+	if p.st.HistN > historyLen {
+		t.Fatalf("history grew to %d, cap %d", p.st.HistN, historyLen)
 	}
 	if _, ok := p.MeanOver(2 * time.Second); !ok {
 		t.Fatal("MeanOver must work at the cap")

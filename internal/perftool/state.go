@@ -9,39 +9,41 @@ import (
 	"aspeo/internal/pmu"
 )
 
-// state is the JSON shape of a checkpointed perf reader. The noise rng
-// is stored as its (seed, draws) stream position; the reading ring is
-// stored verbatim so MeanOver sees the identical trailing window after
-// a restore.
-type state struct {
-	Period      time.Duration `json:"period_ns"`
-	RNGSeed     int64         `json:"rng_seed"`
-	RNGDraws    uint64        `json:"rng_draws"`
-	PrevInstr   float64       `json:"prev_instr"`
-	PrevCycles  float64       `json:"prev_cycles"`
-	PrevBus     float64       `json:"prev_bus"`
+// perfState is the reader's dynamic state besides the PMU baseline and
+// the reading ring, whose live layouts differ from their stored ones.
+// The reader holds it and its checkpoint carries it.
+type perfState struct {
 	PrevAt      time.Duration `json:"prev_at_ns"`
 	Initialized bool          `json:"initialized"`
 	Last        Reading       `json:"last"`
-	History     []Reading     `json:"history"`
 	HistPos     int           `json:"hist_pos"`
 	HistN       int           `json:"hist_n"`
 	Seq         int           `json:"seq"`
 	Attached    bool          `json:"attached"`
-	Dropped     int           `json:"dropped"`
+	Dropped     int           `json:"dropped"` // readings the fault hook discarded
+}
+
+// state is the JSON shape of a checkpointed perf reader: its dynamic
+// state, the sampling period it was built with, the noise rng as its
+// (seed, draws) stream position, the PMU baseline as its three counter
+// values, and the reading ring verbatim so MeanOver sees the identical
+// trailing window after a restore.
+type state struct {
+	Period     time.Duration `json:"period_ns"`
+	RNGSeed    int64         `json:"rng_seed"`
+	RNGDraws   uint64        `json:"rng_draws"`
+	PrevInstr  float64       `json:"prev_instr"`
+	PrevCycles float64       `json:"prev_cycles"`
+	PrevBus    float64       `json:"prev_bus"`
+	History    []Reading     `json:"history"`
+	perfState
 }
 
 // CheckpointState implements platform.Checkpointer.
 func (p *Perf) CheckpointState() (json.RawMessage, error) {
-	seed, draws := p.rngSrc.State()
-	instr, cycles, bus := p.prev.Values()
-	s := state{
-		Period: p.period, RNGSeed: seed, RNGDraws: draws,
-		PrevInstr: instr, PrevCycles: cycles, PrevBus: bus,
-		PrevAt: p.prevAt, Initialized: p.initialized, Last: p.last,
-		History: p.history[:], HistPos: p.histPos, HistN: p.histN,
-		Seq: p.seq, Attached: p.attached, Dropped: p.dropped,
-	}
+	s := state{Period: p.period, History: p.history[:], perfState: p.st}
+	s.RNGSeed, s.RNGDraws = p.rngSrc.State()
+	s.PrevInstr, s.PrevCycles, s.PrevBus = p.prev.Values()
 	return json.Marshal(s)
 }
 
@@ -66,13 +68,7 @@ func (p *Perf) RestoreState(raw json.RawMessage, _ platform.Device) error {
 		return fmt.Errorf("perftool: %w", err)
 	}
 	p.prev = pmu.SnapshotAt(s.PrevInstr, s.PrevCycles, s.PrevBus)
-	p.prevAt = s.PrevAt
-	p.initialized = s.Initialized
-	p.last = s.Last
 	copy(p.history[:], s.History)
-	p.histPos, p.histN = s.HistPos, s.HistN
-	p.seq = s.Seq
-	p.attached = s.Attached
-	p.dropped = s.Dropped
+	p.st = s.perfState
 	return nil
 }

@@ -24,14 +24,7 @@ import (
 type Kernel struct {
 	chip *soc.SoC
 	fs   *sysfs.FS
-
-	freqIdx    int
-	bwIdx      int
-	thermalCap int // max allowed freq index (thermal driver); -1 = none
-
-	freqChanges    int
-	bwChanges      int
-	pendingTouches int
+	st   kernelState // the dynamic state a checkpoint carries
 
 	onFreqChange func() // nil when a transition costs the backend nothing
 	spanSink     obs.Sink
@@ -52,7 +45,7 @@ var (
 // transition, whichever path requested it — a backend that models the
 // transition's energy charges it there.
 func (k *Kernel) Init(chip *soc.SoC, onFreqChange func()) {
-	*k = Kernel{chip: chip, fs: sysfs.New(), thermalCap: -1, onFreqChange: onFreqChange}
+	*k = Kernel{chip: chip, fs: sysfs.New(), st: kernelState{ThermalCap: -1}, onFreqChange: onFreqChange}
 	freqList, bwList := "", ""
 	for i := range chip.CPUFreqs {
 		freqList += strconv.Itoa(chip.Freq(i).KHz()) + " "
@@ -68,7 +61,7 @@ func (k *Kernel) Init(chip *soc.SoC, onFreqChange func()) {
 	fs.Create(sysfs.CPUAvailableGovs, "interactive ondemand conservative userspace performance powersave", false)
 	fs.Create(sysfs.CPUScalingMinFreq, strconv.Itoa(chip.Freq(0).KHz()), true)
 	fs.Create(sysfs.CPUScalingMaxFreq, strconv.Itoa(chip.Freq(len(chip.CPUFreqs)-1).KHz()), true)
-	curFreq := func(string) string { return strconv.Itoa(chip.Freq(k.freqIdx).KHz()) }
+	curFreq := func(string) string { return strconv.Itoa(chip.Freq(k.st.FreqIdx).KHz()) }
 	fs.CreateDynamic(sysfs.CPUScalingCurFreq, curFreq)
 	fs.CreateDynamic(sysfs.CPUInfoCurFreq, curFreq)
 
@@ -79,7 +72,7 @@ func (k *Kernel) Init(chip *soc.SoC, onFreqChange func()) {
 	fs.Create(sysfs.DevFreqMinFreq, strconv.Itoa(int(chip.BW(0).MBps())), true)
 	fs.Create(sysfs.DevFreqMaxFreq, strconv.Itoa(int(chip.BW(len(chip.MemBWs)-1).MBps())), true)
 	fs.CreateDynamic(sysfs.DevFreqCurFreq, func(string) string {
-		return strconv.Itoa(int(chip.BW(k.bwIdx).MBps()))
+		return strconv.Itoa(int(chip.BW(k.st.BWIdx).MBps()))
 	})
 
 	fs.Create(sysfs.MPDecisionEnabled, "0", true)
@@ -120,10 +113,10 @@ func (k *Kernel) FS() *sysfs.FS { return k.fs }
 // --- ConfigActuator ---
 
 // CurFreqIdx returns the current CPU frequency ladder index.
-func (k *Kernel) CurFreqIdx() int { return k.freqIdx }
+func (k *Kernel) CurFreqIdx() int { return k.st.FreqIdx }
 
 // CurBWIdx returns the current bandwidth ladder index.
-func (k *Kernel) CurBWIdx() int { return k.bwIdx }
+func (k *Kernel) CurBWIdx() int { return k.st.BWIdx }
 
 // SetFreqIdx changes the CPU frequency (all four cores share one
 // policy, §IV-A). The request clamps to the ladder, and a thermal cap,
@@ -131,12 +124,12 @@ func (k *Kernel) CurBWIdx() int { return k.bwIdx }
 // policy->max.
 func (k *Kernel) SetFreqIdx(i int) {
 	i = k.chip.ClampFreqIdx(i)
-	if k.thermalCap >= 0 && i > k.thermalCap {
-		i = k.thermalCap
+	if k.st.ThermalCap >= 0 && i > k.st.ThermalCap {
+		i = k.st.ThermalCap
 	}
-	if i != k.freqIdx {
-		k.freqIdx = i
-		k.freqChanges++
+	if i != k.st.FreqIdx {
+		k.st.FreqIdx = i
+		k.st.FreqChanges++
 		if k.onFreqChange != nil {
 			k.onFreqChange()
 		}
@@ -146,9 +139,9 @@ func (k *Kernel) SetFreqIdx(i int) {
 // SetBWIdx changes the memory bandwidth vote; it clamps to the ladder.
 func (k *Kernel) SetBWIdx(i int) {
 	i = k.chip.ClampBWIdx(i)
-	if i != k.bwIdx {
-		k.bwIdx = i
-		k.bwChanges++
+	if i != k.st.BWIdx {
+		k.st.BWIdx = i
+		k.st.BWChanges++
 	}
 }
 
@@ -157,23 +150,23 @@ func (k *Kernel) SetBWIdx(i int) {
 // cap applies immediately.
 func (k *Kernel) SetThermalCapIdx(i int) {
 	if i < 0 {
-		k.thermalCap = -1
+		k.st.ThermalCap = -1
 		return
 	}
-	k.thermalCap = k.chip.ClampFreqIdx(i)
-	if k.freqIdx > k.thermalCap {
-		k.SetFreqIdx(k.thermalCap)
+	k.st.ThermalCap = k.chip.ClampFreqIdx(i)
+	if k.st.FreqIdx > k.st.ThermalCap {
+		k.SetFreqIdx(k.st.ThermalCap)
 	}
 }
 
 // ThermalCapIdx returns the active cap, or -1 when none.
-func (k *Kernel) ThermalCapIdx() int { return k.thermalCap }
+func (k *Kernel) ThermalCapIdx() int { return k.st.ThermalCap }
 
 // FreqChanges returns how many CPU frequency transitions happened.
-func (k *Kernel) FreqChanges() int { return k.freqChanges }
+func (k *Kernel) FreqChanges() int { return k.st.FreqChanges }
 
 // BWChanges returns how many bandwidth transitions happened.
-func (k *Kernel) BWChanges() int { return k.bwChanges }
+func (k *Kernel) BWChanges() int { return k.st.BWChanges }
 
 // --- SysfsView and BatchWriter ---
 
@@ -213,12 +206,12 @@ func (k *Kernel) CreateFile(path, initial string, writable bool, hook sysfs.Writ
 // --- Input events and decision-trace spans ---
 
 // AddTouches queues n input events for the next TakeTouches.
-func (k *Kernel) AddTouches(n int) { k.pendingTouches += n }
+func (k *Kernel) AddTouches(n int) { k.st.PendingTouches += n }
 
 // TakeTouches drains and returns the pending input events.
 func (k *Kernel) TakeTouches() int {
-	n := k.pendingTouches
-	k.pendingTouches = 0
+	n := k.st.PendingTouches
+	k.st.PendingTouches = 0
 	return n
 }
 
@@ -236,33 +229,32 @@ func (k *Kernel) RecordSpan(s obs.Span) {
 
 // --- Checkpoint ---
 
+// kernelState is a Kernel's dynamic state besides its sysfs tree: the
+// Kernel holds it and its checkpoint carries it.
+type kernelState struct {
+	FreqIdx        int `json:"freq_idx"`
+	BWIdx          int `json:"bw_idx"`
+	ThermalCap     int `json:"thermal_cap"` // max allowed freq index (thermal driver); -1 = none
+	PendingTouches int `json:"pending_touches"`
+	FreqChanges    int `json:"freq_changes"`
+	BWChanges      int `json:"bw_changes"`
+}
+
 // KernelState is a Kernel's dynamic state in a checkpoint. Everything
 // Init rebuilds from the chip (the tree's wiring, the hooks) is left
 // out.
 type KernelState struct {
-	FreqIdx        int `json:"freq_idx"`
-	BWIdx          int `json:"bw_idx"`
-	ThermalCap     int `json:"thermal_cap"`
-	PendingTouches int `json:"pending_touches"`
-	FreqChanges    int `json:"freq_changes"`
-	BWChanges      int `json:"bw_changes"`
+	kernelState
 	// Sysfs holds every static file's stored value, the backend's own
 	// files and runtime tunables included. Dynamic (read-hook) files
 	// derive their content from the state above and are excluded.
 	Sysfs map[string]string `json:"sysfs"`
 }
 
-// State captures the kernel.
+// State captures the kernel. The sysfs map is a fresh copy: the
+// capture stays valid while the kernel runs on.
 func (k *Kernel) State() KernelState {
-	return KernelState{
-		FreqIdx:        k.freqIdx,
-		BWIdx:          k.bwIdx,
-		ThermalCap:     k.thermalCap,
-		PendingTouches: k.pendingTouches,
-		FreqChanges:    k.freqChanges,
-		BWChanges:      k.bwChanges,
-		Sysfs:          k.fs.Export(),
-	}
+	return KernelState{kernelState: k.st, Sysfs: k.fs.Export()}
 }
 
 // Restore puts a snapshot back onto a kernel initialised for the same
@@ -279,11 +271,6 @@ func (k *Kernel) Restore(s KernelState) error {
 	if err := k.fs.RestoreValues(s.Sysfs); err != nil {
 		return err
 	}
-	k.freqIdx = s.FreqIdx
-	k.bwIdx = s.BWIdx
-	k.thermalCap = s.ThermalCap
-	k.pendingTouches = s.PendingTouches
-	k.freqChanges = s.FreqChanges
-	k.bwChanges = s.BWChanges
+	k.st = s.kernelState
 	return nil
 }

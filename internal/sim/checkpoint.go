@@ -117,6 +117,28 @@ func (e *Engine) RestoreActors(states []ActorState) error {
 	return nil
 }
 
+// phoneState is the phone's own dynamic state: everything that evolves
+// during a run besides the kernel, the tasks, the PMU, the power
+// monitor and the residency histograms. The Phone holds it and its
+// checkpoint carries it.
+type phoneState struct {
+	Now      time.Duration `json:"now_ns"`
+	ScreenOn bool          `json:"screen_on"`
+	WiFiOn   bool          `json:"wifi_on"`
+
+	// Cumulative telemetry counters (governors snapshot and diff).
+	CumMachineBusySec float64 `json:"cum_machine_busy_sec"` // aggregate machine-busy seconds
+	CumBusyCoreSec    float64 `json:"cum_busy_core_sec"`    // OS-visible busy core-seconds
+
+	// Per-step transient state.
+	PendingOverlayJ float64 `json:"pending_overlay_j"`  // one-shot overlay energy charged to the next step
+	StandingOverlay float64 `json:"standing_overlay_w"` // persistent overlay (perf tool power cost)
+	PerfOverheadCPU float64 `json:"perf_overhead_cpu"`  // fraction of machine time eaten by perf
+
+	LastPowerW    float64 `json:"last_power_w"`
+	LastCPUPowerW float64 `json:"last_cpu_power_w"`
+}
+
 // PhoneState is the device half of a session checkpoint: the complete
 // dynamic state of a Phone. Everything rebuilt deterministically from
 // Config (SoC tables, power model, sysfs wiring, step plan cache) is
@@ -126,24 +148,10 @@ type PhoneState struct {
 	// touches and every static sysfs file's value, the phone's /proc
 	// files included.
 	platform.KernelState
-
-	Now      time.Duration `json:"now_ns"`
-	ScreenOn bool          `json:"screen_on"`
-	WiFiOn   bool          `json:"wifi_on"`
+	phoneState
 
 	// Tasks holds fg followed by bg, in the fixed construction order.
 	Tasks []workload.TaskState `json:"tasks"`
-
-	CumMachineBusySec float64 `json:"cum_machine_busy_sec"`
-	CumBusyCoreSec    float64 `json:"cum_busy_core_sec"`
-
-	PendingOverlayJ float64 `json:"pending_overlay_j"`
-	StandingOverlay float64 `json:"standing_overlay_w"`
-	PerfOverheadCPU float64 `json:"perf_overhead_cpu"`
-
-	LastPowerW    float64 `json:"last_power_w"`
-	LastCPUPowerW float64 `json:"last_cpu_power_w"`
-	LastStepIPS   float64 `json:"last_step_ips"`
 
 	PMUInstr  float64 `json:"pmu_instr"`
 	PMUCycles float64 `json:"pmu_cycles"`
@@ -154,38 +162,26 @@ type PhoneState struct {
 	BWHist  histogram.ResidencyState `json:"bw_hist"`
 }
 
-// CheckpointState captures the phone. It refuses when a full-rate trace
-// recorder is attached: the recorder's ring is diagnostic state that a
-// restored cell cannot reproduce, so checkpointing such a session would
-// silently break the bit-exactness contract instead of loudly here.
+// CheckpointState captures the phone. The capture shares nothing with
+// the phone — its tasks, residency buckets and sysfs values are fresh
+// copies — so a checkpoint sink may hold it while the cell runs on. It
+// refuses when a full-rate trace recorder is attached: the recorder's
+// ring is diagnostic state that a restored cell cannot reproduce, so
+// checkpointing such a session would silently break the bit-exactness
+// contract instead of loudly here.
 func (p *Phone) CheckpointState() (PhoneState, error) {
 	if p.rec != nil {
 		return PhoneState{}, fmt.Errorf("sim: checkpoint unsupported with trace recording enabled (TraceEvery > 0)")
 	}
 	s := PhoneState{
 		KernelState: p.Kernel.State(),
-
-		Now:      p.now,
-		ScreenOn: p.screenOn,
-		WiFiOn:   p.wifiOn,
-
-		CumMachineBusySec: p.cumMachineBusySec,
-		CumBusyCoreSec:    p.cumBusyCoreSec,
-
-		PendingOverlayJ: p.pendingOverlayJ,
-		StandingOverlay: p.standingOverlay,
-		PerfOverheadCPU: p.perfOverheadCPU,
-
-		LastPowerW:    p.lastPowerW,
-		LastCPUPowerW: p.lastCPUPowerW,
-		LastStepIPS:   p.lastStepIPS,
-
-		Monitor: p.mon.State(),
-		CPUHist: p.cpuHist.State(),
-		BWHist:  p.bwHist.State(),
+		phoneState:  p.st,
+		Tasks:       make([]workload.TaskState, len(p.tasks)),
+		Monitor:     p.mon.State(),
+		CPUHist:     p.cpuHist.State(),
+		BWHist:      p.bwHist.State(),
 	}
 	s.PMUInstr, s.PMUCycles, s.PMUBus = p.pmu.Snapshot().Values()
-	s.Tasks = make([]workload.TaskState, len(p.tasks))
 	for i, t := range p.tasks {
 		s.Tasks[i] = t.State()
 	}
@@ -197,6 +193,8 @@ func (p *Phone) CheckpointState() (PhoneState, error) {
 // sysfs files exist for the value restore). The step plan cache is
 // dropped, not restored: it is a pure function of the state above and
 // the first post-restore Step recomputes it bit-identically.
+// Checkpoints that older phones wrote may carry "last_step_ips"; it fed
+// nothing after a restore and is ignored.
 func (p *Phone) RestoreState(s PhoneState) error {
 	if p.rec != nil {
 		return fmt.Errorf("sim: restore unsupported with trace recording enabled (TraceEvery > 0)")
@@ -218,22 +216,7 @@ func (p *Phone) RestoreState(s PhoneState) error {
 	if err := p.bwHist.Restore(s.BWHist); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
-
-	p.now = s.Now
-	p.screenOn = s.ScreenOn
-	p.wifiOn = s.WiFiOn
-
-	p.cumMachineBusySec = s.CumMachineBusySec
-	p.cumBusyCoreSec = s.CumBusyCoreSec
-
-	p.pendingOverlayJ = s.PendingOverlayJ
-	p.standingOverlay = s.StandingOverlay
-	p.perfOverheadCPU = s.PerfOverheadCPU
-
-	p.lastPowerW = s.LastPowerW
-	p.lastCPUPowerW = s.LastCPUPowerW
-	p.lastStepIPS = s.LastStepIPS
-
+	p.st = s.phoneState
 	p.pmu.Restore(pmu.SnapshotAt(s.PMUInstr, s.PMUCycles, s.PMUBus))
 	p.mon.Restore(s.Monitor)
 	p.plan.valid = false

@@ -32,6 +32,6 @@ func (p *Phone) SetPerfOverhead(cpuFrac, standingW float64) {
 	if cpuFrac > 0.9 {
 		cpuFrac = 0.9
 	}
-	p.perfOverheadCPU = cpuFrac
-	p.standingOverlay = standingW
+	p.st.PerfOverheadCPU = cpuFrac
+	p.st.StandingOverlay = standingW
 }

@@ -63,37 +63,21 @@ type Phone struct {
 
 	load workload.BGLoad
 
-	screenOn bool
-	wifiOn   bool
-
 	fg    *workload.Task
 	bg    []*workload.Task
 	tasks []*workload.Task // fg followed by bg, fixed at construction
 
-	now time.Duration
+	// st is the phone's own dynamic state, the part of its checkpoint
+	// that is neither the kernel's nor a sub-object's (checkpoint.go).
+	st phoneState
 
 	// plan caches the per-step quantities of the last slow Step for
 	// StepSpan's fast path.
 	plan stepPlan
 
-	// Cumulative telemetry counters (governors snapshot and diff).
-	cumMachineBusySec float64 // aggregate machine-busy seconds
-	cumBusyCoreSec    float64 // OS-visible busy core-seconds
-
-	// Per-step transient state.
-	pendingOverlayJ float64 // one-shot overlay energy charged to the next step
-	standingOverlay float64 // persistent overlay (perf tool power cost)
-	perfOverheadCPU float64 // fraction of machine time eaten by perf
-
-	lastPowerW    float64
-	lastCPUPowerW float64
-	lastStepIPS   float64
-
 	cpuHist *histogram.Residency
 	bwHist  *histogram.Residency
 	rec     *trace.Recorder
-
-	fgDropsAtStart float64
 }
 
 // NewPhone builds a phone with the foreground app and the background
@@ -121,21 +105,20 @@ func NewPhone(cfg Config) (*Phone, error) {
 	}
 
 	p := &Phone{
-		model:    model,
-		pmu:      pmu.New(),
-		mon:      monsoon.Default(),
-		load:     cfg.Load,
-		screenOn: cfg.ScreenOn,
-		wifiOn:   cfg.WiFiOn,
-		fg:       workload.NewTask(cfg.Foreground, cfg.Seed),
-		cpuHist:  histogram.New("cpu-frequency residency", len(cfg.SoC.CPUFreqs)),
-		bwHist:   histogram.New("memory-bandwidth residency", len(cfg.SoC.MemBWs)),
+		model:   model,
+		pmu:     pmu.New(),
+		mon:     monsoon.Default(),
+		load:    cfg.Load,
+		st:      phoneState{ScreenOn: cfg.ScreenOn, WiFiOn: cfg.WiFiOn},
+		fg:      workload.NewTask(cfg.Foreground, cfg.Seed),
+		cpuHist: histogram.New("cpu-frequency residency", len(cfg.SoC.CPUFreqs)),
+		bwHist:  histogram.New("memory-bandwidth residency", len(cfg.SoC.MemBWs)),
 	}
 	// Paper §V-A1 reports a 14 mW average actuation overhead while the
 	// controller runs (a handful of transitions per 2 s cycle); that
 	// corresponds to a few millijoules per CPU frequency transition,
 	// charged to the next step whichever path requested it.
-	p.Kernel.Init(cfg.SoC, func() { p.pendingOverlayJ += 5e-3 })
+	p.Kernel.Init(cfg.SoC, func() { p.st.PendingOverlayJ += 5e-3 })
 	// The kernel does not know the load model; /proc reports it.
 	p.FS().CreateDynamic(sysfs.ProcLoadAvg, func(string) string {
 		return fmt.Sprintf("%.2f %.2f %.2f 2/812 12345", p.load.LoadAvg(), p.load.LoadAvg(), p.load.LoadAvg())
@@ -173,7 +156,7 @@ func (p *Phone) PMU() *pmu.PMU { return p.pmu }
 func (p *Phone) Monitor() *monsoon.Monitor { return p.mon }
 
 // Now returns the simulation clock.
-func (p *Phone) Now() time.Duration { return p.now }
+func (p *Phone) Now() time.Duration { return p.st.Now }
 
 // Foreground returns the foreground task.
 func (p *Phone) Foreground() *workload.Task { return p.fg }
@@ -191,17 +174,17 @@ func (p *Phone) BWHistogram() *histogram.Residency { return p.bwHist }
 func (p *Phone) Recorder() *trace.Recorder { return p.rec }
 
 // LastPowerW returns the device power of the last step.
-func (p *Phone) LastPowerW() float64 { return p.lastPowerW }
+func (p *Phone) LastPowerW() float64 { return p.st.LastPowerW }
 
 // LastCPUPowerW returns the CPU component (dynamic + leakage) of the last
 // step's power — the heat source for thermal models.
-func (p *Phone) LastCPUPowerW() float64 { return p.lastCPUPowerW }
+func (p *Phone) LastCPUPowerW() float64 { return p.st.LastCPUPowerW }
 
 // AddOverlayEnergyJ charges a one-shot instrumentation energy cost
 // (controller compute, actuation) to the next step.
 func (p *Phone) AddOverlayEnergyJ(j float64) {
 	if j > 0 {
-		p.pendingOverlayJ += j
+		p.st.PendingOverlayJ += j
 	}
 }
 
@@ -209,10 +192,10 @@ func (p *Phone) AddOverlayEnergyJ(j float64) {
 
 // CumMachineBusySec returns cumulative aggregate machine-busy seconds —
 // the basis for the load the governors compute.
-func (p *Phone) CumMachineBusySec() float64 { return p.cumMachineBusySec }
+func (p *Phone) CumMachineBusySec() float64 { return p.st.CumMachineBusySec }
 
 // CumBusyCoreSec returns cumulative OS-visible busy core-seconds.
-func (p *Phone) CumBusyCoreSec() float64 { return p.cumBusyCoreSec }
+func (p *Phone) CumBusyCoreSec() float64 { return p.st.CumBusyCoreSec }
 
 // CumTrafficBytes returns cumulative DRAM traffic: the PMU's bus-access
 // counter, which every step and span advances by the step's traffic.
@@ -240,8 +223,8 @@ func (p *Phone) Step(dt time.Duration) {
 	dtSec := dt.Seconds()
 
 	// The perf tool eats a slice of the machine before apps run.
-	avail := dtSec * (1 - p.perfOverheadCPU)
-	perfBusy := dtSec * p.perfOverheadCPU
+	avail := dtSec * (1 - p.st.PerfOverheadCPU)
+	perfBusy := dtSec * p.st.PerfOverheadCPU
 
 	pressure := p.load.BPIPressure()
 	var (
@@ -257,7 +240,7 @@ func (p *Phone) Step(dt time.Duration) {
 	// A step is plan-capturable only when nothing transient is in play:
 	// no one-shot overlay energy and no full-rate trace recording (the
 	// recorder must see every step individually).
-	capture := p.rec == nil && p.pendingOverlayJ == 0
+	capture := p.rec == nil && p.st.PendingOverlayJ == 0
 	p.plan.valid = false
 	if capture {
 		p.plan.tasks = p.plan.tasks[:0]
@@ -330,59 +313,58 @@ func (p *Phone) Step(dt time.Duration) {
 		CoresOnline:    s.NumCores,
 		BWMBps:         bw.MBps(),
 		TrafficBps:     trafficBytes / dtSec,
-		ScreenOn:       p.screenOn,
-		WiFiOn:         p.wifiOn,
+		ScreenOn:       p.st.ScreenOn,
+		WiFiOn:         p.st.WiFiOn,
 		WiFiBps:        netBps,
 		AuxW:           auxW,
-		OverlayW:       p.standingOverlay + p.pendingOverlayJ/dtSec,
+		OverlayW:       p.st.StandingOverlay + p.st.PendingOverlayJ/dtSec,
 	}
 	bd := p.model.Compute(in)
-	p.lastPowerW = bd.Total()
-	p.lastCPUPowerW = bd.CPUDynamic + bd.CPULeak
-	p.pendingOverlayJ = 0
+	p.st.LastPowerW = bd.Total()
+	p.st.LastCPUPowerW = bd.CPUDynamic + bd.CPULeak
+	p.st.PendingOverlayJ = 0
 	p.AddTouches(touches)
 
 	p.pmu.Add(pmu.Instructions, instrRetired)
 	p.pmu.Add(pmu.Cycles, activeSec*f.Hz())
 	p.pmu.Add(pmu.BusAccessBytes, trafficBytes)
 
-	p.cumMachineBusySec += machineUsed
-	p.cumBusyCoreSec += activeSec + stalledSec
-	p.lastStepIPS = instrRetired / dtSec
+	p.st.CumMachineBusySec += machineUsed
+	p.st.CumBusyCoreSec += activeSec + stalledSec
 
 	p.cpuHist.Add(freqIdx, dt)
 	p.bwHist.Add(bwIdx, dt)
-	p.mon.Observe(p.lastPowerW, dt)
+	p.mon.Observe(p.st.LastPowerW, dt)
 	if p.rec != nil {
 		// T is the step's start time; the cumulative counters are their
 		// values AFTER the step — i.e. the PMU/telemetry state an actor
 		// observes at time T+dt. Replay backends rely on this offset.
 		p.rec.Observe(trace.Point{
-			T: p.now, FreqIdx: freqIdx, BWIdx: bwIdx,
-			PowerW: p.lastPowerW, GIPS: p.lastStepIPS / 1e9,
-			CPUPowerW:       p.lastCPUPowerW,
+			T: p.st.Now, FreqIdx: freqIdx, BWIdx: bwIdx,
+			PowerW: p.st.LastPowerW, GIPS: instrRetired / dtSec / 1e9,
+			CPUPowerW:       p.st.LastCPUPowerW,
 			CumInstr:        p.pmu.Read(pmu.Instructions),
-			CumBusySec:      p.cumMachineBusySec,
-			CumCoreSec:      p.cumBusyCoreSec,
+			CumBusySec:      p.st.CumMachineBusySec,
+			CumCoreSec:      p.st.CumBusyCoreSec,
 			CumTrafficBytes: p.pmu.Read(pmu.BusAccessBytes),
 			Touches:         touches,
 		})
 	}
-	p.now += dt
+	p.st.Now += dt
 
 	if capture {
 		p.plan.valid = true
 		p.plan.dt = dt
 		p.plan.freqIdx = freqIdx
 		p.plan.bwIdx = bwIdx
-		p.plan.perfFrac = p.perfOverheadCPU
-		p.plan.standingW = p.standingOverlay
+		p.plan.perfFrac = p.st.PerfOverheadCPU
+		p.plan.standingW = p.st.StandingOverlay
 		p.plan.machineUsed = machineUsed
 		p.plan.coreSec = activeSec + stalledSec
 		p.plan.traffic = trafficBytes
 		p.plan.instr = instrRetired
 		p.plan.cycles = activeSec * f.Hz()
-		p.plan.powerW = p.lastPowerW
+		p.plan.powerW = p.st.LastPowerW
 	}
 }
 
@@ -424,8 +406,8 @@ func (p *Phone) planReady(dt time.Duration) bool {
 	return pl.valid && p.rec == nil &&
 		pl.dt == dt &&
 		pl.freqIdx == p.CurFreqIdx() && pl.bwIdx == p.CurBWIdx() &&
-		pl.perfFrac == p.perfOverheadCPU && pl.standingW == p.standingOverlay &&
-		p.pendingOverlayJ == 0
+		pl.perfFrac == p.st.PerfOverheadCPU && pl.standingW == p.st.StandingOverlay &&
+		p.st.PendingOverlayJ == 0
 }
 
 // spanBudget returns how many steps (≤ limit) the cached plan can be
@@ -463,8 +445,8 @@ func (p *Phone) fastForwardSpan(dt time.Duration, k int) {
 			p.AddTouches(ft.task.AdvanceSpan(ft.sp.Exec, dt, k))
 		}
 	}
-	p.cumMachineBusySec = fpacc.AddK(p.cumMachineBusySec, pl.machineUsed, k)
-	p.cumBusyCoreSec = fpacc.AddK(p.cumBusyCoreSec, pl.coreSec, k)
+	p.st.CumMachineBusySec = fpacc.AddK(p.st.CumMachineBusySec, pl.machineUsed, k)
+	p.st.CumBusyCoreSec = fpacc.AddK(p.st.CumBusyCoreSec, pl.coreSec, k)
 	kd := time.Duration(k) * dt
 	p.cpuHist.Add(pl.freqIdx, kd)
 	p.bwHist.Add(pl.bwIdx, kd)
@@ -472,7 +454,7 @@ func (p *Phone) fastForwardSpan(dt time.Duration, k int) {
 	p.pmu.AddSpan(pmu.Cycles, pl.cycles, k)
 	p.pmu.AddSpan(pmu.BusAccessBytes, pl.traffic, k)
 	p.mon.ObserveSpan(pl.powerW, dt, k)
-	p.now += kd
+	p.st.Now += kd
 }
 
 // StepSpan advances the device by n steps of dt, bit-identically to n

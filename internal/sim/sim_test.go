@@ -272,19 +272,19 @@ func TestFreqChangeAccounting(t *testing.T) {
 func TestTransitionEnergyOnEveryPath(t *testing.T) {
 	ph := newTestPhone(t, workload.AngryBirds(), workload.NoLoad)
 	ph.SetFreqIdx(5)
-	if ph.pendingOverlayJ != 5e-3 {
-		t.Fatalf("after SetFreqIdx: pending overlay %v J, want 5e-3", ph.pendingOverlayJ)
+	if ph.st.PendingOverlayJ != 5e-3 {
+		t.Fatalf("after SetFreqIdx: pending overlay %v J, want 5e-3", ph.st.PendingOverlayJ)
 	}
 	ph.SetFile(sysfs.CPUScalingGovernor, platform.GovUserspace)
 	if err := ph.WriteFile(sysfs.CPUScalingSetSpeed, strconv.Itoa(ph.SoC().Freq(7).KHz())); err != nil {
 		t.Fatal(err)
 	}
-	if ph.CurFreqIdx() != 7 || ph.pendingOverlayJ != 10e-3 {
-		t.Fatalf("after setspeed: freq %d, pending overlay %v J; want 7 and 1e-2", ph.CurFreqIdx(), ph.pendingOverlayJ)
+	if ph.CurFreqIdx() != 7 || ph.st.PendingOverlayJ != 10e-3 {
+		t.Fatalf("after setspeed: freq %d, pending overlay %v J; want 7 and 1e-2", ph.CurFreqIdx(), ph.st.PendingOverlayJ)
 	}
 	ph.SetFreqIdx(7) // no transition, no charge
-	if ph.pendingOverlayJ != 10e-3 {
-		t.Fatalf("after a no-op request: pending overlay %v J, want 1e-2", ph.pendingOverlayJ)
+	if ph.st.PendingOverlayJ != 10e-3 {
+		t.Fatalf("after a no-op request: pending overlay %v J, want 1e-2", ph.st.PendingOverlayJ)
 	}
 }
 

@@ -4,58 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 )
-
-// driveTask runs a fixed synthetic schedule against the task and
-// returns a fingerprint of everything observable: demands, totals,
-// drops, touches and phase indices.
-func driveTask(t *Task) []float64 {
-	var fp []float64
-	dt := 10 * time.Millisecond
-	for i := 0; i < 2000; i++ {
-		d := t.Demand(dt)
-		// Serve 70% of the want, so backlog and drop paths both run.
-		exec := d.WantedInstr * 0.7
-		t.Advance(exec, dt)
-		fp = append(fp, d.WantedInstr, float64(t.Touches(dt)),
-			float64(t.PhaseIndex()), t.TotalExecuted(), t.DroppedInstr())
-		if t.Done() {
-			break
-		}
-	}
-	return fp
-}
-
-func TestTaskResetBitIdentical(t *testing.T) {
-	for _, spec := range append(Evaluated(), EBook()) {
-		fresh := NewTask(spec, 42)
-		want := driveTask(fresh)
-
-		reused := NewTask(spec, 7)
-		driveTask(reused) // dirty every piece of mutable state
-		reused.Reset(42)
-		got := driveTask(reused)
-
-		if len(want) != len(got) {
-			t.Fatalf("%s: reset run length %d, fresh %d", spec.Name, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s: reset diverges at sample %d: %v vs %v", spec.Name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestTaskResetRNGPosition(t *testing.T) {
-	task := NewTask(Spotify(), 3)
-	driveTask(task)
-	task.Reset(99)
-	if seed, draws := task.State().RNGSeed, task.State().RNGDraws; seed != 99 || draws != 0 {
-		t.Fatalf("after Reset(99): seed %d draws %d, want 99, 0", seed, draws)
-	}
-}
 
 func TestSpecCloneIndependent(t *testing.T) {
 	orig := AngryBirds()

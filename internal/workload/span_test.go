@@ -74,23 +74,23 @@ func taskStateEqual(t *testing.T, a, b *Task, ignoreJitterClock bool) {
 		x, y float64
 	}
 	checks := []cmp{
-		{"phaseExec", a.phaseExec, b.phaseExec},
-		{"totalExec", a.totalExec, b.totalExec},
-		{"backlog", a.backlog, b.backlog},
-		{"dropped", a.dropped, b.dropped},
-		{"jitterMul", a.jitterMul, b.jitterMul},
+		{"phaseExec", a.st.PhaseExec, b.st.PhaseExec},
+		{"totalExec", a.st.TotalExec, b.st.TotalExec},
+		{"backlog", a.st.Backlog, b.st.Backlog},
+		{"dropped", a.st.Dropped, b.st.Dropped},
+		{"jitterMul", a.st.JitterMul, b.st.JitterMul},
 	}
 	for _, c := range checks {
 		if math.Float64bits(c.x) != math.Float64bits(c.y) {
 			t.Fatalf("%s mismatch: %v (%#x) vs %v (%#x)", c.name, c.x, math.Float64bits(c.x), c.y, math.Float64bits(c.y))
 		}
 	}
-	if a.now != b.now || a.phaseElapsed != b.phaseElapsed || a.phaseIdx != b.phaseIdx ||
-		a.loopsDone != b.loopsDone || a.done != b.done {
+	if a.st.Now != b.st.Now || a.st.PhaseElapsed != b.st.PhaseElapsed || a.st.PhaseIdx != b.st.PhaseIdx ||
+		a.st.LoopsDone != b.st.LoopsDone || a.st.Done != b.st.Done {
 		t.Fatalf("clock/phase state mismatch: %+v vs %+v", a, b)
 	}
-	if !ignoreJitterClock && a.jitterUntil != b.jitterUntil {
-		t.Fatalf("jitterUntil mismatch: %v vs %v", a.jitterUntil, b.jitterUntil)
+	if !ignoreJitterClock && a.st.JitterUntil != b.st.JitterUntil {
+		t.Fatalf("jitterUntil mismatch: %v vs %v", a.st.JitterUntil, b.st.JitterUntil)
 	}
 	_, da := a.rngSrc.State()
 	_, db := b.rngSrc.State()
@@ -109,7 +109,7 @@ func slowStep(t *Task, capacity float64, dt time.Duration) (StepPlan, int) {
 	if exec > capacity {
 		exec = capacity
 	}
-	sp := StepPlan{Exec: exec, MaxInstr: capacity, Served: exec == d.WantedInstr, PhaseIdx: t.phaseIdx}
+	sp := StepPlan{Exec: exec, MaxInstr: capacity, Served: exec == d.WantedInstr, PhaseIdx: t.st.PhaseIdx}
 	t.Advance(exec, dt)
 	return sp, t.Touches(dt)
 }
@@ -126,7 +126,7 @@ func advanceSteps(t *Task, executed float64, dt time.Duration, n int) (touches i
 
 // jitterCap is the paced-phase span bound without the σ = 0 relaxation:
 // the steps up to and including the next jitter resample.
-func jitterCap(t *Task, dt time.Duration) int { return ceilSteps(t.jitterUntil-t.now, dt) }
+func jitterCap(t *Task, dt time.Duration) int { return ceilSteps(t.st.JitterUntil-t.st.Now, dt) }
 
 // TestAdvanceSpanBitIdentity drives AdvanceSpan against the literal
 // Advance + Touches loop in every regime — batch, windowed batch, served
@@ -201,7 +201,7 @@ func TestSpanBoundDrainingBacklog(t *testing.T) {
 		return tk, sp
 	}
 	ref, sp := mk()
-	if want := pacedWant(&ref.Spec.Phases[0], dt, ref.jitterMul); sp.Served || !(want < sp.MaxInstr) {
+	if want := pacedWant(&ref.Spec.Phases[0], dt, ref.st.JitterMul); sp.Served || !(want < sp.MaxInstr) {
 		t.Fatalf("not a draining step: want %v, plan %+v", want, sp)
 	}
 	sb := ref.SpanBound(sp, dt, unboundedSteps)
@@ -248,7 +248,7 @@ func TestSpanBoundRelaxesZeroJitter(t *testing.T) {
 		t.Fatalf("jitter cap = %d, want 59 (60 ms jitter period)", jc)
 	}
 	sb := ref.SpanBound(sp, dt, unboundedSteps)
-	if wantBound := ceilSteps(spec.Phases[0].Duration-ref.phaseElapsed, dt); sb != wantBound {
+	if wantBound := ceilSteps(spec.Phases[0].Duration-ref.st.PhaseElapsed, dt); sb != wantBound {
 		t.Fatalf("SpanBound = %d, want %d (phase boundary)", sb, wantBound)
 	}
 	// Replay the full relaxed span in one call vs. stepwise.
@@ -256,7 +256,7 @@ func TestSpanBoundRelaxesZeroJitter(t *testing.T) {
 	advanceSteps(ref, want, dt, sb)
 	fast.AdvanceSpan(want, dt, sb)
 	taskStateEqual(t, ref, fast, true)
-	if ref.phaseElapsed != fast.phaseElapsed {
+	if ref.st.PhaseElapsed != fast.st.PhaseElapsed {
 		t.Fatalf("span must cross the phase boundary identically")
 	}
 
@@ -275,8 +275,8 @@ func TestSpanBoundRelaxesZeroJitter(t *testing.T) {
 	// binds.
 	st := NewTask(spec, 7)
 	st.Advance(st.Demand(dt).WantedInstr, dt)
-	st.jitterMul = 1.37
-	stale := spec.Phases[0].DemandGIPS * 1e9 * dt.Seconds() * st.jitterMul
+	st.st.JitterMul = 1.37
+	stale := spec.Phases[0].DemandGIPS * 1e9 * dt.Seconds() * st.st.JitterMul
 	ssp := StepPlan{Exec: stale, MaxInstr: 1e9, Served: true, PhaseIdx: 0}
 	if got, want := st.SpanBound(ssp, dt, unboundedSteps), jitterCap(st, dt); got != want {
 		t.Fatalf("stale-multiplier SpanBound = %d, want the jitter cap %d", got, want)

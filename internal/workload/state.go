@@ -5,46 +5,38 @@ import (
 	"time"
 )
 
-// TaskState is a checkpointable snapshot of a running Task. The rng is
-// captured as its (seed, draws) stream position — see internal/detrand —
-// so jitter multipliers and touch-event Poisson draws continue on the
-// identical stream after a restore.
-type TaskState struct {
-	Spec         string        `json:"spec"`
-	RNGSeed      int64         `json:"rng_seed"`
-	RNGDraws     uint64        `json:"rng_draws"`
+// taskState is a running task's dynamic state: the Task holds it and
+// its checkpoint carries it.
+type taskState struct {
 	Now          time.Duration `json:"now_ns"`
 	PhaseIdx     int           `json:"phase_idx"`
 	PhaseElapsed time.Duration `json:"phase_elapsed_ns"`
-	PhaseExec    float64       `json:"phase_exec"`
+	PhaseExec    float64       `json:"phase_exec"` // instructions retired in the current phase
 	TotalExec    float64       `json:"total_exec"`
 	LoopsDone    int           `json:"loops_done"`
 	Done         bool          `json:"done"`
 	JitterMul    float64       `json:"jitter_mul"`
 	JitterUntil  time.Duration `json:"jitter_until_ns"`
-	Backlog      float64       `json:"backlog"`
-	Dropped      float64       `json:"dropped"`
+	Backlog      float64       `json:"backlog"` // unmet paced instructions carried over
+	Dropped      float64       `json:"dropped"` // paced instructions dropped at backlog overflow
+}
+
+// TaskState is a checkpointable snapshot of a running Task: its dynamic
+// state plus the spec it runs and its rng, captured as the (seed,
+// draws) stream position — see internal/detrand — so jitter
+// multipliers and touch-event Poisson draws continue on the identical
+// stream after a restore.
+type TaskState struct {
+	Spec     string `json:"spec"`
+	RNGSeed  int64  `json:"rng_seed"`
+	RNGDraws uint64 `json:"rng_draws"`
+	taskState
 }
 
 // State captures the task for a checkpoint.
 func (t *Task) State() TaskState {
 	seed, draws := t.rngSrc.State()
-	return TaskState{
-		Spec:         t.Spec.Name,
-		RNGSeed:      seed,
-		RNGDraws:     draws,
-		Now:          t.now,
-		PhaseIdx:     t.phaseIdx,
-		PhaseElapsed: t.phaseElapsed,
-		PhaseExec:    t.phaseExec,
-		TotalExec:    t.totalExec,
-		LoopsDone:    t.loopsDone,
-		Done:         t.done,
-		JitterMul:    t.jitterMul,
-		JitterUntil:  t.jitterUntil,
-		Backlog:      t.backlog,
-		Dropped:      t.dropped,
-	}
+	return TaskState{Spec: t.Spec.Name, RNGSeed: seed, RNGDraws: draws, taskState: t.st}
 }
 
 // Restore overwrites the task with a previously captured State. The
@@ -60,16 +52,6 @@ func (t *Task) Restore(s TaskState) error {
 	if err := t.rngSrc.Restore(s.RNGSeed, s.RNGDraws); err != nil {
 		return fmt.Errorf("workload %s: %w", t.Spec.Name, err)
 	}
-	t.now = s.Now
-	t.phaseIdx = s.PhaseIdx
-	t.phaseElapsed = s.PhaseElapsed
-	t.phaseExec = s.PhaseExec
-	t.totalExec = s.TotalExec
-	t.loopsDone = s.LoopsDone
-	t.done = s.Done
-	t.jitterMul = s.JitterMul
-	t.jitterUntil = s.JitterUntil
-	t.backlog = s.Backlog
-	t.dropped = s.Dropped
+	t.st = s.taskState
 	return nil
 }

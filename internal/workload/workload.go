@@ -221,20 +221,9 @@ const defaultBacklogSec = 1.0
 type Task struct {
 	Spec *Spec
 
-	rng          *rand.Rand
-	rngSrc       *detrand.Source
-	now          time.Duration
-	phaseIdx     int
-	phaseElapsed time.Duration
-	phaseExec    float64 // instructions retired in the current phase
-	totalExec    float64
-	loopsDone    int
-	done         bool
-
-	jitterMul   float64
-	jitterUntil time.Duration
-	backlog     float64 // unmet paced instructions carried over
-	dropped     float64 // paced instructions dropped at backlog overflow
+	rng    *rand.Rand
+	rngSrc *detrand.Source
+	st     taskState // the dynamic state a checkpoint carries (state.go)
 
 	// Touches' Poisson threshold exp(-rate), cached for one phase and
 	// step length (the Spec does not change while the task runs).
@@ -248,21 +237,11 @@ type Task struct {
 func NewTask(spec *Spec, seed int64) *Task {
 	rng, src := detrand.New(seed)
 	return &Task{
-		Spec:      spec,
-		rng:       rng,
-		rngSrc:    src,
-		jitterMul: 1,
+		Spec:   spec,
+		rng:    rng,
+		rngSrc: src,
+		st:     taskState{JitterMul: 1},
 	}
-}
-
-// Reset rewinds the task to its initial state under a fresh seed —
-// bit-identical to NewTask(t.Spec, seed). One Task definition can then
-// back many generated sessions in turn (the scenario compiler's reuse
-// path) instead of callers rebuilding tasks by hand; no phase state,
-// backlog, drop accounting or rng position leaks from the previous run.
-func (t *Task) Reset(seed int64) {
-	rng, src := detrand.New(seed)
-	*t = Task{Spec: t.Spec, rng: rng, rngSrc: src, jitterMul: 1}
 }
 
 // Demand is what a task wants from the machine for one step.
@@ -275,28 +254,28 @@ type Demand struct {
 }
 
 // Phase returns the currently executing phase.
-func (t *Task) Phase() Phase { return t.Spec.Phases[t.phaseIdx] }
+func (t *Task) Phase() Phase { return t.Spec.Phases[t.st.PhaseIdx] }
 
 // Done reports whether the task has finished (batch budget exhausted and
 // not looping, or loop count reached).
-func (t *Task) Done() bool { return t.done }
+func (t *Task) Done() bool { return t.st.Done }
 
 // TotalExecuted returns instructions retired so far.
-func (t *Task) TotalExecuted() float64 { return t.totalExec }
+func (t *Task) TotalExecuted() float64 { return t.st.TotalExec }
 
 // DroppedInstr returns paced work dropped due to backlog overflow (missed
 // frames).
-func (t *Task) DroppedInstr() float64 { return t.dropped }
+func (t *Task) DroppedInstr() float64 { return t.st.Dropped }
 
 // Now returns the task-local clock.
-func (t *Task) Now() time.Duration { return t.now }
+func (t *Task) Now() time.Duration { return t.st.Now }
 
 // Demand computes what the task wants for the next dt.
 func (t *Task) Demand(dt time.Duration) Demand {
-	if t.done {
+	if t.st.Done {
 		return Demand{Traits: t.Spec.Phases[0].Traits}
 	}
-	p := &t.Spec.Phases[t.phaseIdx]
+	p := &t.Spec.Phases[t.st.PhaseIdx]
 	d := Demand{
 		Traits:      p.Traits,
 		AuxBaseW:    p.AuxBaseW,
@@ -305,20 +284,20 @@ func (t *Task) Demand(dt time.Duration) Demand {
 	}
 	switch p.Kind {
 	case Batch:
-		d.WantedInstr = p.InstrBudget - t.phaseExec
+		d.WantedInstr = p.InstrBudget - t.st.PhaseExec
 		if d.WantedInstr < 0 {
 			d.WantedInstr = 0
 		}
 	case Paced:
-		if t.now >= t.jitterUntil {
-			t.jitterMul = t.sampleJitter(p.DemandJitter)
+		if t.st.Now >= t.st.JitterUntil {
+			t.st.JitterMul = t.sampleJitter(p.DemandJitter)
 			jp := p.JitterPeriod
 			if jp <= 0 {
 				jp = defaultJitterPeriod
 			}
-			t.jitterUntil = t.now + jp
+			t.st.JitterUntil = t.st.Now + jp
 		}
-		d.WantedInstr = pacedWant(p, dt, t.jitterMul) + t.backlog
+		d.WantedInstr = pacedWant(p, dt, t.st.JitterMul) + t.st.Backlog
 	}
 	return d
 }
@@ -366,20 +345,20 @@ func (t *Task) sampleJitter(sigma float64) float64 {
 // Advance reports that `executed` instructions of the previous Demand ran
 // during dt, and moves the phase machine forward.
 func (t *Task) Advance(executed float64, dt time.Duration) {
-	if t.done {
+	if t.st.Done {
 		return
 	}
-	p := &t.Spec.Phases[t.phaseIdx]
-	t.now += dt
-	t.phaseElapsed += dt
-	t.phaseExec += executed
-	t.totalExec += executed
+	p := &t.Spec.Phases[t.st.PhaseIdx]
+	t.st.Now += dt
+	t.st.PhaseElapsed += dt
+	t.st.PhaseExec += executed
+	t.st.TotalExec += executed
 
 	if p.Kind == Paced {
 		var drop float64
-		t.backlog, drop = backlogStep(pacedWant(p, dt, t.jitterMul), t.backlog, executed, backlogCap(p))
+		t.st.Backlog, drop = backlogStep(pacedWant(p, dt, t.st.JitterMul), t.st.Backlog, executed, backlogCap(p))
 		if drop > 0 {
-			t.dropped += drop
+			t.st.Dropped += drop
 		}
 	}
 
@@ -387,32 +366,32 @@ func (t *Task) Advance(executed float64, dt time.Duration) {
 	case Batch:
 		if p.Duration > 0 {
 			// Windowed batch: fixed wall-clock window.
-			if t.phaseElapsed >= p.Duration {
-				if t.phaseExec < p.InstrBudget {
-					t.dropped += p.InstrBudget - t.phaseExec
+			if t.st.PhaseElapsed >= p.Duration {
+				if t.st.PhaseExec < p.InstrBudget {
+					t.st.Dropped += p.InstrBudget - t.st.PhaseExec
 				}
 				t.nextPhase()
 			}
-		} else if t.phaseExec >= p.InstrBudget {
+		} else if t.st.PhaseExec >= p.InstrBudget {
 			t.nextPhase()
 		}
 	case Paced:
-		if t.phaseElapsed >= p.Duration {
+		if t.st.PhaseElapsed >= p.Duration {
 			t.nextPhase()
 		}
 	}
 }
 
 func (t *Task) nextPhase() {
-	t.phaseIdx++
-	t.phaseElapsed = 0
-	t.phaseExec = 0
-	t.backlog = 0
-	if t.phaseIdx >= len(t.Spec.Phases) {
-		t.phaseIdx = 0
-		t.loopsDone++
-		if !t.Spec.Loop || (t.Spec.LoopCount > 0 && t.loopsDone >= t.Spec.LoopCount) {
-			t.done = true
+	t.st.PhaseIdx++
+	t.st.PhaseElapsed = 0
+	t.st.PhaseExec = 0
+	t.st.Backlog = 0
+	if t.st.PhaseIdx >= len(t.Spec.Phases) {
+		t.st.PhaseIdx = 0
+		t.st.LoopsDone++
+		if !t.Spec.Loop || (t.Spec.LoopCount > 0 && t.st.LoopsDone >= t.Spec.LoopCount) {
+			t.st.Done = true
 		}
 	}
 }
@@ -475,13 +454,13 @@ func ceilSteps(a, dt time.Duration) int {
 // deadline then goes stale, which is harmless: Demand refreshes it
 // lazily on the next slow step, and no observable depends on it.
 func (t *Task) SpanBound(sp StepPlan, dt time.Duration, limit int) int {
-	if t.done || sp.Done || t.phaseIdx != sp.PhaseIdx {
+	if t.st.Done || sp.Done || t.st.PhaseIdx != sp.PhaseIdx {
 		return 0
 	}
-	p := &t.Spec.Phases[t.phaseIdx]
+	p := &t.Spec.Phases[t.st.PhaseIdx]
 	switch p.Kind {
 	case Batch:
-		remaining := p.InstrBudget - t.phaseExec
+		remaining := p.InstrBudget - t.st.PhaseExec
 		k := unboundedSteps
 		switch {
 		case sp.Served && sp.Exec == 0 && remaining <= 0:
@@ -506,7 +485,7 @@ func (t *Task) SpanBound(sp StepPlan, dt time.Duration, limit int) int {
 			}
 		}
 		if p.Duration > 0 {
-			if kw := ceilSteps(p.Duration-t.phaseElapsed, dt); kw < k {
+			if kw := ceilSteps(p.Duration-t.st.PhaseElapsed, dt); kw < k {
 				k = kw
 			}
 		}
@@ -517,26 +496,26 @@ func (t *Task) SpanBound(sp StepPlan, dt time.Duration, limit int) int {
 		// re-evaluated), and past it the demand may change — except for
 		// σ = 0 with the multiplier already at its fixed point in a
 		// served phase.
-		k := min(limit, ceilSteps(p.Duration-t.phaseElapsed, dt))
-		if !(sp.Served && p.DemandJitter <= 0 && t.jitterMul == 1) {
-			k = min(k, ceilSteps(t.jitterUntil-t.now, dt))
+		k := min(limit, ceilSteps(p.Duration-t.st.PhaseElapsed, dt))
+		if !(sp.Served && p.DemandJitter <= 0 && t.st.JitterMul == 1) {
+			k = min(k, ceilSteps(t.st.JitterUntil-t.st.Now, dt))
 		}
 		if k <= 0 {
 			return 0
 		}
-		want := pacedWant(p, dt, t.jitterMul)
+		want := pacedWant(p, dt, t.st.JitterMul)
 		switch {
 		case sp.Served:
 			// Steady served state: backlog empty and the step executes
 			// exactly the per-step demand.
-			if t.backlog != 0 || want != sp.Exec {
+			if t.st.Backlog != 0 || want != sp.Exec {
 				return 0
 			}
 		case want < sp.MaxInstr:
 			// Draining: clamped only while the backlog keeps the demand
 			// above capacity.
 			cap := backlogCap(p)
-			b := t.backlog
+			b := t.st.Backlog
 			for j := 0; j < k; j++ {
 				if want+b <= sp.MaxInstr {
 					return j
@@ -569,28 +548,28 @@ func (t *Task) SpanBound(sp StepPlan, dt time.Duration, limit int) int {
 // being replayed, so that no phase transition or jitter resample can
 // occur before the final step.
 func (t *Task) AdvanceSpan(executed float64, dt time.Duration, n int) int {
-	if n <= 0 || t.done {
+	if n <= 0 || t.st.Done {
 		return 0
 	}
-	p := &t.Spec.Phases[t.phaseIdx]
+	p := &t.Spec.Phases[t.st.PhaseIdx]
 	m := n - 1
-	t.now += time.Duration(m) * dt
-	t.phaseElapsed += time.Duration(m) * dt
-	t.phaseExec = fpacc.AddK(t.phaseExec, executed, m)
-	t.totalExec = fpacc.AddK(t.totalExec, executed, m)
+	t.st.Now += time.Duration(m) * dt
+	t.st.PhaseElapsed += time.Duration(m) * dt
+	t.st.PhaseExec = fpacc.AddK(t.st.PhaseExec, executed, m)
+	t.st.TotalExec = fpacc.AddK(t.st.TotalExec, executed, m)
 	if p.Kind == Paced {
-		want, cap := pacedWant(p, dt, t.jitterMul), backlogCap(p)
+		want, cap := pacedWant(p, dt, t.st.JitterMul), backlogCap(p)
 		for j := 0; j < m; j++ {
-			prev := t.backlog
+			prev := t.st.Backlog
 			var drop float64
-			t.backlog, drop = backlogStep(want, prev, executed, cap)
+			t.st.Backlog, drop = backlogStep(want, prev, executed, cap)
 			if drop > 0 {
-				t.dropped += drop
+				t.st.Dropped += drop
 			}
-			if t.backlog == prev {
+			if t.st.Backlog == prev {
 				// Fixed point: each remaining step repeats this one.
 				if drop > 0 {
-					t.dropped = fpacc.AddK(t.dropped, drop, m-1-j)
+					t.st.Dropped = fpacc.AddK(t.st.Dropped, drop, m-1-j)
 				}
 				break
 			}
@@ -607,12 +586,12 @@ func (t *Task) AdvanceSpan(executed float64, dt time.Duration, n int) int {
 }
 
 // PhaseIndex returns the index of the currently executing phase.
-func (t *Task) PhaseIndex() int { return t.phaseIdx }
+func (t *Task) PhaseIndex() int { return t.st.PhaseIdx }
 
 // Touches returns the number of user-input events during dt (Poisson
 // with the phase's TouchRate).
 func (t *Task) Touches(dt time.Duration) int {
-	if t.done {
+	if t.st.Done {
 		return 0
 	}
 	if l, ok := t.touchThreshold(dt); ok {
@@ -625,9 +604,9 @@ func (t *Task) Touches(dt time.Duration) int {
 // touch rate over dt, computed once per phase and dt; ok is false when
 // the phase draws no touches.
 func (t *Task) touchThreshold(dt time.Duration) (l float64, ok bool) {
-	if t.touchIdx != t.phaseIdx || t.touchDt != dt {
-		rate := t.Spec.Phases[t.phaseIdx].TouchRate * dt.Seconds()
-		t.touchIdx, t.touchDt = t.phaseIdx, dt
+	if t.touchIdx != t.st.PhaseIdx || t.touchDt != dt {
+		rate := t.Spec.Phases[t.st.PhaseIdx].TouchRate * dt.Seconds()
+		t.touchIdx, t.touchDt = t.st.PhaseIdx, dt
 		t.touchOn, t.touchL = rate > 0, math.Exp(-rate)
 	}
 	return t.touchL, t.touchOn
