@@ -75,7 +75,6 @@ type Pipeline struct {
 	subSeq    uint64
 	streaming atomic.Bool
 	dropped   atomic.Uint64
-	overflows atomic.Uint64
 }
 
 // New builds a pipeline.
@@ -133,7 +132,6 @@ func (p *Pipeline) ObserveCycle(w int, rec *CycleRecord) {
 	if sh.ring.push(rec) {
 		return
 	}
-	p.overflows.Add(1)
 	sh.mu.Lock()
 	p.drainLocked(sh)
 	sh.ring.push(rec) // the ring is empty now; cannot fail
@@ -247,11 +245,6 @@ func (p *Pipeline) Rollup() *Rollup {
 // any shard or session state — the scrape fast path. It is nil before
 // the first Rollup.
 func (p *Pipeline) Snapshot() *Rollup { return p.snap.Load() }
-
-// Overflows reports producer ring-full folds — the amortized slow path
-// taken; a runtime gauge, deliberately not part of the Rollup schema
-// (its value is timing-dependent).
-func (p *Pipeline) Overflows() uint64 { return p.overflows.Load() }
 
 // Dropped reports stream batches dropped on slow subscribers.
 func (p *Pipeline) Dropped() uint64 { return p.dropped.Load() }

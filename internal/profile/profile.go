@@ -79,24 +79,6 @@ type Table struct {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.Entries) }
 
-// Speedups returns the speedup column.
-func (t *Table) Speedups() []float64 {
-	out := make([]float64, len(t.Entries))
-	for i, e := range t.Entries {
-		out[i] = e.Speedup
-	}
-	return out
-}
-
-// Powers returns the power column in watts.
-func (t *Table) Powers() []float64 {
-	out := make([]float64, len(t.Entries))
-	for i, e := range t.Entries {
-		out[i] = e.PowerW
-	}
-	return out
-}
-
 // MinSpeedup returns the smallest speedup in the table.
 func (t *Table) MinSpeedup() float64 {
 	m := t.Entries[0].Speedup
