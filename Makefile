@@ -137,14 +137,18 @@ vuln:
 
 # Short fuzz passes: the sysfs path canonicalizer, the scenario spec
 # parser/compiler, the recorded-trace decoder and importer, the
-# checkpoint envelope decoder, the decision-trace NDJSON decoder and the
-# telemetry-stream NDJSON decoder (seed corpora in the fuzz targets).
-# Not part of `ci` — time-boxed runs belong in a dedicated job.
+# checkpoint envelope decoder, the controller's checkpoint restore
+# (mutated snapshots restored into a controller on a simulated phone,
+# which then runs three control cycles), the decision-trace NDJSON
+# decoder and the telemetry-stream NDJSON decoder (seed corpora in the
+# fuzz targets). Not part of `ci` — time-boxed runs belong in a
+# dedicated job.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClean -fuzztime=15s ./internal/sysfs/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=15s ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz=FuzzImportTrace -fuzztime=15s ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=15s ./internal/ckpt/
+	$(GO) test -run='^$$' -fuzz=FuzzControllerRestore -fuzztime=15s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzReadNDJSON -fuzztime=15s ./internal/obs/
 	$(GO) test -run='^$$' -fuzz=FuzzReadNDJSON -fuzztime=15s ./internal/obs/pipeline/
 

@@ -72,8 +72,10 @@ func (pt *PhaseTracker) Classify(y float64) int {
 	case len(pt.st.Phases) < pt.maxPhases:
 		pt.st.Phases = append(pt.st.Phases, phaseState{Centroid: y, Visits: 1})
 		pt.st.Current = len(pt.st.Phases) - 1
-	default:
-		// Full: absorb into the nearest cluster.
+	case best >= 0:
+		// Full: absorb into the nearest cluster. A restored tracker can
+		// hold centroids no measurement is a finite distance from (zero,
+		// or small enough to overflow it); then the phase stays as is.
 		pt.st.Phases[best].Centroid += pt.ewma * (y - pt.st.Phases[best].Centroid)
 		pt.st.Phases[best].Visits++
 		pt.st.Current = best

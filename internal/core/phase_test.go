@@ -113,6 +113,18 @@ func TestCentroidAccessor(t *testing.T) {
 	}
 }
 
+// A full tracker whose centroids lie at no finite distance from the
+// measurement — zero, or small enough to overflow it, as a corrupt
+// checkpoint may restore them — keeps its current phase instead of
+// indexing a nearest phase that does not exist.
+func TestClassifyFullWithoutFiniteDistance(t *testing.T) {
+	pt, _ := NewPhaseTracker(2, 0.2)
+	pt.st = trackerState{Phases: []phaseState{{Centroid: 0}, {Centroid: 5e-324}}, Current: 1}
+	if got := pt.Classify(1); got != 1 {
+		t.Fatalf("Classify = %d, want the current phase 1", got)
+	}
+}
+
 // Integration: on the phase-heavy MobileBench, the phase-aware controller
 // must detect the load/scroll alternation and not regress tracking error
 // versus the plain controller.

@@ -80,8 +80,11 @@ func (c *Controller) CheckpointState() (json.RawMessage, error) {
 // RestoreState implements platform.Checkpointer. The controller must
 // have been rebuilt (New + Install) from the same options the snapshot
 // was taken under; only the dynamic state is overwritten here, and
-// only once every check has passed.
-func (c *Controller) RestoreState(raw json.RawMessage, _ platform.Device) error {
+// only once every check has passed. Every index the control loop will
+// use — the dwell slot, the stuck-detection ring position, each slot's
+// ladder indices on dev, the tracker's current phase — is checked, so
+// a corrupt snapshot is an error rather than a panic in a later cycle.
+func (c *Controller) RestoreState(raw json.RawMessage, dev platform.Device) error {
 	var s snapshot
 	if err := json.Unmarshal(raw, &s); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
@@ -91,6 +94,24 @@ func (c *Controller) RestoreState(raw json.RawMessage, _ platform.Device) error 
 	}
 	if s.SlotIdx < 0 || s.SlotIdx >= len(c.st.Slots) {
 		return fmt.Errorf("core: restore slot index %d out of %d", s.SlotIdx, len(c.st.Slots))
+	}
+	if dev == nil {
+		dev = c.dev
+	}
+	if dev == nil {
+		return fmt.Errorf("core: restore without a device to check the schedule against")
+	}
+	chip := dev.SoC()
+	for i, e := range s.Slots {
+		// A negative bandwidth index is legal: apply skips that write.
+		if e.FreqIdx < 0 || e.FreqIdx >= len(chip.CPUFreqs) || e.BWIdx >= len(chip.MemBWs) {
+			return fmt.Errorf("core: restore slot %d at ladder indices %d/%d, device ladders %d/%d",
+				i, e.FreqIdx, e.BWIdx, len(chip.CPUFreqs), len(chip.MemBWs))
+		}
+	}
+	if n := c.res.StuckWindow - 1; n > 0 && (len(s.RecentY) > n || s.RecentYPos < 0 || s.RecentYPos >= n) {
+		return fmt.Errorf("core: restore %d stuck-window readings at position %d into a ring of %d",
+			len(s.RecentY), s.RecentYPos, n)
 	}
 	if (s.Tracker != nil) != (c.tracker != nil) {
 		return fmt.Errorf("core: restore phase-tracker state mismatch (snapshot %v, controller %v)",

@@ -408,6 +408,114 @@ func requireTrackerPhases(t *testing.T, cs *experiment.CellState) {
 	t.Fatal("snapshot has no controller actor")
 }
 
+// TestKillRestoreRejectsOutOfRangeController plants out-of-range
+// positions into a controller snapshot. Restore must refuse each with
+// an error; accepted, they panic the resumed run at its next cycle (a
+// ring position) or its next slot (a ladder index). A negative
+// bandwidth index stays legal: the controller skips that write.
+func TestKillRestoreRejectsOutOfRangeController(t *testing.T) {
+	spec := experiment.SessionSpec{
+		App: "spotify", Load: "BL", Controller: true, Quick: true, Seed: 7,
+		RunFor: 60 * time.Second, CheckpointEvery: 3,
+	}
+	var snaps []*experiment.CellState
+	spec.OnCheckpoint = func(cs *experiment.CellState) error { snaps = append(snaps, cs); return nil }
+	sess, err := experiment.NewSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Run(func() bool { return len(snaps) >= 2 })
+	if len(snaps) < 2 {
+		t.Fatalf("%d checkpoints captured, want 2", len(snaps))
+	}
+	for _, tc := range []struct {
+		name   string
+		edit   func(st map[string]json.RawMessage, slots []map[string]json.RawMessage)
+		reject bool
+	}{
+		{"recent_y_pos 99", func(st map[string]json.RawMessage, _ []map[string]json.RawMessage) {
+			st["recent_y_pos"] = json.RawMessage(`99`)
+		}, true},
+		{"recent_y_pos -1", func(st map[string]json.RawMessage, _ []map[string]json.RawMessage) {
+			st["recent_y_pos"] = json.RawMessage(`-1`)
+		}, true},
+		{"recent_y longer than the window", func(st map[string]json.RawMessage, _ []map[string]json.RawMessage) {
+			st["recent_y"] = json.RawMessage(`[0.1,0.2,0.3,0.4]`)
+		}, true},
+		{"freq_idx 99", func(_ map[string]json.RawMessage, slots []map[string]json.RawMessage) {
+			slots[len(slots)-1]["freq_idx"] = json.RawMessage(`99`)
+		}, true},
+		{"freq_idx -1", func(_ map[string]json.RawMessage, slots []map[string]json.RawMessage) {
+			slots[0]["freq_idx"] = json.RawMessage(`-1`)
+		}, true},
+		{"bw_idx 13", func(_ map[string]json.RawMessage, slots []map[string]json.RawMessage) {
+			slots[0]["bw_idx"] = json.RawMessage(`13`)
+		}, true},
+		{"bw_idx -1", func(_ map[string]json.RawMessage, slots []map[string]json.RawMessage) {
+			for _, sl := range slots {
+				sl["bw_idx"] = json.RawMessage(`-1`)
+			}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := editControllerState(t, snaps[1], tc.edit)
+			sess, err := experiment.NewSession(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sess.RestoreState(cs)
+			switch {
+			case tc.reject && err == nil:
+				t.Fatal("restore accepted the planted value")
+			case !tc.reject && err != nil:
+				t.Fatalf("restore rejected a legal value: %v", err)
+			case !tc.reject:
+				if st := sess.Run(nil); st.Duration != spec.RunFor {
+					t.Fatalf("restored run ended at %v, want %v", st.Duration, spec.RunFor)
+				}
+			}
+		})
+	}
+}
+
+// editControllerState returns a copy of cs whose controller state was
+// passed through edit, with its dwell slots decoded alongside.
+func editControllerState(t *testing.T, cs *experiment.CellState,
+	edit func(st map[string]json.RawMessage, slots []map[string]json.RawMessage)) *experiment.CellState {
+	t.Helper()
+	raw, err := json.Marshal(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(experiment.CellState)
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatal(err)
+	}
+	for i := range out.Actors {
+		if out.Actors[i].Name != "aspeo-controller" {
+			continue
+		}
+		var st map[string]json.RawMessage
+		var slots []map[string]json.RawMessage
+		if err := json.Unmarshal(out.Actors[i].State, &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(st["slots"], &slots); err != nil {
+			t.Fatal(err)
+		}
+		edit(st, slots)
+		if st["slots"], err = json.Marshal(slots); err != nil {
+			t.Fatal(err)
+		}
+		if out.Actors[i].State, err = json.Marshal(st); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	t.Fatal("snapshot has no controller actor")
+	return nil
+}
+
 // TestKillRestoreFaultsGolden adds a fault scenario on top of the
 // controller: the injector's RNG, schedule and hijack counts restore
 // mid-torment without perturbing the stream.
