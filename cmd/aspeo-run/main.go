@@ -65,7 +65,7 @@ func main() {
 		flightCap  = flag.Int("flight-cap", 0, "flight recorder ring capacity in spans (0 = default)")
 		ckptOut    = flag.String("checkpoint", "", "keep the session crash-safe: write its latest snapshot to this path (atomically, overwritten in place) every -checkpoint-every cadence points")
 		ckptEvery  = flag.Int("checkpoint-every", 25, "checkpoint cadence: control cycles (controller) or simulated seconds (governor)")
-		restore    = flag.String("restore", "", "resume from a checkpoint written by -checkpoint; the other flags must rebuild the same spec (same app, seed, mode, ...) or the restore is rejected")
+		restore    = flag.String("restore", "", "resume from a checkpoint written by -checkpoint; the flags that define the session (app, load, governor, controller, cpu-only, profile, target, quick, seed, faults, scenario, scenario-index) must repeat the checkpointed run's or the restore is rejected")
 		scenPath   = flag.String("scenario", "", "run one session of a compiled scenario instead of -app: scenario spec JSON (see aspeo-gen)")
 		scenIdx    = flag.Int("scenario-index", 0, "which generated session of -scenario to run")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
@@ -203,8 +203,9 @@ func main() {
 	if *ckptOut != "" {
 		spec.CheckpointEvery = *ckptEvery
 		path := *ckptOut
+		meta := specFlagValues()
 		spec.OnCheckpoint = func(cs *experiment.CellState) error {
-			return ckpt.Save(ckpt.OS{}, path, runCheckpointKind, nil, cs)
+			return ckpt.Save(ckpt.OS{}, path, runCheckpointKind, meta, cs)
 		}
 	}
 	// Validate up front so a typo'd flag is a usage error, not a silent
@@ -226,15 +227,22 @@ func main() {
 		}
 	}
 
+	var cell *experiment.CellState
+	if *restore != "" {
+		cell = new(experiment.CellState)
+		var meta map[string]string
+		if err := ckpt.Load(ckpt.OS{}, *restore, runCheckpointKind, &meta, cell); err != nil {
+			fatal("%v", err)
+		}
+		if err := checkSpecFlags(meta); err != nil {
+			fatal("restoring %s: %v", *restore, err)
+		}
+	}
 	sess, err := experiment.NewSession(spec)
 	if err != nil {
 		fatal("%v", err)
 	}
-	if *restore != "" {
-		cell := new(experiment.CellState)
-		if err := ckpt.Load(ckpt.OS{}, *restore, runCheckpointKind, nil, cell); err != nil {
-			fatal("%v", err)
-		}
+	if cell != nil {
 		if err := sess.RestoreState(cell); err != nil {
 			fatal("restoring %s: %v", *restore, err)
 		}
@@ -329,10 +337,40 @@ func main() {
 	}
 }
 
-// runCheckpointKind names aspeo-run's checkpoint payload (a bare
-// session cell; the spec identity lives in the command line that must
-// be repeated on -restore).
+// runCheckpointKind names aspeo-run's checkpoint payload: a bare
+// session cell, whose spec the command line must rebuild on -restore.
 const runCheckpointKind = "aspeo/session-cell"
+
+// specFlags are the flags that define a run's SessionSpec. A checkpoint
+// records their values as its envelope meta, and -restore requires the
+// same values: other flags would rebuild another cell.
+var specFlags = []string{"app", "load", "governor", "controller", "cpu-only", "profile",
+	"target", "quick", "seed", "faults", "scenario", "scenario-index"}
+
+// specFlagValues returns this invocation's value of each spec flag.
+func specFlagValues() map[string]string {
+	m := make(map[string]string, len(specFlags))
+	for _, name := range specFlags {
+		m[name] = flag.Lookup(name).Value.String()
+	}
+	return m
+}
+
+// checkSpecFlags names the first spec flag whose value differs from the
+// checkpointed run's. A checkpoint without meta (written before aspeo-run
+// recorded one) is not checked.
+func checkSpecFlags(saved map[string]string) error {
+	if saved == nil {
+		return nil
+	}
+	cur := specFlagValues()
+	for _, name := range specFlags {
+		if saved[name] != cur[name] {
+			return fmt.Errorf("checkpoint was taken with -%s=%q, this run has -%s=%q", name, saved[name], name, cur[name])
+		}
+	}
+	return nil
+}
 
 // writeFile streams one recorder export to path.
 func writeFile(path string, write func(w io.Writer) error) {
