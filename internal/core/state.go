@@ -95,12 +95,6 @@ func (c *Controller) RestoreState(raw json.RawMessage, dev platform.Device) erro
 	if s.SlotIdx < 0 || s.SlotIdx >= len(c.st.Slots) {
 		return fmt.Errorf("core: restore slot index %d out of %d", s.SlotIdx, len(c.st.Slots))
 	}
-	if dev == nil {
-		dev = c.dev
-	}
-	if dev == nil {
-		return fmt.Errorf("core: restore without a device to check the schedule against")
-	}
 	chip := dev.SoC()
 	for i, e := range s.Slots {
 		// A negative bandwidth index is legal: apply skips that write.
