@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"aspeo/internal/kalman"
@@ -589,20 +588,12 @@ func (c *Controller) apply(dev platform.Device, e profile.Entry) error {
 	return nil
 }
 
-// buildValueStrings precomputes the sysfs value text for every ladder
-// index — the same strconv.Itoa results apply used to format on every
-// write. Built lazily on first actuation, when the device (and hence
+// buildValueStrings takes the sysfs value text for every ladder index
+// from the SoC's one formatting rule (soc.LadderText), so apply formats
+// nothing. Built lazily on first actuation, when the device (and hence
 // the SoC ladder) is known.
 func (c *Controller) buildValueStrings(dev platform.Device) {
-	s := dev.SoC()
-	c.freqVal = make([]string, len(s.CPUFreqs))
-	for i := range c.freqVal {
-		c.freqVal[i] = strconv.Itoa(s.Freq(i).KHz())
-	}
-	c.bwVal = make([]string, len(s.MemBWs))
-	for i := range c.bwVal {
-		c.bwVal[i] = strconv.Itoa(int(s.BW(i).MBps()))
-	}
+	_, _, c.freqVal, c.bwVal = dev.SoC().LadderText()
 }
 
 // Cycles returns how many closed-loop cycles have run.

@@ -23,3 +23,7 @@ func NewPhaseAwareSession(spec SessionSpec) (*Session, error) {
 	opts.PhaseAware = true
 	return newSession(spec, app, bg, &opts, nil)
 }
+
+// ReadStoredTable is the stored-table read NewSession resolves a
+// spec's Profile through.
+var ReadStoredTable = readStoredTable

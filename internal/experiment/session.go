@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"aspeo/internal/core"
@@ -50,6 +52,10 @@ type SessionSpec struct {
 	// baseline).
 	CPUOnly bool
 	// Profile is a profile-table JSON path; empty profiles on the fly.
+	// The file is parsed once per process for each distinct content,
+	// and sessions on the same bytes share one *profile.Table
+	// read-only: nothing writes a table once profile.ReadJSON or
+	// profile.Run returns it.
 	Profile string
 	// TargetGIPS is the performance target; 0 measures it from the
 	// default governors.
@@ -386,13 +392,8 @@ func resolveTableAndTarget(app *workload.Spec, bg workload.BGLoad,
 	}
 	var tab *profile.Table
 	if spec.Profile != "" {
-		f, err := os.Open(spec.Profile)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer f.Close()
-		tab, err = profile.ReadJSON(f)
-		if err != nil {
+		var err error
+		if tab, err = readStoredTable(spec.Profile); err != nil {
 			return nil, 0, err
 		}
 	} else {
@@ -417,4 +418,42 @@ func resolveTableAndTarget(app *workload.Spec, bg workload.BGLoad,
 		target = def.GIPS
 	}
 	return tab, target, nil
+}
+
+// storedTables holds the profile tables sessions have read, keyed by
+// the file's bytes. A key is content, not a path or a time, so an entry
+// never goes stale: a rewritten file has new bytes and parses anew.
+// Callers see the map only as time and allocations, the way they see a
+// sync.Pool.
+var storedTables struct {
+	sync.Mutex
+	m map[string]*profile.Table
+}
+
+// maxStoredTables bounds storedTables; a full map is cleared.
+const maxStoredTables = 64
+
+// readStoredTable returns the table in the file at path, parsed and
+// validated by profile.ReadJSON once per process for each distinct
+// content. Every session on the same bytes shares the one table,
+// read-only.
+func readStoredTable(path string) (*profile.Table, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	storedTables.Lock()
+	defer storedTables.Unlock()
+	if tab, ok := storedTables.m[string(raw)]; ok {
+		return tab, nil
+	}
+	tab, err := profile.ReadJSON(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	if storedTables.m == nil || len(storedTables.m) >= maxStoredTables {
+		storedTables.m = make(map[string]*profile.Table)
+	}
+	storedTables.m[string(raw)] = tab
+	return tab, nil
 }

@@ -44,36 +44,32 @@ var (
 // kernel. onFreqChange, when non-nil, runs after every CPU frequency
 // transition, whichever path requested it — a backend that models the
 // transition's energy charges it there.
+//
+// Every ladder value in the tree — both lists, the initial setspeed,
+// set_freq, min and max values, and what the cur_freq files read — is
+// a substring of one chip.LadderText, formatted once per Init.
 func (k *Kernel) Init(chip *soc.SoC, onFreqChange func()) {
 	*k = Kernel{chip: chip, fs: sysfs.New(), st: kernelState{ThermalCap: -1}, onFreqChange: onFreqChange}
-	freqList, bwList := "", ""
-	for i := range chip.CPUFreqs {
-		freqList += strconv.Itoa(chip.Freq(i).KHz()) + " "
-	}
-	for i := range chip.MemBWs {
-		bwList += strconv.Itoa(int(chip.BW(i).MBps())) + " "
-	}
 	fs := k.fs
+	freqList, bwList, freqs, bws := chip.LadderText()
 
 	fs.Create(sysfs.CPUScalingGovernor, GovInteractive, true)
-	fs.Create(sysfs.CPUScalingSetSpeed, strconv.Itoa(chip.Freq(0).KHz()), true)
+	fs.Create(sysfs.CPUScalingSetSpeed, freqs[0], true)
 	fs.Create(sysfs.CPUAvailableFreqs, freqList, false)
 	fs.Create(sysfs.CPUAvailableGovs, "interactive ondemand conservative userspace performance powersave", false)
-	fs.Create(sysfs.CPUScalingMinFreq, strconv.Itoa(chip.Freq(0).KHz()), true)
-	fs.Create(sysfs.CPUScalingMaxFreq, strconv.Itoa(chip.Freq(len(chip.CPUFreqs)-1).KHz()), true)
-	curFreq := func(string) string { return strconv.Itoa(chip.Freq(k.st.FreqIdx).KHz()) }
+	fs.Create(sysfs.CPUScalingMinFreq, freqs[0], true)
+	fs.Create(sysfs.CPUScalingMaxFreq, freqs[len(freqs)-1], true)
+	curFreq := func(string) string { return freqs[k.st.FreqIdx] }
 	fs.CreateDynamic(sysfs.CPUScalingCurFreq, curFreq)
 	fs.CreateDynamic(sysfs.CPUInfoCurFreq, curFreq)
 
 	fs.Create(sysfs.DevFreqGovernor, GovCPUBWHwmon, true)
-	fs.Create(sysfs.DevFreqSetFreq, strconv.Itoa(int(chip.BW(0).MBps())), true)
+	fs.Create(sysfs.DevFreqSetFreq, bws[0], true)
 	fs.Create(sysfs.DevFreqAvailFreqs, bwList, false)
 	fs.Create(sysfs.DevFreqAvailGovs, "cpubw_hwmon userspace performance powersave", false)
-	fs.Create(sysfs.DevFreqMinFreq, strconv.Itoa(int(chip.BW(0).MBps())), true)
-	fs.Create(sysfs.DevFreqMaxFreq, strconv.Itoa(int(chip.BW(len(chip.MemBWs)-1).MBps())), true)
-	fs.CreateDynamic(sysfs.DevFreqCurFreq, func(string) string {
-		return strconv.Itoa(int(chip.BW(k.st.BWIdx).MBps()))
-	})
+	fs.Create(sysfs.DevFreqMinFreq, bws[0], true)
+	fs.Create(sysfs.DevFreqMaxFreq, bws[len(bws)-1], true)
+	fs.CreateDynamic(sysfs.DevFreqCurFreq, func(string) string { return bws[k.st.BWIdx] })
 
 	fs.Create(sysfs.MPDecisionEnabled, "0", true)
 	fs.Create(sysfs.TouchBoostEnabled, "0", true)

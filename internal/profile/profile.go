@@ -67,7 +67,9 @@ func (e Entry) Config() soc.Config {
 	return soc.Config{FreqIdx: e.FreqIdx, BWIdx: bw}
 }
 
-// Table is an application's offline profile.
+// Table is an application's offline profile. Nothing writes a table
+// once ReadJSON or Run returns it: controllers and sessions share one
+// table read-only.
 type Table struct {
 	App      string  `json:"app"`
 	Load     string  `json:"load"`

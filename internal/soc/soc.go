@@ -9,6 +9,7 @@ package soc
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -42,6 +43,35 @@ func (b Bandwidth) BytesPerSec() float64 { return float64(b) * 1e6 }
 
 // String formats the bandwidth the way the paper's tables do.
 func (b Bandwidth) String() string { return fmt.Sprintf("%.0fMBps", float64(b)) }
+
+// LadderText formats both ladders the way the cpufreq and devfreq files
+// carry them — frequencies as Freq.KHz, bandwidths as whole MBps — into
+// one buffer. freqList and bwList are the ladders as
+// scaling_available_frequencies and available_frequencies list them,
+// every step's value followed by one space; freqs[i] and bws[i] are
+// step i's value alone, substrings of the lists. The whole text costs
+// two allocations.
+func (s *SoC) LadderText() (freqList, bwList string, freqs, bws []string) {
+	var stack [256]byte // the Nexus 6's text is 205 bytes; a longer one grows on the heap
+	buf := stack[:0]
+	for i := range s.CPUFreqs {
+		buf = append(strconv.AppendInt(buf, int64(s.Freq(i).KHz()), 10), ' ')
+	}
+	cut := len(buf)
+	for i := range s.MemBWs {
+		buf = append(strconv.AppendInt(buf, int64(int(s.BW(i).MBps())), 10), ' ')
+	}
+	text := string(buf)
+	vals := make([]string, 0, len(s.CPUFreqs)+len(s.MemBWs))
+	for start, i := 0, 0; i < len(text); i++ {
+		if text[i] == ' ' {
+			vals = append(vals, text[start:i])
+			start = i + 1
+		}
+	}
+	nf := len(s.CPUFreqs)
+	return text[:cut], text[cut:], vals[:nf:nf], vals[nf:]
+}
 
 // Config identifies one system configuration: a (CPU frequency, memory
 // bandwidth) index pair into an SoC's ladders. This is the unit the

@@ -2,6 +2,8 @@ package soc
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +111,36 @@ func TestKHzRoundTrip(t *testing.T) {
 		if got := n6.NearestFreqIdx(FreqFromKHz(khz)); got != i {
 			t.Errorf("step %d: %d kHz maps back to step %d", i, khz, got)
 		}
+	}
+}
+
+// LadderText's values are the kHz and MBps integers of every step,
+// each list is its values each followed by one space, and the whole
+// text costs two allocations.
+func TestLadderText(t *testing.T) {
+	n6 := Nexus6()
+	freqList, bwList, freqs, bws := n6.LadderText()
+	if len(freqs) != len(n6.CPUFreqs) || len(bws) != len(n6.MemBWs) {
+		t.Fatalf("%d and %d values for ladders of %d and %d", len(freqs), len(bws), len(n6.CPUFreqs), len(n6.MemBWs))
+	}
+	for i, v := range freqs {
+		if want := strconv.Itoa(n6.Freq(i).KHz()); v != want {
+			t.Errorf("freqs[%d] = %q, want %q", i, v, want)
+		}
+	}
+	for i, v := range bws {
+		if want := strconv.Itoa(int(n6.BW(i).MBps())); v != want {
+			t.Errorf("bws[%d] = %q, want %q", i, v, want)
+		}
+	}
+	if want := strings.Join(freqs, " ") + " "; freqList != want {
+		t.Errorf("freqList = %q, want %q", freqList, want)
+	}
+	if want := strings.Join(bws, " ") + " "; bwList != want {
+		t.Errorf("bwList = %q, want %q", bwList, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { n6.LadderText() }); allocs > 2 {
+		t.Errorf("LadderText makes %.0f allocations, want at most 2", allocs)
 	}
 }
 

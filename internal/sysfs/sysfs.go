@@ -56,11 +56,30 @@ type file struct {
 type FS struct {
 	mu    sync.RWMutex
 	files map[string]*file
+	spare []file // unused nodes, handed out by newNode
 }
+
+// treeSize is the file count of a device's tree — the kernel's
+// cpufreq/devfreq files, a backend's /proc files and a governor's
+// tunables come to about 25 — so New allocates the map and the node
+// storage of one tree once. A larger tree grows both.
+const treeSize = 32
 
 // New returns an empty tree.
 func New() *FS {
-	return &FS{files: make(map[string]*file)}
+	return &FS{files: make(map[string]*file, treeSize), spare: make([]file, treeSize)}
+}
+
+// newNode returns f stored in the tree's node storage, taking another
+// treeSize nodes when it runs out. The caller holds fs.mu.
+func (fs *FS) newNode(f file) *file {
+	if len(fs.spare) == 0 {
+		fs.spare = make([]file, treeSize)
+	}
+	n := &fs.spare[0]
+	fs.spare = fs.spare[1:]
+	*n = f
+	return n
 }
 
 // clean canonicalizes a path: exactly one leading slash, no trailing
@@ -95,7 +114,7 @@ func cleanTrimByte(b byte) bool {
 func (fs *FS) Create(path, initial string, writable bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[clean(path)] = &file{value: initial, writable: writable}
+	fs.files[clean(path)] = fs.newNode(file{value: initial, writable: writable})
 }
 
 // CreateDynamic registers a read-only file whose content is produced by
@@ -103,7 +122,7 @@ func (fs *FS) Create(path, initial string, writable bool) {
 func (fs *FS) CreateDynamic(path string, hook ReadHook) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[clean(path)] = &file{readHook: hook}
+	fs.files[clean(path)] = fs.newNode(file{readHook: hook})
 }
 
 // OnWrite attaches a write hook to an existing file. It panics if the file
