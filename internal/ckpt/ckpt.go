@@ -32,6 +32,10 @@ type Envelope struct {
 	// Meta is caller-defined identity (session id, spec, attempt) used
 	// to verify a checkpoint belongs to the cell being restored.
 	Meta json.RawMessage `json:"meta,omitempty"`
+	// MetaCRC is the IEEE CRC-32 of the Meta bytes, present whenever
+	// Meta is. Envelopes written before it existed carry Meta without
+	// it and load unchecked.
+	MetaCRC *uint32 `json:"meta_crc32,omitempty"`
 	// Cell is the payload.
 	Cell json.RawMessage `json:"cell"`
 	// CRC is the IEEE CRC-32 of the Cell bytes.
@@ -128,6 +132,8 @@ func Save(fsys FS, path, kind string, meta, cell any) error {
 		if env.Meta, err = json.Marshal(meta); err != nil {
 			return fmt.Errorf("ckpt: marshal meta: %w", err)
 		}
+		crc := crc32.ChecksumIEEE(env.Meta)
+		env.MetaCRC = &crc
 	}
 	raw, err := json.Marshal(env)
 	if err != nil {
@@ -168,7 +174,7 @@ func Save(fsys FS, path, kind string, meta, cell any) error {
 
 // Load reads a checkpoint and unmarshals its meta and cell into the
 // given pointers (either may be nil to skip). It rejects version and
-// kind mismatches and payload corruption (CRC).
+// kind mismatches and corruption of the payload or the meta (CRC).
 func Load(fsys FS, path, kind string, meta, cell any) error {
 	raw, err := fsys.ReadFile(path)
 	if err != nil {
@@ -186,6 +192,11 @@ func Load(fsys FS, path, kind string, meta, cell any) error {
 	}
 	if got := crc32.ChecksumIEEE(env.Cell); got != env.CRC {
 		return fmt.Errorf("ckpt: read %s: payload CRC %08x, recorded %08x (corrupt checkpoint)", path, got, env.CRC)
+	}
+	if env.MetaCRC != nil {
+		if got := crc32.ChecksumIEEE(env.Meta); got != *env.MetaCRC {
+			return fmt.Errorf("ckpt: read %s: meta CRC %08x, recorded %08x (corrupt checkpoint)", path, got, *env.MetaCRC)
+		}
 	}
 	if meta != nil && env.Meta != nil {
 		if err := json.Unmarshal(env.Meta, meta); err != nil {

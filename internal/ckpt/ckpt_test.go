@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,39 @@ func TestLoadRejectsKindVersionCorruption(t *testing.T) {
 	if err := Load(OS{}, path, "test/payload", nil, &payload{}); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("version mismatch not rejected: %v", err)
+	}
+}
+
+// TestLoadRejectsMetaCorruption: the meta is checksummed like the cell,
+// so one changed meta byte is a corrupt checkpoint rather than a
+// restore under another identity. An envelope written before the meta
+// carried a checksum still loads.
+func TestLoadRejectsMetaCorruption(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "s1.ckpt.json")
+	if err := Save(OS{}, path, "test/payload", meta{ID: "seed7"}, payload{A: 1}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := strings.Replace(string(raw), `"seed7"`, `"seed8"`, 1)
+	if err := os.WriteFile(path, []byte(changed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var m meta
+	if err := Load(OS{}, path, "test/payload", &m, &payload{}); err == nil ||
+		!strings.Contains(err.Error(), "meta CRC") || !strings.Contains(err.Error(), "corrupt checkpoint") {
+		t.Fatalf("meta corruption not rejected: %v (meta %+v)", err, m)
+	}
+
+	legacy := regexp.MustCompile(`"meta_crc32":\d+,`).ReplaceAllString(string(raw), "")
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(OS{}, path, "test/payload", &m, &payload{}); err != nil || m.ID != "seed7" {
+		t.Fatalf("envelope without meta_crc32: %v (meta %+v)", err, m)
 	}
 }
 

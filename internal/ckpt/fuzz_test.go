@@ -96,6 +96,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"version":1,"kind":"test/fuzz","cell":{"a":1},"crc32":0}`))
 	f.Add([]byte(`{"version":2,"kind":"test/fuzz","cell":{},"crc32":0}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"version":1,"kind":"test/fuzz","meta":{"id":"s1","seq":3},"cell":{"a":1},"crc32":1444654255}`))
+	f.Add([]byte(`{"version":1,"kind":"test/fuzz","meta":{"id":"s1","seq":3},"meta_crc32":0,"cell":{"a":1},"crc32":1444654255}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := &memFS{files: map[string][]byte{"d/in.ckpt.json": data}}

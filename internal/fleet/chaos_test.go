@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -133,14 +134,16 @@ func TestFleetKillRestoreGolden(t *testing.T) {
 
 	// Second life: plant the captured snapshot in a fresh directory —
 	// exactly what a killed process would have left — and restore. The
-	// planted meta also names the since-removed "engine" field, as a
-	// checkpoint from an older build would: meta decodes leniently, so
-	// the session must resume unchanged.
+	// planted meta also names the since-removed "engine" field and
+	// carries no meta checksum, as a checkpoint from an older build
+	// would: meta decodes leniently, so the session must resume
+	// unchanged.
 	dir2 := t.TempDir()
 	planted := bytes.Replace(snap, []byte(`"config":{`), []byte(`"config":{"engine":"fixed",`), 1)
 	if bytes.Equal(planted, snap) {
 		t.Fatal("checkpoint meta carries no config")
 	}
+	planted = regexp.MustCompile(`"meta_crc32":\d+,`).ReplaceAll(planted, nil)
 	if err := os.WriteFile(filepath.Join(dir2, v1.ID+".ckpt.json"), planted, 0o644); err != nil {
 		t.Fatal(err)
 	}
