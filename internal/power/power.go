@@ -70,18 +70,22 @@ func Default() Params {
 }
 
 // Validate checks that all coefficients are finite and non-negative and
-// the load-bearing ones are positive.
+// the load-bearing ones are positive. It checks the fields in
+// declaration order, so an error names the first invalid one.
 func (p Params) Validate() error {
-	fields := map[string]float64{
-		"CeffWPerGHzV2": p.CeffWPerGHzV2, "StallPowerFactor": p.StallPowerFactor,
-		"LeakWPerV2": p.LeakWPerV2, "BusBaseW": p.BusBaseW,
-		"BusWPerMBps": p.BusWPerMBps, "DRAMJPerByte": p.DRAMJPerByte,
-		"ScreenW": p.ScreenW, "WiFiIdleW": p.WiFiIdleW,
-		"WiFiJPerByte": p.WiFiJPerByte, "RestW": p.RestW,
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"CeffWPerGHzV2", p.CeffWPerGHzV2}, {"StallPowerFactor", p.StallPowerFactor},
+		{"LeakWPerV2", p.LeakWPerV2}, {"BusBaseW", p.BusBaseW},
+		{"BusWPerMBps", p.BusWPerMBps}, {"DRAMJPerByte", p.DRAMJPerByte},
+		{"ScreenW", p.ScreenW}, {"WiFiIdleW", p.WiFiIdleW},
+		{"WiFiJPerByte", p.WiFiJPerByte}, {"RestW", p.RestW},
 	}
-	for name, v := range fields {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("power: %s = %v invalid", name, v)
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("power: %s = %v invalid", f.name, f.v)
 		}
 	}
 	if p.CeffWPerGHzV2 == 0 {

@@ -3,6 +3,7 @@ package power
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,15 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	p.BusWPerMBps = -1
 	if err := p.Validate(); err == nil {
 		t.Fatal("negative coefficient should be invalid")
+	}
+	// Two invalid fields: the error names the one declared first, on
+	// every call.
+	p = Default()
+	p.StallPowerFactor, p.RestW = -1, -1
+	for i := 0; i < 20; i++ {
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "StallPowerFactor") {
+			t.Fatalf("call %d: %v, want the error to name StallPowerFactor", i, err)
+		}
 	}
 }
 
