@@ -15,11 +15,12 @@ import (
 // The energy LP of Eqns. (4)–(7) mixes at most two configurations
 // bracketing the required speedup, and its optimal energy at any target
 // is the lower convex envelope of the (speedup, power) point set
-// evaluated at that target. The O(N²) pair scan in Optimize searches
-// that envelope implicitly on every call; Frontier materializes it once
-// (O(N) on the speedup-sorted entries via Andrew's monotone chain), so
-// each control cycle reduces to a binary search for the bracketing hull
-// segment — O(log H) with H ≤ N hull vertices.
+// evaluated at that target. The O(N²) pair scan of the reference
+// Optimize (reference_test.go) searches that envelope implicitly on
+// every call; Frontier materializes it once (O(N) on the speedup-sorted
+// entries via Andrew's monotone chain), so each control cycle reduces
+// to a binary search for the bracketing hull segment — O(log H) with
+// H ≤ N hull vertices.
 //
 // The controller builds its Frontier at construction, after ε-dominance
 // pruning; the profile table (and hence the hull) is immutable for the
