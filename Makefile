@@ -1,6 +1,6 @@
 # CI entry points. `make ci` is what .github/workflows/ci.yml runs:
-# the gofmt gate, vet, build, the full test suite under the race
-# detector, the benchmark module's tests, the fault-campaign (with the
+# the gofmt gate, vet (both modules), build, the full test suite under
+# the race detector, the benchmark module's tests, the fault-campaign (with the
 # paper-campaign golden), record/replay with both backends' platform
 # conformance suites, fleet control-plane,
 # decision-trace, chaos/kill-restore, event-core reference-equivalence,
@@ -19,6 +19,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

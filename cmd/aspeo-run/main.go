@@ -52,7 +52,7 @@ func main() {
 		useCtl     = flag.Bool("controller", false, "run under the energy controller instead of a governor")
 		profPath   = flag.String("profile", "", "profile table JSON (from aspeo-profile); profiled on the fly when empty")
 		target     = flag.Float64("target", 0, "performance target in GIPS; measured from the default governors when 0")
-		cpuOnly    = flag.Bool("cpu-only", false, "controller actuates CPU frequency only (Table V baseline)")
+		cpuOnly    = flag.Bool("cpu-only", false, "controller actuates CPU frequency only (Table V baseline; needs -controller)")
 		seed       = flag.Int64("seed", 101, "simulation seed")
 		quick      = flag.Bool("quick", false, "reduced-fidelity profiling when done on the fly")
 		histograms = flag.Bool("hist", false, "print residency histograms")

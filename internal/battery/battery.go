@@ -18,25 +18,23 @@ import (
 // Params describe a cell. The default matches the Nexus 6's 3220 mAh
 // pack.
 type Params struct {
-	CapacitymAh   float64
-	NominalV      float64 // voltage at ~50% state of charge
-	FullV         float64 // open-circuit voltage at 100%
-	EmptyV        float64 // cutoff voltage at 0%
-	InternalOhm   float64 // series resistance
-	CoulombicEff  float64 // charge efficiency (discharge side ~1.0)
-	SelfDischarge float64 // fraction of capacity lost per month (idle)
+	CapacitymAh  float64
+	NominalV     float64 // voltage at ~50% state of charge
+	FullV        float64 // open-circuit voltage at 100%
+	EmptyV       float64 // cutoff voltage at 0%
+	InternalOhm  float64 // series resistance
+	CoulombicEff float64 // charge efficiency (discharge side ~1.0)
 }
 
 // Nexus6Pack returns the stock battery parameters.
 func Nexus6Pack() Params {
 	return Params{
-		CapacitymAh:   3220,
-		NominalV:      3.8,
-		FullV:         4.3,
-		EmptyV:        3.3,
-		InternalOhm:   0.12,
-		CoulombicEff:  1.0,
-		SelfDischarge: 0.03,
+		CapacitymAh:  3220,
+		NominalV:     3.8,
+		FullV:        4.3,
+		EmptyV:       3.3,
+		InternalOhm:  0.12,
+		CoulombicEff: 1.0,
 	}
 }
 

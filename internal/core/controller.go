@@ -25,8 +25,6 @@ type Options struct {
 	// Quantum is the scheduler's minimum dwell at a configuration
 	// (paper: 200 ms).
 	Quantum time.Duration
-	// PerfPeriod is the perf sampling period (paper: 1 s).
-	PerfPeriod time.Duration
 	// Seed drives measurement-noise reproduction.
 	Seed int64
 	// CPUOnly restricts actuation to the CPU frequency, leaving the
@@ -36,8 +34,8 @@ type Options struct {
 	// s_n = s_{n-1} + (1−ρ)·e_{n-1}/b_{n-1}. ρ = 0 is the deadbeat
 	// controller of Eqn. (3); a positive pole trades convergence speed
 	// for robustness to the one-cycle measurement delay (POET, the
-	// paper's base controller, exposes the same knob). Defaults to 0.5
-	// when NaN/unset via DefaultOptions.
+	// paper's base controller, exposes the same knob). DefaultOptions
+	// sets 0.5.
 	Pole float64
 	// PhaseAware enables online phase tracking (§V-B): control cycles
 	// are clustered by their performance signature and the integrator
@@ -50,13 +48,14 @@ type Options struct {
 	// is a plateau of performance-equivalent configurations whose
 	// measured speedups differ only by noise and interpolation error;
 	// without pruning the optimizer can chase a 1%-faster configuration
-	// that costs 30% more power. Defaults to 2% when zero; negative
+	// that costs 30% more power. Defaults to 1.2% when zero; negative
 	// disables pruning.
 	EpsilonDominance float64
-	// Resilience configures the fault-handling ladder (retry →
-	// reinstall → safe-config → relinquish). The zero value enables the
-	// hardened defaults; set Disabled for the unhardened baseline.
-	Resilience Resilience
+	// Unhardened turns the fault-handling ladder (retry → reinstall →
+	// safe-config → relinquish, resilience.go) off: the unhardened
+	// baseline of the fault campaign, which counts faults but never acts
+	// on them.
+	Unhardened bool
 	// LogAllocations keeps a per-cycle record of every optimizer
 	// decision, retrievable via AllocationLog. Used by the replay golden
 	// tests to compare two runs decision-for-decision.
@@ -68,17 +67,6 @@ type Options struct {
 	// rollups. It runs on the cell's goroutine; the subscriber is
 	// responsible for its own synchronization.
 	OnCycle func(CycleSnapshot)
-	// CheckpointEvery, together with OnCheckpoint, asks for a session
-	// checkpoint every N control cycles. The controller itself never
-	// snapshots anything — it only signals; the session layer captures
-	// the whole cell at the next engine-loop boundary, where every actor
-	// is quiescent. Observation only and free when unset: the hot path
-	// pays two integer compares per cycle.
-	CheckpointEvery int
-	// OnCheckpoint receives the control-cycle ordinal whenever a
-	// checkpoint is due (see CheckpointEvery). Like OnCycle it runs on
-	// the cell's goroutine and must not touch the controller or device.
-	OnCheckpoint func(cyclesRun int)
 	// Trace enables per-stage decision tracing: every control cycle
 	// emits measure/kalman/optimize/schedule child spans plus a cycle
 	// summary span, and the resilience ladder emits transition events,
@@ -97,11 +85,13 @@ func DefaultOptions(t *profile.Table, targetGIPS float64) Options {
 		TargetGIPS: targetGIPS,
 		CycleT:     2 * time.Second,
 		Quantum:    200 * time.Millisecond,
-		PerfPeriod: time.Second,
 		Seed:       1,
 		Pole:       0.5,
 	}
 }
+
+// PerfPeriod is the perf sampling period (paper: 1 s).
+const PerfPeriod = time.Second
 
 // cycleOverheadJ is the regulator+optimizer compute cost per control
 // cycle: <10 ms at ~25 mW average over the 2 s cycle (§V-A1).
@@ -156,7 +146,6 @@ type Controller struct {
 	freqVal, bwVal []string
 
 	tracker *PhaseTracker
-	res     Resilience // the fault-handling ladder (resilience.go)
 	// st is the controller's dynamic state besides the Kalman filter's
 	// and the tracker's (state.go).
 	st controllerState
@@ -184,9 +173,6 @@ func New(opt Options) (*Controller, error) {
 	if opt.CycleT <= 0 || opt.Quantum <= 0 || opt.CycleT%opt.Quantum != 0 {
 		return nil, fmt.Errorf("core: cycle %v must be a positive multiple of quantum %v",
 			opt.CycleT, opt.Quantum)
-	}
-	if opt.PerfPeriod < perftool.MinSamplingPeriod {
-		return nil, fmt.Errorf("core: perf period %v below device minimum", opt.PerfPeriod)
 	}
 	if opt.Pole < 0 || opt.Pole >= 1 {
 		return nil, fmt.Errorf("core: pole %v outside [0,1)", opt.Pole)
@@ -216,17 +202,14 @@ func New(opt Options) (*Controller, error) {
 		opt:      opt,
 		entries:  entries,
 		frontier: frontier,
-		perf:     perftool.MustNew(opt.PerfPeriod, opt.Seed),
+		perf:     perftool.MustNew(PerfPeriod, opt.Seed),
 		kf:       kf,
-		res:      opt.Resilience.withDefaults(),
 		st: controllerState{
 			SPrev: clamp(opt.TargetGIPS/b0,
 				entries[0].Speedup, entries[len(entries)-1].Speedup),
-			Slots: make([]profile.Entry, nSlots),
+			Slots:   make([]profile.Entry, nSlots),
+			RecentY: make([]float64, 0, stuckWindow-1),
 		},
-	}
-	if n := c.res.StuckWindow - 1; n > 0 {
-		c.st.RecentY = make([]float64, 0, n)
 	}
 	if opt.Trace {
 		c.spanAttrs = make([]obs.Attr, 0, 16) // the widest span, "cycle", has 12
@@ -257,10 +240,14 @@ func clamp(x, lo, hi float64) float64 { return math.Max(lo, math.Min(hi, x)) }
 // The runner's device — possibly a fault-decorated one — becomes the
 // device the controller actuates for the rest of its life; a governor
 // write that fails or silently doesn't stick (an OEM daemon racing the
-// setup) is reported rather than swallowed.
+// setup) is reported rather than swallowed. Fault-decorated devices do
+// not expose platform.BatchWriter, so apply falls back to per-file
+// writes there, keeping every write inside the fault model.
 func (c *Controller) Install(r platform.Runner) error {
 	dev := r.Device()
-	c.bindDevice(dev)
+	c.dev = dev
+	c.batch, _ = dev.(platform.BatchWriter)
+	c.writeBuf = make([]platform.FileWrite, 0, 2)
 	c.recordInstallState(dev)
 	if err := c.installGovernor(dev, sysfs.CPUScalingGovernor, "cpu"); err != nil {
 		return err
@@ -278,18 +265,6 @@ func (c *Controller) Install(r platform.Runner) error {
 	}
 	c.st.Attached = true
 	return nil
-}
-
-// bindDevice fixes the device the controller actuates and probes its
-// optional batched-write capability. Fault-decorated devices do not
-// expose platform.BatchWriter — the assertion fails and apply falls back
-// to per-file writes, keeping every write inside the fault model.
-func (c *Controller) bindDevice(dev platform.Device) {
-	c.dev = dev
-	c.batch, _ = dev.(platform.BatchWriter)
-	if c.writeBuf == nil {
-		c.writeBuf = make([]platform.FileWrite, 0, 2)
-	}
 }
 
 // installGovernor switches one governor file to userspace and verifies
@@ -316,18 +291,15 @@ func (c *Controller) Name() string { return "aspeo-controller" }
 // scheduler quantum; the control law runs on cycle boundaries.
 func (c *Controller) Period() time.Duration { return c.opt.Quantum }
 
-// Tick implements platform.Actor. The dev argument is the runner's
+// Tick implements platform.Actor. Its device argument is the runner's
 // undecorated device; the controller actuates through the device Install
 // captured, which carries any fault decoration.
-func (c *Controller) Tick(now time.Duration, dev platform.Device) {
-	if c.dev == nil {
-		c.bindDevice(dev)
-	}
+func (c *Controller) Tick(time.Duration, platform.Device) {
 	if c.st.Health.Relinquished {
 		return // the stock governors own the device again
 	}
 	if c.st.SlotIdx == 0 {
-		c.st.RetriesLeft = c.res.MaxRetriesPerCycle
+		c.st.RetriesLeft = maxRetriesPerCycle
 		c.runCycle(c.dev)
 		if c.st.Health.Relinquished {
 			return
@@ -606,9 +578,6 @@ func (c *Controller) MeanAbsError() float64 {
 	}
 	return c.st.SumAbsErr / float64(c.st.Cycles)
 }
-
-// LastMeasuredGIPS returns the most recent perf reading consumed.
-func (c *Controller) LastMeasuredGIPS() float64 { return c.st.LastMeasured }
 
 // LastAllocation returns the most recent optimizer decision.
 func (c *Controller) LastAllocation() Allocation { return c.st.LastAlloc }

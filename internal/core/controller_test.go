@@ -45,7 +45,6 @@ func TestNewValidatesOptions(t *testing.T) {
 		{"negative target", func(o *Options) { o.TargetGIPS = -1 }},
 		{"cycle not multiple", func(o *Options) { o.CycleT = 2100 * time.Millisecond }},
 		{"zero quantum", func(o *Options) { o.Quantum = 0 }},
-		{"perf too fast", func(o *Options) { o.PerfPeriod = 10 * time.Millisecond }},
 		{"bad pole", func(o *Options) { o.Pole = 1.0 }},
 		{"negative pole", func(o *Options) { o.Pole = -0.1 }},
 		{"mode mismatch", func(o *Options) { o.CPUOnly = true }},

@@ -11,90 +11,43 @@ import (
 	"aspeo/internal/sysfs"
 )
 
-// Resilience configures the controller's fault-handling ladder. On a
-// real device neither I/O surface the controller depends on is
-// trustworthy: sysfs stores fail transiently, OEM daemons rewrite the
-// governor files mid-run, and PMU-derived readings drop, spike or stick.
-// The ladder escalates — retry failed actuations, reinstall a hijacked
-// governor, degrade to a safe mid-ladder configuration, and finally
-// relinquish control to the stock governors — while Health exposes every
-// step taken.
-type Resilience struct {
-	// Disabled turns every protection off (the unhardened baseline of
-	// the fault campaign); faults are still counted, never acted on.
-	Disabled bool
-	// MaxRetriesPerCycle bounds actuation retries across the quanta of
+// The controller's fault-handling ladder. On a real device neither I/O
+// surface the controller depends on is trustworthy: sysfs stores fail
+// transiently, OEM daemons rewrite the governor files mid-run, and
+// PMU-derived readings drop, spike or stick. The ladder escalates —
+// retry failed actuations, reinstall a hijacked governor (checked every
+// control cycle), degrade to a safe mid-ladder configuration, and
+// finally relinquish control to the stock governors — while Health
+// exposes every step taken. Options.Unhardened turns it off. Its
+// thresholds:
+const (
+	// maxRetriesPerCycle bounds actuation retries across the quanta of
 	// one control cycle.
-	MaxRetriesPerCycle int
-	// OwnershipCheckEvery runs the governor-ownership check every N
-	// control cycles (1 = every cycle).
-	OwnershipCheckEvery int
-	// OutlierSigma is the measurement gate width: a normalized
-	// measurement farther than OutlierSigma·sqrt(P+R) from the Kalman
-	// estimate is rejected instead of fed into the update. The default
-	// is wide (10σ) because genuine workload phase transitions reach
-	// 5–8σ and must pass untouched, while injected counter faults are
-	// far more extreme (a zeroed reading is ~18σ, a multiplexing spike
-	// ~50σ).
-	OutlierSigma float64
-	// OutlierPersistence accepts a measurement after this many
+	maxRetriesPerCycle = 3
+	// outlierSigma is the measurement gate width: a normalized
+	// measurement farther than outlierSigma·sqrt(P+R) from the Kalman
+	// estimate is rejected instead of fed into the update. It is wide
+	// (10σ) because genuine workload phase transitions reach 5–8σ and
+	// must pass untouched, while injected counter faults are far more
+	// extreme (a zeroed reading is ~18σ, a multiplexing spike ~50σ).
+	outlierSigma = 10
+	// outlierPersistence accepts a measurement after this many
 	// consecutive outlier rejections: isolated spikes are glitches, but
 	// a persistent excursion is a genuine level shift (a workload phase
 	// change) the filter must re-converge to. Must not exceed
-	// DegradeAfter or real phase shifts trip the watchdog.
-	OutlierPersistence int
-	// StuckWindow rejects a measurement after this many bit-identical
+	// degradeAfter or real phase shifts trip the watchdog.
+	outlierPersistence = 2
+	// stuckWindow rejects a measurement after this many bit-identical
 	// consecutive values (a stuck counter; genuine readings carry
 	// continuous noise).
-	StuckWindow int
-	// DegradeAfter is the watchdog threshold: this many consecutive
+	stuckWindow = 3
+	// degradeAfter is the watchdog threshold: this many consecutive
 	// failing cycles switch the schedule to the safe configuration.
-	DegradeAfter int
-	// RelinquishAfter consecutive failing cycles hand the device back
+	degradeAfter = 3
+	// relinquishAfter consecutive failing cycles hand the device back
 	// to the stock governors and stop actuating.
-	RelinquishAfter int
-}
-
-// DefaultResilience returns the hardened defaults.
-func DefaultResilience() Resilience {
-	return Resilience{
-		MaxRetriesPerCycle:  3,
-		OwnershipCheckEvery: 1,
-		OutlierSigma:        10,
-		OutlierPersistence:  2,
-		StuckWindow:         3,
-		DegradeAfter:        3,
-		RelinquishAfter:     8,
-	}
-}
-
-// withDefaults fills unset fields so a zero Options.Resilience means
-// "hardened with defaults".
-func (r Resilience) withDefaults() Resilience {
-	d := DefaultResilience()
-	if r.MaxRetriesPerCycle == 0 {
-		r.MaxRetriesPerCycle = d.MaxRetriesPerCycle
-	}
-	if r.OwnershipCheckEvery == 0 {
-		r.OwnershipCheckEvery = d.OwnershipCheckEvery
-	}
-	if r.OutlierSigma == 0 {
-		r.OutlierSigma = d.OutlierSigma
-	}
-	if r.OutlierPersistence == 0 {
-		r.OutlierPersistence = d.OutlierPersistence
-	}
-	if r.StuckWindow == 0 {
-		r.StuckWindow = d.StuckWindow
-	}
-	if r.DegradeAfter == 0 {
-		r.DegradeAfter = d.DegradeAfter
-	}
-	if r.RelinquishAfter == 0 {
-		r.RelinquishAfter = d.RelinquishAfter
-	}
-	return r
-}
+	relinquishAfter = 8
+)
 
 // Health is the controller's self-diagnostics: what the fault ladder
 // observed and did. The report layer prints it and the resilience tests
@@ -120,7 +73,7 @@ func (c *Controller) applySlot(dev platform.Device, e profile.Entry) bool {
 		return true
 	}
 	c.st.Health.ActuationFailures++
-	if c.res.Disabled {
+	if c.opt.Unhardened {
 		return false
 	}
 	for c.st.RetriesLeft > 0 {
@@ -139,10 +92,7 @@ func (c *Controller) applySlot(dev platform.Device, e profile.Entry) bool {
 // back to userspace, a clamped scaling_max_freq is restored to its
 // installed value. It reports false when a repair attempt failed.
 func (c *Controller) checkOwnership(dev platform.Device) bool {
-	if c.res.Disabled || !c.st.Attached {
-		return true
-	}
-	if c.res.OwnershipCheckEvery > 1 && c.st.CyclesRun%c.res.OwnershipCheckEvery != 0 {
+	if c.opt.Unhardened || !c.st.Attached {
 		return true
 	}
 	ok := true
@@ -175,11 +125,11 @@ func (c *Controller) checkOwnership(dev platform.Device) bool {
 }
 
 // gate validates one cycle measurement before it reaches the Kalman
-// update: non-finite values, stuck counters (StuckWindow bit-identical
+// update: non-finite values, stuck counters (stuckWindow bit-identical
 // readings in a row) and >kσ innovation outliers are rejected; the
 // regulator then falls back to the prior estimate for the cycle.
 func (c *Controller) gate(y, z float64) bool {
-	if c.res.Disabled {
+	if c.opt.Unhardened {
 		return true
 	}
 	if math.IsNaN(z) || math.IsInf(z, 0) {
@@ -188,7 +138,7 @@ func (c *Controller) gate(y, z float64) bool {
 		c.st.GateCause = "non-finite"
 		return false
 	}
-	stuck := len(c.st.RecentY) >= c.res.StuckWindow-1
+	stuck := len(c.st.RecentY) >= stuckWindow-1
 	for _, prev := range c.st.RecentY {
 		if prev != y {
 			stuck = false
@@ -203,8 +153,8 @@ func (c *Controller) gate(y, z float64) bool {
 		return false
 	}
 	if est, err := c.kf.Estimate(); err == nil {
-		band := c.res.OutlierSigma * math.Sqrt(c.kf.Variance()+c.kf.MeasurementVariance())
-		if math.Abs(z-est) > band && c.st.OutlierRun < c.res.OutlierPersistence {
+		band := outlierSigma * math.Sqrt(c.kf.Variance()+c.kf.MeasurementVariance())
+		if math.Abs(z-est) > band && c.st.OutlierRun < outlierPersistence {
 			c.st.OutlierRun++
 			c.st.Health.OutlierSamples++
 			c.st.Health.RejectedSamples++
@@ -221,24 +171,19 @@ func (c *Controller) gate(y, z float64) bool {
 // stuck scan is an order-independent equality sweep, so rotation is
 // invisible to it and the steady state allocates nothing.
 func (c *Controller) pushRecentY(y float64) {
-	n := c.res.StuckWindow - 1
-	if n <= 0 {
-		c.st.RecentY = append(c.st.RecentY, y)
-		return
-	}
-	if len(c.st.RecentY) < n {
+	if len(c.st.RecentY) < stuckWindow-1 {
 		c.st.RecentY = append(c.st.RecentY, y)
 		return
 	}
 	c.st.RecentY[c.st.RecentYPos] = y
-	c.st.RecentYPos = (c.st.RecentYPos + 1) % n
+	c.st.RecentYPos = (c.st.RecentYPos + 1) % (stuckWindow - 1)
 }
 
 // watchdog consumes one cycle's health verdict and walks the degradation
 // ladder. It returns true when the controller should skip the optimizer
 // because it is degraded or has relinquished control.
 func (c *Controller) watchdog(dev platform.Device, failing bool) bool {
-	if c.res.Disabled {
+	if c.opt.Unhardened {
 		return false
 	}
 	if failing {
@@ -251,11 +196,11 @@ func (c *Controller) watchdog(dev platform.Device, failing bool) bool {
 			c.ladderTransition(dev, "recovered")
 		}
 	}
-	if c.st.Health.ConsecutiveFailures >= c.res.RelinquishAfter {
+	if c.st.Health.ConsecutiveFailures >= relinquishAfter {
 		c.relinquish(dev)
 		return true
 	}
-	if !c.st.Degraded && c.st.Health.ConsecutiveFailures >= c.res.DegradeAfter {
+	if !c.st.Degraded && c.st.Health.ConsecutiveFailures >= degradeAfter {
 		c.st.Degraded = true
 		c.st.Health.WatchdogTrips++
 		c.ladderTransition(dev, "degraded")

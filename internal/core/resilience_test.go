@@ -28,19 +28,8 @@ func newTestController(t *testing.T, mut func(*Options)) *Controller {
 }
 
 func TestResilienceDefaults(t *testing.T) {
-	d := DefaultResilience()
-	if d.OutlierPersistence > d.DegradeAfter {
-		t.Fatal("persistence above DegradeAfter: genuine phase shifts would trip the watchdog")
-	}
-	// A zero Resilience in Options must mean "hardened with defaults".
-	ctl := newTestController(t, nil)
-	if ctl.res != d {
-		t.Fatalf("zero Options.Resilience = %+v, want defaults %+v", ctl.res, d)
-	}
-	// Explicit fields survive defaulting.
-	r := Resilience{OutlierSigma: 3}.withDefaults()
-	if r.OutlierSigma != 3 || r.DegradeAfter != d.DegradeAfter {
-		t.Fatalf("withDefaults clobbered explicit fields: %+v", r)
+	if outlierPersistence > degradeAfter {
+		t.Fatal("persistence above degradeAfter: genuine phase shifts would trip the watchdog")
 	}
 }
 
@@ -58,7 +47,7 @@ func TestGateRejectsNonFinite(t *testing.T) {
 }
 
 func TestGateRejectsStuck(t *testing.T) {
-	ctl := newTestController(t, nil) // StuckWindow 3
+	ctl := newTestController(t, nil) // stuckWindow 3
 	b := 0.13
 	if !ctl.gate(0.5, b) || !ctl.gate(0.5, b) {
 		t.Fatal("gate rejected the first identical readings prematurely")
@@ -77,7 +66,7 @@ func TestGateRejectsStuck(t *testing.T) {
 }
 
 func TestGateOutlierPersistence(t *testing.T) {
-	ctl := newTestController(t, nil) // OutlierSigma 10, persistence 2
+	ctl := newTestController(t, nil) // outlierSigma 10, outlierPersistence 2
 	// Estimate starts at BaseGIPS = 0.13 with band 10·sqrt(P+R) ≈ 0.27;
 	// z = 1.0 is far outside it.
 	if ctl.gate(0.50, 1.0) {
@@ -102,7 +91,7 @@ func TestGateOutlierPersistence(t *testing.T) {
 }
 
 func TestGateDisabledAcceptsEverything(t *testing.T) {
-	ctl := newTestController(t, func(o *Options) { o.Resilience = Resilience{Disabled: true} })
+	ctl := newTestController(t, func(o *Options) { o.Unhardened = true })
 	if !ctl.gate(0.5, math.NaN()) || !ctl.gate(0.5, 99) {
 		t.Fatal("disabled gate rejected a measurement")
 	}
@@ -118,7 +107,7 @@ func TestWatchdogLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := newTestController(t, nil) // DegradeAfter 3, RelinquishAfter 8
+	ctl := newTestController(t, nil) // degradeAfter 3, relinquishAfter 8
 	for i := 1; i <= 2; i++ {
 		if ctl.watchdog(ph, true) {
 			t.Fatalf("watchdog intervened after %d failures, threshold is 3", i)
@@ -249,7 +238,7 @@ func TestDisabledControllerStaysHijacked(t *testing.T) {
 	tab := syntheticTable(0.13)
 	plan := fault.Plan{Hijacks: []fault.Hijack{{At: 5 * time.Second}}}
 	eng, ctl, _ := installController(t, workload.Spotify(), tab, 0.3, plan,
-		func(o *Options) { o.Resilience = Resilience{Disabled: true} })
+		func(o *Options) { o.Unhardened = true })
 	eng.Run(12*time.Second, false)
 
 	if ctl.Health().GovernorReinstalls != 0 {
@@ -315,7 +304,7 @@ func TestDegradeThenRecover(t *testing.T) {
 	}
 	// The re-convergence transient may gate a trailing sample; what
 	// matters is the failing run stays below the watchdog threshold.
-	if h.ConsecutiveFailures >= DefaultResilience().DegradeAfter {
+	if h.ConsecutiveFailures >= degradeAfter {
 		t.Fatalf("ConsecutiveFailures = %d after recovery", h.ConsecutiveFailures)
 	}
 }

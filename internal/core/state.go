@@ -103,7 +103,7 @@ func (c *Controller) RestoreState(raw json.RawMessage, dev platform.Device) erro
 				i, e.FreqIdx, e.BWIdx, len(chip.CPUFreqs), len(chip.MemBWs))
 		}
 	}
-	if n := c.res.StuckWindow - 1; n > 0 && (len(s.RecentY) > n || s.RecentYPos < 0 || s.RecentYPos >= n) {
+	if n := stuckWindow - 1; len(s.RecentY) > n || s.RecentYPos < 0 || s.RecentYPos >= n {
 		return fmt.Errorf("core: restore %d stuck-window readings at position %d into a ring of %d",
 			len(s.RecentY), s.RecentYPos, n)
 	}

@@ -106,8 +106,4 @@ func (c *Controller) publishCycle(dev platform.Device) {
 		}
 		c.opt.OnCycle(snap)
 	}
-	if c.opt.OnCheckpoint != nil && c.opt.CheckpointEvery > 0 &&
-		c.st.CyclesRun%c.opt.CheckpointEvery == 0 {
-		c.opt.OnCheckpoint(c.st.CyclesRun)
-	}
 }

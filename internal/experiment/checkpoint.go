@@ -17,8 +17,8 @@ import (
 //
 // Cadence: in controller mode a checkpoint is captured at the first
 // engine-loop boundary after every CheckpointEvery-th control cycle
-// (the controller signals via core.Options.OnCheckpoint; the session
-// only raises a flag — nothing is snapshotted mid-tick). In governor
+// (the session's core.Options.OnCycle only raises a flag — nothing is
+// snapshotted mid-tick). In governor
 // mode there are no control cycles, so the session checkpoints on a
 // simulated-time schedule of CheckpointEvery seconds (the perf tool's
 // reporting period is 1 s, making the two cadences comparable).

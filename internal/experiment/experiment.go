@@ -27,9 +27,6 @@ type Config struct {
 	// ProfileWarmup/ProfileWindow per configuration.
 	ProfileWarmup time.Duration
 	ProfileWindow time.Duration
-	// Quick reduces fidelity (single seed, short windows) for smoke
-	// tests and benchmarks.
-	Quick bool
 	// Workers bounds the campaign worker pool fanning out independent
 	// simulation cells (runs and profiling points). 0 or negative means
 	// one worker per CPU (runtime.GOMAXPROCS(0)); 1 forces the serial
@@ -55,7 +52,6 @@ func Quick() Config {
 		ProfileSeeds:  []int64{11},
 		ProfileWarmup: 2 * time.Second,
 		ProfileWindow: 16 * time.Second,
-		Quick:         true,
 	}
 }
 

@@ -99,7 +99,7 @@ type FaultRow struct {
 	TargetGIPS float64
 
 	Stock      RunResult // default governors under the scenario
-	Unhardened RunResult // Resilience{Disabled} controller
+	Unhardened RunResult // Options.Unhardened controller
 	Hardened   RunResult // full ladder
 
 	// SlackPct is 100·(GIPS − target)/target per condition: how far the
@@ -209,19 +209,20 @@ func (c Config) faultRow(prep faultPrep, sc FaultScenario) (FaultRow, error) {
 
 	// The unhardened and hardened controllers differ only in their
 	// resilience ladder.
-	opts := core.DefaultOptions(prep.tab, prep.target)
-	ctlCondition := func(res core.Resilience) (RunResult, *Session, error) {
+	ctlCondition := func(unhardened bool) (RunResult, *Session, error) {
+		opts := core.DefaultOptions(prep.tab, prep.target)
+		opts.Unhardened = unhardened
 		return c.runSeeds(func(seed int64) (*Session, error) {
-			return newSession(SessionSpec{Controller: true, Resilience: res, Seed: seed},
+			return newSession(SessionSpec{Controller: true, Seed: seed},
 				prep.spec, workload.BaselineLoad, &opts, &sc.Plan)
 		})
 	}
-	rr, last, err := ctlCondition(core.Resilience{Disabled: true})
+	rr, last, err := ctlCondition(true)
 	if err != nil {
 		return row, err
 	}
 	row.Unhardened, row.UnhardenedHealth = rr, last.Controller.Health()
-	rr, last, err = ctlCondition(core.DefaultResilience())
+	rr, last, err = ctlCondition(false)
 	if err != nil {
 		return row, err
 	}

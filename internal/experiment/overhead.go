@@ -65,10 +65,10 @@ func (c Config) Overhead(tab *profile.Table, targetGIPS float64) (*OverheadResul
 	// 5 mJ per transition (see sim.Phone.SetFreqIdx) averaged over the
 	// cycle duration.
 	actW := perCycleFreqChanges * 5e-3 / opts.CycleT.Seconds()
-	perf := perftool.MustNew(opts.PerfPeriod, 0)
+	perf := perftool.MustNew(core.PerfPeriod, 0)
 	return &OverheadResult{
 		PerfCPUOverheadPct:        100 * perf.OverheadFrac(),
-		PerfPowerOverheadW:        0.015 / opts.PerfPeriod.Seconds(),
+		PerfPowerOverheadW:        0.015 / core.PerfPeriod.Seconds(),
 		ControllerEnergyPerCycleJ: 0.050,
 		OptimizerTimePerCycle:     ctl.OptimizerWallTime() / time.Duration(cycles),
 		FreqChangesPerCycle:       perCycleFreqChanges,

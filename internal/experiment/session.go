@@ -49,7 +49,7 @@ type SessionSpec struct {
 	// Controller runs the energy controller instead of a stock governor.
 	Controller bool
 	// CPUOnly restricts the controller to CPU frequency (Table V
-	// baseline).
+	// baseline); it needs Controller.
 	CPUOnly bool
 	// Profile is a profile-table JSON path; empty profiles on the fly.
 	// The file is parsed once per process for each distinct content,
@@ -77,9 +77,6 @@ type SessionSpec struct {
 	// LogAllocations keeps the controller's per-cycle decision log — the
 	// golden tests' cycle-for-cycle comparison record.
 	LogAllocations bool
-	// Resilience overrides the controller's fault-handling ladder; the
-	// zero value selects the hardened defaults.
-	Resilience core.Resilience
 	// OnCycle subscribes to the controller's per-cycle telemetry
 	// (controller mode only; see core.Options.OnCycle for the contract).
 	OnCycle func(core.CycleSnapshot)
@@ -109,26 +106,42 @@ type SessionSpec struct {
 // silently: unknown apps, loads, governors and fault scenarios are
 // errors, not no-ops.
 func (s SessionSpec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolvedSpec is what a spec names: the application, the load
+// condition and, when Faults is set, the fault scenario.
+type resolvedSpec struct {
+	app    *workload.Spec
+	load   workload.BGLoad
+	faults *FaultScenario
+}
+
+// resolve checks the spec and builds what it names. Validate and
+// NewSession share it, so a session resolves its spec once.
+func (s SessionSpec) resolve() (r resolvedSpec, err error) {
 	if s.AppSpec != nil {
 		if err := s.AppSpec.Validate(); err != nil {
-			return err
+			return r, err
 		}
 		if s.App != "" && s.App != s.AppSpec.Name {
-			return fmt.Errorf("app %q does not match inline workload %q", s.App, s.AppSpec.Name)
+			return r, fmt.Errorf("app %q does not match inline workload %q", s.App, s.AppSpec.Name)
 		}
-	} else if _, err := workload.ByName(s.App); err != nil {
-		return err
+		r.app = s.AppSpec
+	} else if r.app, err = workload.ByName(s.App); err != nil {
+		return r, err
 	}
 	for i, bg := range s.ExtraBackground {
 		if bg == nil {
-			return fmt.Errorf("extra background %d: nil spec", i)
+			return r, fmt.Errorf("extra background %d: nil spec", i)
 		}
 		if err := bg.Validate(); err != nil {
-			return fmt.Errorf("extra background %d: %w", i, err)
+			return r, fmt.Errorf("extra background %d: %w", i, err)
 		}
 	}
-	if _, err := workload.ParseBGLoad(s.Load); err != nil {
-		return err
+	if r.load, err = workload.ParseBGLoad(s.Load); err != nil {
+		return r, err
 	}
 	if !s.Controller {
 		ok := false
@@ -139,33 +152,38 @@ func (s SessionSpec) Validate() error {
 			}
 		}
 		if !ok {
-			return fmt.Errorf("unknown governor %q (want one of: %s)",
+			return r, fmt.Errorf("unknown governor %q (want one of: %s)",
 				s.Governor, strings.Join(governor.CPUFreqPolicies(), ", "))
+		}
+		if s.CPUOnly {
+			return r, fmt.Errorf("CPU-only applies to the controller, not to governor %q", s.Governor)
 		}
 	}
 	if s.Faults != "" {
-		if _, err := FaultScenarioByName(s.Faults); err != nil {
-			return err
+		sc, err := FaultScenarioByName(s.Faults)
+		if err != nil {
+			return r, err
 		}
+		r.faults = &sc
 	}
 	if s.TargetGIPS < 0 {
-		return fmt.Errorf("negative target %v GIPS", s.TargetGIPS)
+		return r, fmt.Errorf("negative target %v GIPS", s.TargetGIPS)
 	}
 	if s.RunFor < 0 {
-		return fmt.Errorf("negative run duration %v", s.RunFor)
+		return r, fmt.Errorf("negative run duration %v", s.RunFor)
 	}
 	if s.CheckpointEvery < 0 {
-		return fmt.Errorf("negative checkpoint interval %d", s.CheckpointEvery)
+		return r, fmt.Errorf("negative checkpoint interval %d", s.CheckpointEvery)
 	}
 	if s.CheckpointEvery > 0 {
 		if s.OnCheckpoint == nil {
-			return fmt.Errorf("CheckpointEvery set without an OnCheckpoint sink")
+			return r, fmt.Errorf("CheckpointEvery set without an OnCheckpoint sink")
 		}
 		if s.TraceEvery > 0 {
-			return fmt.Errorf("checkpointing is incompatible with trace recording (TraceEvery)")
+			return r, fmt.Errorf("checkpointing is incompatible with trace recording (TraceEvery)")
 		}
 	}
-	return nil
+	return r, nil
 }
 
 // Session is one fully constructed run: the harness plus the actors
@@ -210,31 +228,22 @@ type Session struct {
 // (app, load, fault plan, controller options); the wiring is
 // newSession's, which the paper campaigns share.
 func NewSession(spec SessionSpec) (*Session, error) {
-	if err := spec.Validate(); err != nil {
+	r, err := spec.resolve()
+	if err != nil {
 		return nil, err
 	}
 	logf := spec.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	app := spec.AppSpec
-	if app == nil {
-		app, _ = workload.ByName(spec.App)
-	}
-	bg, _ := workload.ParseBGLoad(spec.Load)
-
 	var plan *fault.Plan
-	if spec.Faults != "" {
-		sc, err := FaultScenarioByName(spec.Faults)
-		if err != nil {
-			return nil, err
-		}
+	if sc := r.faults; sc != nil {
 		plan = &sc.Plan
 		logf("fault scenario %s: %s", sc.Name, sc.Desc)
 	}
 	var opts *core.Options
 	if spec.Controller {
-		tab, tgt, err := resolveTableAndTarget(app, bg, spec, logf)
+		tab, tgt, err := resolveTableAndTarget(r.app, r.load, spec, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -243,16 +252,16 @@ func NewSession(spec SessionSpec) (*Session, error) {
 		logf("controller: target %.4f GIPS, table %d entries (base %.4f GIPS)",
 			tgt, tab.Len(), tab.BaseGIPS)
 	}
-	return newSession(spec, app, bg, opts, plan)
+	return newSession(spec, r.app, r.load, opts, plan)
 }
 
 // newSession builds a resolved cell and is the one place the wiring
 // rules live. A non-nil plan gets its own injector, seeded with the
 // cell's seed and registered first, so its clock leads the actors it
 // torments. A non-nil opts selects controller mode: the controller runs
-// on *opts with the spec's per-session fields (seed, CPU-only,
-// resilience, logging, telemetry, tracing, checkpoint cadence) applied,
-// and
+// on *opts with the spec's per-session fields (seed, CPU-only, logging,
+// telemetry, tracing) applied, its OnCycle marks a checkpoint due every
+// CheckpointEvery cycles, and
 //   - under faults it actuates through fault.WrapRunner, its perf tool
 //     reads through fault.WrapPerf, and the stock governors stand by;
 //   - CPU-only, cpubw_hwmon keeps the memory bandwidth: the standby
@@ -288,14 +297,21 @@ func newSession(spec SessionSpec, app *workload.Spec, load workload.BGLoad,
 		o.Seed = spec.Seed
 		o.CPUOnly = spec.CPUOnly
 		o.LogAllocations = spec.LogAllocations
-		o.Resilience = spec.Resilience
 		o.OnCycle = spec.OnCycle
 		o.Trace = spec.Trace != nil
-		if spec.CheckpointEvery > 0 {
-			// The controller only signals; the engine hook captures at
-			// the next loop boundary, where the cell is quiescent.
-			o.CheckpointEvery = spec.CheckpointEvery
-			o.OnCheckpoint = func(cyclesRun int) { s.ckptPending = cyclesRun }
+		if every := spec.CheckpointEvery; every > 0 {
+			// The cycle only marks a snapshot due, after the subscriber
+			// has run; the engine hook captures at the next loop
+			// boundary, where the cell is quiescent.
+			sub := spec.OnCycle
+			o.OnCycle = func(cs core.CycleSnapshot) {
+				if sub != nil {
+					sub(cs)
+				}
+				if cs.CyclesRun%every == 0 {
+					s.ckptPending = cs.CyclesRun
+				}
+			}
 		}
 		ctl, err := core.New(o)
 		if err != nil {

@@ -94,14 +94,16 @@ type Plan struct {
 
 // Validate rejects malformed plans.
 func (p Plan) Validate() error {
-	for name, pr := range map[string]float64{
-		"WriteFailProb": p.WriteFailProb,
-		"DropProb":      p.DropProb,
-		"SpikeProb":     p.SpikeProb,
-		"ZeroProb":      p.ZeroProb,
-	} {
-		if pr < 0 || pr > 1 {
-			return fmt.Errorf("fault: %s %v outside [0,1]", name, pr)
+	probs := [...]struct {
+		name string
+		v    float64
+	}{
+		{"WriteFailProb", p.WriteFailProb}, {"DropProb", p.DropProb},
+		{"SpikeProb", p.SpikeProb}, {"ZeroProb", p.ZeroProb},
+	}
+	for _, pr := range probs {
+		if pr.v < 0 || pr.v > 1 {
+			return fmt.Errorf("fault: %s %v outside [0,1]", pr.name, pr.v)
 		}
 	}
 	if p.SpikeFactor < 0 {

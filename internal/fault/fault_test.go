@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +57,14 @@ func TestPlanValidate(t *testing.T) {
 				t.Fatal("invalid plan accepted")
 			}
 		})
+	}
+	// Two invalid probabilities: the error names the one declared
+	// first, on every call.
+	p := Plan{WriteFailProb: -1, ZeroProb: 2}
+	for i := 0; i < 20; i++ {
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "WriteFailProb") {
+			t.Fatalf("call %d: %v, want the error to name WriteFailProb", i, err)
+		}
 	}
 }
 

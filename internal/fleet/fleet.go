@@ -108,9 +108,6 @@ type Config struct {
 	// LogAllocations keeps the controller's per-cycle decision log,
 	// retrievable via Manager.AllocationLog (golden tests).
 	LogAllocations bool `json:"log_allocations,omitempty"`
-	// Resilience overrides the controller's fault-handling ladder; nil
-	// selects the hardened defaults.
-	Resilience *core.Resilience `json:"resilience,omitempty"`
 }
 
 // normalized fills the aspeo-run defaults into zero fields.
@@ -127,7 +124,7 @@ func (c Config) normalized() Config {
 // spec translates the config into the shared session spec, with the
 // seed of one particular attempt.
 func (c Config) spec(seed int64) experiment.SessionSpec {
-	s := experiment.SessionSpec{
+	return experiment.SessionSpec{
 		App: c.App, AppSpec: c.Workload, ExtraBackground: c.ExtraBackground,
 		Load: c.Load, Governor: c.Governor,
 		Controller: c.Controller, CPUOnly: c.CPUOnly,
@@ -136,10 +133,6 @@ func (c Config) spec(seed int64) experiment.SessionSpec {
 		RunFor:         time.Duration(c.RunForS * float64(time.Second)),
 		LogAllocations: c.LogAllocations,
 	}
-	if c.Resilience != nil {
-		s.Resilience = *c.Resilience
-	}
-	return s
 }
 
 // Validate rejects configs aspeo-run would reject, plus fleet-specific

@@ -202,6 +202,7 @@ func TestFleetSubmitValidates(t *testing.T) {
 		{App: "no-such-app"},
 		{App: "spotify", Load: "XX"},
 		{App: "spotify", Governor: "bogus"},
+		{App: "spotify", CPUOnly: true},
 		{App: "spotify", Faults: "no-such-scenario"},
 		{App: "spotify", MaxRestarts: -1},
 		{App: "spotify", RunForS: -1},

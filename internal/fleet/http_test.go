@@ -64,6 +64,12 @@ func TestFleetSmokeHTTP(t *testing.T) {
 		!strings.Contains(string(body), "engine") {
 		t.Fatalf("engine field: status %d body %s, want 400 naming engine", code, body)
 	}
+	// The fault ladder's thresholds are constants; the removed
+	// resilience override is an unknown field too.
+	if code, body := post("/api/v1/sessions", `{"app":"spotify","controller":true,"resilience":{"Disabled":true}}`); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "resilience") {
+		t.Fatalf("resilience field: status %d body %s, want 400 naming resilience", code, body)
+	}
 
 	// Submit 8 sessions at consecutive seeds in one request.
 	code, body := post("/api/v1/sessions", `{"app":"spotify","seed":100,"count":8,"run_for_s":2}`)

@@ -23,7 +23,6 @@ import (
 // InteractiveTunables are the interactive governor's knobs, named after
 // the sysfs tunables of the real driver.
 type InteractiveTunables struct {
-	TimerRate        time.Duration // load evaluation period
 	GoHispeedLoad    float64       // load that triggers the hispeed jump
 	HispeedFreqIdx   int           // ladder index of hispeed_freq
 	AboveHispeedWait time.Duration // dwell before climbing past hispeed
@@ -38,7 +37,6 @@ type InteractiveTunables struct {
 // 12.7–27.9% of every app's runtime.
 func DefaultInteractive() InteractiveTunables {
 	return InteractiveTunables{
-		TimerRate:        20 * time.Millisecond,
 		GoHispeedLoad:    0.85,
 		HispeedFreqIdx:   9,
 		AboveHispeedWait: 80 * time.Millisecond,
@@ -215,14 +213,9 @@ func CPUFreqPolicies() []string {
 
 // NewCPUFreq builds the policy engine with default tunables.
 func NewCPUFreq() *CPUFreq {
-	return NewCPUFreqTuned(DefaultInteractive(), DefaultOndemand())
-}
-
-// NewCPUFreqTuned builds the policy engine with explicit tunables.
-func NewCPUFreqTuned(it InteractiveTunables, ot OndemandTunables) *CPUFreq {
 	return &CPUFreq{
-		interactive:  newInteractive(it),
-		ondemand:     newOndemand(ot),
+		interactive:  newInteractive(DefaultInteractive()),
+		ondemand:     newOndemand(DefaultOndemand()),
 		conservative: newConservative(DefaultConservative()),
 		period:       20 * time.Millisecond,
 	}

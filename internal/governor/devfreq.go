@@ -114,11 +114,8 @@ type DevFreq struct {
 }
 
 // NewDevFreq builds the policy engine with default tunables.
-func NewDevFreq() *DevFreq { return NewDevFreqTuned(DefaultHwmon()) }
-
-// NewDevFreqTuned builds the policy engine with explicit tunables.
-func NewDevFreqTuned(tun HwmonTunables) *DevFreq {
-	return &DevFreq{hwmon: newHwmon(tun), period: 50 * time.Millisecond}
+func NewDevFreq() *DevFreq {
+	return &DevFreq{hwmon: newHwmon(DefaultHwmon()), period: 50 * time.Millisecond}
 }
 
 // Name implements platform.Actor.

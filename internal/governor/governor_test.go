@@ -258,8 +258,8 @@ func TestDefaultTunablesMatchNexus6(t *testing.T) {
 	if it.HispeedFreqIdx != 9 {
 		t.Fatalf("hispeed_freq index = %d, want 9 (1.4976 GHz)", it.HispeedFreqIdx)
 	}
-	if it.TimerRate != 20*time.Millisecond {
-		t.Fatalf("timer_rate = %v", it.TimerRate)
+	if p := NewCPUFreq().Period(); p != 20*time.Millisecond {
+		t.Fatalf("timer_rate = %v", p)
 	}
 	ht := DefaultHwmon()
 	if ht.DecayFactor <= 0 || ht.DecayFactor >= 1 {

@@ -34,11 +34,11 @@ type Brownout struct {
 // Windows without a target (no controller cycles) never brown out. The
 // scan is a deterministic function of exact window sums.
 func analyzeSaturation(wins []winCell, o Options) *Saturation {
-	s := &Saturation{WindowS: o.WindowS, Threshold: o.BrownoutThreshold}
+	s := &Saturation{WindowS: o.WindowS, Threshold: brownoutFrac}
 	var cur *Brownout
 	for i := range wins {
 		w := &wins[i]
-		brown := w.TargetSum > 0 && w.MeasuredSum < o.BrownoutThreshold*w.TargetSum
+		brown := w.TargetSum > 0 && w.MeasuredSum < brownoutFrac*w.TargetSum
 		if !brown {
 			cur = nil
 			continue

@@ -17,10 +17,6 @@ type Options struct {
 	// WindowS is the analyzer window in scenario seconds (<= 0 selects
 	// 1.0).
 	WindowS float64
-	// BrownoutThreshold is the saturation analyzer's trigger: a window
-	// browns out when the population's measured GIPS sum falls below
-	// threshold · target sum (<= 0 selects 0.9).
-	BrownoutThreshold float64
 	// MaxWindows bounds the analyzer timeline; records beyond it clamp
 	// into the last window (<= 0 selects 65536).
 	MaxWindows int
@@ -28,11 +24,15 @@ type Options struct {
 
 // Defaults for the zero-valued knobs above.
 const (
-	DefaultRingCap           = 1024
-	DefaultWindowS           = 1.0
-	DefaultBrownoutThreshold = 0.9
-	DefaultMaxWindows        = 1 << 16
+	DefaultRingCap    = 1024
+	DefaultWindowS    = 1.0
+	DefaultMaxWindows = 1 << 16
 )
+
+// brownoutFrac is the saturation analyzer's trigger: a window browns
+// out when the population's measured GIPS sum falls below brownoutFrac
+// · target sum.
+const brownoutFrac = 0.9
 
 func (o Options) normalized() Options {
 	if o.Workers <= 0 {
@@ -43,9 +43,6 @@ func (o Options) normalized() Options {
 	}
 	if o.WindowS <= 0 {
 		o.WindowS = DefaultWindowS
-	}
-	if o.BrownoutThreshold <= 0 {
-		o.BrownoutThreshold = DefaultBrownoutThreshold
 	}
 	if o.MaxWindows <= 0 {
 		o.MaxWindows = DefaultMaxWindows

@@ -260,7 +260,7 @@ func TestDistMergeCommutative(t *testing.T) {
 }
 
 func TestBrownoutAnalyzer(t *testing.T) {
-	p := New(Options{Workers: 1, WindowS: 1.0, BrownoutThreshold: 0.9})
+	p := New(Options{Workers: 1, WindowS: 1.0})
 	id := p.CohortID("sat")
 	// Windows 0-4: measured meets target. Windows 5-7: measured at half
 	// target (brownout). Windows 8-9: recovered.

@@ -148,7 +148,6 @@ func ReadJSON(r io.Reader) (*Table, error) {
 
 // Options configure a profiling campaign.
 type Options struct {
-	SoC    *soc.SoC
 	Load   workload.BGLoad
 	Mode   BWMode
 	Seeds  []int64       // one run per seed, averaged (paper: 3 runs)
@@ -174,8 +173,8 @@ func DefaultOptions() Options {
 
 // Measure runs the app for one seed pinned at (freqIdx, bwIdx), with the
 // 1 s perf tool every profiled cell carries, and returns its GIPS and
-// power over opt.Window after opt.Warmup. Of opt it reads SoC, Load,
-// Warmup and Window. bwIdx = GovernedBW leaves the bandwidth to the
+// power over opt.Window after opt.Warmup. Of opt it reads Load, Warmup
+// and Window. bwIdx = GovernedBW leaves the bandwidth to the
 // hwmon governor. Each call builds its own sim.Phone, so calls are safe
 // to fan out across goroutines.
 func Measure(spec *workload.Spec, opt Options, freqIdx, bwIdx int, seed int64) (gips, powerW float64, err error) {
@@ -187,7 +186,7 @@ func Measure(spec *workload.Spec, opt Options, freqIdx, bwIdx int, seed int64) (
 	looped.Loop = true
 	looped.LoopCount = 0
 	ph, err := sim.NewPhone(sim.Config{
-		SoC: opt.SoC, Foreground: &looped, Load: opt.Load,
+		Foreground: &looped, Load: opt.Load,
 		Seed: seed, ScreenOn: true, WiFiOn: true,
 	})
 	if err != nil {
@@ -267,10 +266,7 @@ func Run(spec *workload.Spec, opt Options) (*Table, error) {
 	if opt.Window <= 0 || opt.Warmup < 0 {
 		return nil, fmt.Errorf("profile: bad warmup/window")
 	}
-	chip := opt.SoC
-	if chip == nil {
-		chip = soc.Nexus6()
-	}
+	chip := soc.Nexus6()
 	freqs := spec.ProfileFreqIdxs
 	if len(freqs) == 0 {
 		return nil, fmt.Errorf("profile: %s has no profiled frequencies", spec.Name)

@@ -224,6 +224,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		{func(s *Spec) { s.Cohorts[0].Chain.Length = 1 }, "cohorts[0].chain.length"},
 		{func(s *Spec) { s.Cohorts[0].Loads = map[string]float64{"XX": 1} }, "cohorts[0].loads"},
 		{func(s *Spec) { s.Cohorts[2].Governor = "warp" }, "cohorts[2].governor"},
+		{func(s *Spec) { s.Cohorts[2].CPUOnly = true }, "cohorts[2].cpu_only"},
 		{func(s *Spec) { s.Cohorts[0].Faults = "gremlins" }, "cohorts[0].faults"},
 		{func(s *Spec) { s.Cohorts[0].AdStorm.BurstS = -1 }, "cohorts[0].ad_storm.burst_s"},
 		{func(s *Spec) { s.Cohorts[0].Perturb.DemandSigma = 9 }, "cohorts[0].perturb.demand_sigma"},

@@ -174,6 +174,9 @@ func (s *Spec) validateCohort(c *Cohort) error {
 	if c.TargetGIPS > 0 && !c.Controller {
 		return fmt.Errorf("target_gips: %v set on a non-controller cohort", c.TargetGIPS)
 	}
+	if c.CPUOnly && !c.Controller {
+		return fmt.Errorf("cpu_only: true set on a non-controller cohort")
+	}
 	if c.Faults != "" {
 		if _, err := experiment.FaultScenarioByName(c.Faults); err != nil {
 			return fmt.Errorf("faults: %w", err)

@@ -10,7 +10,6 @@ package soc
 import (
 	"fmt"
 	"strconv"
-	"time"
 )
 
 // Freq is a CPU clock frequency in GHz.
@@ -93,9 +92,8 @@ type OPP struct {
 	Voltage float64 // volts
 }
 
-// SoC is a static description of the chip: its DVFS ladders and timing
-// properties. It carries no runtime state; see internal/sim for the
-// dynamic device.
+// SoC is a static description of the chip: its DVFS ladders. It
+// carries no runtime state; see internal/sim for the dynamic device.
 type SoC struct {
 	Name     string
 	NumCores int
@@ -105,13 +103,6 @@ type SoC struct {
 
 	// MemBWs is the ascending ladder of memory-bus bandwidths.
 	MemBWs []Bandwidth
-
-	// FreqTransition is the latency of a CPU frequency change
-	// (microseconds on real hardware).
-	FreqTransition time.Duration
-
-	// BWTransition is the latency of a bandwidth change.
-	BWTransition time.Duration
 }
 
 // NumConfigs returns the size of the full configuration space.
@@ -240,11 +231,9 @@ func Nexus6() *SoC {
 	bws := make([]Bandwidth, len(nexus6BWs))
 	copy(bws, nexus6BWs)
 	return &SoC{
-		Name:           "snapdragon805-nexus6",
-		NumCores:       4,
-		CPUFreqs:       opps,
-		MemBWs:         bws,
-		FreqTransition: 50 * time.Microsecond,
-		BWTransition:   100 * time.Microsecond,
+		Name:     "snapdragon805-nexus6",
+		NumCores: 4,
+		CPUFreqs: opps,
+		MemBWs:   bws,
 	}
 }
